@@ -959,7 +959,8 @@ def _kmv_overlap_sql(k: int = 64) -> str:
     mix, end = _mix64_sql_steps("ko", "tu", "a")
     return f"""
         WITH tu AS (SELECT DISTINCT event_type AS t,
-                           CAST(user_id AS UBIGINT) AS a FROM events),
+                           CAST(user_id AS UBIGINT) AS a FROM events
+                    WHERE user_id IS NOT NULL),
         {mix},
         th AS (SELECT DISTINCT t, kohf AS h FROM {end}),
         r AS (SELECT t, h, row_number() OVER

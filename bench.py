@@ -92,10 +92,8 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False,
     from casie_ray.pipelines.kg import run_kg_pipeline
 
     queries: dict[str, float] = {}
-    # ops suite FIRST (reuses the warmed task-worker pool), the
-    # actor-pool-heavy KG pipeline last — its actor processes displace
-    # idle task workers past Ray's soft limit, so anything timed after
-    # it would pay a full worker respawn
+    # ops suite FIRST (reuses the warmed task-worker pool), the KG
+    # pipeline last
     if not headline_only:
         from casie_ray.ops import ann, dedup, relational, text
 

@@ -840,26 +840,29 @@ def _edge_support(e, deg):
 
 
 def ktruss(edges_ds, k: int = 4, rounds: int = 3):
-    """Bounded-round k-truss peel (k >= 3) over the undirected distinct
-    (subj, obj) edge set: (src, dst, support) for the canonical edges
-    surviving ``rounds`` synchronous peels, with the support that
-    qualified them in the final round."""
+    """Bounded-round k-truss peel (k >= 3, rounds >= 1) over the
+    undirected distinct (subj, obj) edge set: (src, dst, support) for the
+    canonical edges surviving ``rounds`` synchronous peels, with the
+    support that qualified them in the final round."""
+    if k < 3 or rounds < 1:
+        raise ValueError(f"ktruss needs k >= 3 and rounds >= 1, "
+                         f"got k={k}, rounds={rounds}")
     thr = pa.scalar(k - 2, pa.int64())
+
+    def keep_edges(batch: pa.Table) -> pa.Table:
+        kept = batch.filter(pc.greater_equal(batch.column("support"), thr))
+        return kept.select(["a", "b", "bucket"])
+
     e, deg = _simple_graph(edges_ds)
-    sup = None
-    for _ in range(rounds):
-        sup = _edge_support(e, deg).materialize()
-
-        def keep_edges(batch: pa.Table) -> pa.Table:
-            kept = batch.filter(
-                pc.greater_equal(batch.column("support"), thr))
-            return kept.select(["a", "b", "bucket"])
-
+    sup = _edge_support(e, deg).materialize()
+    for _ in range(rounds - 1):
+        # the peeled edge set and its degrees feed only the next round
         e = sup.map_batches(keep_edges, batch_format="pyarrow") \
             .materialize()
         dp = e.map_batches(_tri_deg_partial, batch_format="pyarrow",
                            batch_size=None)
         deg = bucket_groupby(dp, _tri_deg_bucket).materialize()
+        sup = _edge_support(e, deg).materialize()
 
     def finish(batch: pa.Table) -> pa.Table:
         kept = batch.filter(
@@ -888,26 +891,36 @@ def ktruss_local(edges: list[tuple[str, str]], k: int = 4,
 
 
 def ktruss_sql(triples_glob: str, k: int = 4, rounds: int = 3) -> str:
-    """Unrolled DuckDB oracle for :func:`ktruss` — one support CTE per
-    peel round, bit-exact vs the engine."""
-    sql = [f"""WITH e0 AS (SELECT DISTINCT
-                 least(CAST(subj AS VARCHAR), CAST(obj AS VARCHAR)) AS a,
-                 greatest(CAST(subj AS VARCHAR), CAST(obj AS VARCHAR)) AS b
-               FROM read_parquet('{triples_glob}')
-               WHERE CAST(subj AS VARCHAR) <> CAST(obj AS VARCHAR))"""]
+    """Unrolled DuckDB oracle for :func:`ktruss`, bit-exact vs the
+    engine. Support counts triangles over low->high (degree, node)
+    oriented wedges, so each triangle is found once from its smallest
+    corner and the wedge mass stays O(m^1.5) whatever the hub skew
+    (joining both endpoints' full adjacency does not). Each peel round is
+    a MATERIALIZED triangle / support / survivor CTE triple, so DuckDB
+    never re-expands the chain."""
+    sql = [_oriented_cte(triples_glob)]
+    prev = "o"
     for i in range(1, rounds + 1):
         sql.append(f""",
- adj{i - 1} AS (SELECT a AS src, b AS dst FROM e{i - 1}
-                UNION ALL SELECT b, a FROM e{i - 1}),
- s{i} AS (SELECT e.a, e.b, count(*) AS s
-          FROM e{i - 1} e
-          JOIN adj{i - 1} x ON x.src = e.a
-          JOIN adj{i - 1} y ON y.src = e.b AND y.dst = x.dst
-          GROUP BY e.a, e.b),
- e{i} AS (SELECT a, b FROM s{i} WHERE s >= {k - 2})""")
+        t{i} AS MATERIALIZED ({_tri_select(prev)}
+        ), s{i} AS MATERIALIZED (
+          SELECT least(x, y) AS a, greatest(x, y) AS b, count(*) AS s
+          FROM (SELECT u AS x, v AS y FROM t{i}
+                UNION ALL SELECT u, w FROM t{i}
+                UNION ALL SELECT v, w FROM t{i})
+          GROUP BY 1, 2
+        )""")
+        if i < rounds:
+            sql.append(f""", o{i} AS MATERIALIZED (
+          SELECT p.src, p.dst FROM {prev} p
+          JOIN s{i} q ON q.a = least(p.src, p.dst)
+                     AND q.b = greatest(p.src, p.dst)
+          WHERE q.s >= {k - 2}
+        )""")
+            prev = f"o{i}"
     sql.append(f"""
-SELECT a AS src, b AS dst, CAST(s AS BIGINT) AS support
-FROM s{rounds} WHERE s >= {k - 2}""")
+        SELECT a AS src, b AS dst, CAST(s AS BIGINT) AS support
+        FROM s{rounds} WHERE s >= {k - 2}""")
     return "".join(sql)
 
 
@@ -981,9 +994,10 @@ def triangle_counts_local(edges: list[tuple[str, str]]) -> dict[str, int]:
     return counts
 
 
-def _tri_cte(triples_glob: str) -> str:
-    """Shared CTE body (canonical edges -> degrees -> orientation ->
-    triangles -> corner rows) for the triangle-family oracles."""
+def _oriented_cte(triples_glob: str) -> str:
+    """Shared CTE head for the triangle-family oracles: canonical edges
+    ``e0`` -> degrees ``deg`` -> edges ``o`` oriented from the
+    (degree, node)-smaller endpoint, via row-value comparison."""
     return f"""
         WITH e0 AS (
           SELECT DISTINCT
@@ -995,17 +1009,29 @@ def _tri_cte(triples_glob: str) -> str:
           SELECT n, CAST(count(*) AS BIGINT) AS d
           FROM (SELECT a AS n FROM e0 UNION ALL SELECT b FROM e0)
           GROUP BY n
-        ), o AS (
+        ), o AS MATERIALIZED (
           SELECT CASE WHEN (da.d, e0.a) < (db.d, e0.b)
                       THEN e0.a ELSE e0.b END AS src,
                  CASE WHEN (da.d, e0.a) < (db.d, e0.b)
                       THEN e0.b ELSE e0.a END AS dst
           FROM e0 JOIN deg da ON da.n = e0.a JOIN deg db ON db.n = e0.b
-        ), tri AS (
+        )"""
+
+
+def _tri_select(o: str) -> str:
+    """Every triangle (u, v, w) of the oriented edge table ``o``, once,
+    from its smallest corner u."""
+    return f"""
           SELECT e1.src AS u, e1.dst AS v, e2.dst AS w
-          FROM o e1
-          JOIN o e2 ON e2.src = e1.src AND e1.dst <> e2.dst
-          JOIN o e3 ON e3.src = e1.dst AND e3.dst = e2.dst
+          FROM {o} e1
+          JOIN {o} e2 ON e2.src = e1.src AND e1.dst <> e2.dst
+          JOIN {o} e3 ON e3.src = e1.dst AND e3.dst = e2.dst"""
+
+
+def _tri_cte(triples_glob: str) -> str:
+    """Shared CTE body (oriented edges -> triangles -> corner rows) for
+    the triangle-count oracles."""
+    return _oriented_cte(triples_glob) + f""", tri AS ({_tri_select("o")}
         ), corners AS (
           SELECT u AS n FROM tri
           UNION ALL SELECT v FROM tri

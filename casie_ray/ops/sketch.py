@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 CAND_K = 512
 
@@ -309,7 +310,10 @@ def kmv_type_overlap(sf_dir: str, k: int = KMV_K):
     from .bucketing import mix64
 
     def partial(batch: pa.Table) -> pa.Table:
+        # drop null users: to_numpy would turn them into NaN, which
+        # hashes to an arbitrary register value (the twin drops them too)
         g = batch.select(["event_type", "user_id"]) \
+            .filter(pc.is_valid(batch.column("user_id"))) \
             .group_by(["event_type", "user_id"]).aggregate([])
         types = g.column("event_type").to_numpy(zero_copy_only=False)
         ids = g.column("user_id").to_numpy(zero_copy_only=False)

@@ -5,14 +5,16 @@ Physical plan (SURVEY §4.3), all Ray Data, streaming executor:
   Stage A (fully fused, one execution per WAVE of resumable groups;
   conv-partitioned layout -> ZERO shuffles — see extract_group_ds for
   the general-layout groupby(conv_id) fallback):
-    from_items(shard paths of the wave)
-      .map_batches(ShardFileExtractor, actor pool) # T1/T2+T4/T5 seats:
-                                                   # detect + doc logic +
-                                                   # roles + realis + coref;
-                                                   # each task ALSO emits +
-                                                   # partially dedupes (S8/A7
-                                                   # combiner) + writes its
-                                                   # shard's triples + events
+    from_items(shard paths of the wave, one block per shard)
+      .map_batches(extract_shard_files,  # Ray tasks, one per shard, on
+                   batch_size=1)         # pooled workers that keep the
+                                         # extractor across waves/builds;
+                                         # T1/T2+T4/T5 seats: detect + doc
+                                         # logic + roles + realis + coref;
+                                         # each task ALSO emits + partially
+                                         # dedupes (S8/A7 combiner) +
+                                         # writes its shard's triples +
+                                         # events
       -> per-shard stats rows -> swap group dirs, commit manifests
 
   Stage B (global finalize, reruns cheaply on resume; hash-shuffle):
@@ -37,7 +39,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..ops.bucketing import bucket_groupby
-from ..stages.detect import DetectTagger, ShardFileExtractor
+from ..stages.detect import DetectTagger, extract_shard_files
 from ..stages.doclogic import extract_events_group
 from ..stages.triples import (
     emit_nodes_batch, emit_triples_batch, extract_surface_nodes,
@@ -62,41 +64,42 @@ def list_transcript_files(corpus_dir: str) -> list[str]:
 def extract_group_ds(files: list[str], entities_ref, *,
                      detect_concurrency=None, batch_size: int = 256,
                      conv_partitioned: bool = True,
-                     events_dir: str | None = None,
-                     sink: dict | None = None):
+                     sink: dict | None = None,
+                     entities_path: str | None = None,
+                     kb_whitelist=None, kb_blacklist=None):
     """Build the stage-A Dataset (lazy) for one group of input shards.
 
     ``conv_partitioned=True`` (the corpus layout guarantee: conversations
-    never span shards) runs the ZERO-SHUFFLE path — whole shards stream
-    through the ShardExtractor actor pool and extraction needs no
-    exchange at all. With ``sink`` set the tasks also write their own
-    events + partially-deduped triples (fully fused hot path; see
-    ShardFileExtractor) and the Dataset yields only per-shard stats
-    rows. ``conv_partitioned=False`` is the general-layout fallback: a
-    detect actor pool followed by a ``groupby(conv_id)`` sort shuffle."""
+    never span shards) runs the ZERO-SHUFFLE path: one Ray task per
+    shard runs :func:`extract_shard_files`, so a retry redoes one shard
+    and extraction needs no exchange at all. ``detect_concurrency``, when
+    set, caps the parallel tasks. With ``sink`` set the tasks also write
+    their own events + partially-deduped triples (fully fused hot path;
+    see ShardFileExtractor) and the Dataset yields only per-shard stats
+    rows. ``entities_path`` and the KB filters let a task rebuild the
+    tagger state if the ``entities_ref`` object is lost.
+    ``conv_partitioned=False`` is the general-layout fallback: a detect
+    actor pool followed by a ``groupby(conv_id)`` sort shuffle."""
     import ray
 
     rd = _ray_data()
-    if detect_concurrency is None:
-        ncpu = int(ray.cluster_resources().get("CPU", 4))
-        if sink is not None:
-            # fully fused path: no downstream stage exists, so the
-            # actor pool takes every slot
-            detect_concurrency = max(2, ncpu)
-        else:
-            # actor pool takes 3/4 of CPUs, leaving headroom for the
-            # read / write / shuffle stages so the executor never
-            # starves them
-            detect_concurrency = max(2, (ncpu * 3) // 4)
     if conv_partitioned:
-        ds = rd.from_items(files)
-        return ds.map_batches(
-            ShardFileExtractor,
-            fn_constructor_args=(entities_ref, events_dir, sink),
-            batch_format="pyarrow",
-            batch_size=1,                # one shard file per actor call
-            concurrency=detect_concurrency,
-        )
+        return rd.from_items(files, override_num_blocks=len(files)) \
+            .map_batches(
+                extract_shard_files,
+                fn_args=([entities_ref],),
+                fn_kwargs={"entities_path": entities_path,
+                           "kb_whitelist": kb_whitelist,
+                           "kb_blacklist": kb_blacklist, "sink": sink},
+                batch_format="pyarrow",
+                batch_size=1,
+                concurrency=detect_concurrency,
+            )
+    if detect_concurrency is None:
+        # actor pool takes 3/4 of CPUs, leaving headroom for the read /
+        # write / shuffle stages so the executor never starves them
+        ncpu = int(ray.cluster_resources().get("CPU", 4))
+        detect_concurrency = max(2, (ncpu * 3) // 4)
     ds = rd.read_parquet(files,
                          columns=["conv_id", "turn_idx", "text", "ts"])
     ds = ds.map_batches(
@@ -189,22 +192,23 @@ def _stable_groups(out_dir: str, files: list[str],
 
 
 # groups per fused extraction wave: ONE dataset execution covers a wave
-# of resume groups, amortizing the per-execution fixed cost (actor-pool
-# spin-up + pipeline drain, ~1.5-2 s measured) that a per-group loop
-# pays per group — at corpus scale (thousands of groups) that loop cost
-# is serial hours. Manifests still commit per GROUP after each wave, so
-# the resume unit stays the group; the wave only bounds how much
+# of resume groups. Stage-A tasks run on Ray's pooled workers, which
+# keep the extractor loaded across executions, so a wave no longer pays
+# a worker spin-up; manifests commit per GROUP after each wave, so the
+# resume unit stays the group, and the wave only bounds how much
 # completed work an interrupted run can lose.
 WAVE_GROUPS = 8
 
 
 def _extract_fused_waves(out_dir, raw_root, ev_root, pending, entities_ref,
-                         cfg, *, detect_concurrency=None,
+                         cfg, tagger_kw, *, detect_concurrency=None,
                          keep_events=True) -> None:
     """Fully fused stage A over waves of groups: each shard task writes
     its own events + partially-deduped raw triples into per-group temp
     dirs and returns a stats row; the driver swaps dirs and commits
-    manifests per group when the wave's single execution finishes."""
+    manifests per group when the wave's single execution finishes.
+    ``tagger_kw`` (entities path + KB filters) rebuilds the tagger state
+    if ``entities_ref`` is lost."""
     surf_root = os.path.join(out_dir, "surf")
     for w in range(0, len(pending), WAVE_GROUPS):
         wave = pending[w:w + WAVE_GROUPS]
@@ -224,7 +228,7 @@ def _extract_fused_waves(out_dir, raw_root, ev_root, pending, entities_ref,
                 "ev_root": ev_root if keep_events else None}
         stats = extract_group_ds(
             files, entities_ref, detect_concurrency=detect_concurrency,
-            conv_partitioned=True, sink=sink).take_all()
+            conv_partitioned=True, sink=sink, **tagger_kw).take_all()
         ev_by_gid: dict[int, int] = {}
         turns_by_gid: dict[int, int] = {}
         for r in stats:
@@ -278,9 +282,10 @@ def run_kg_pipeline(corpus_dir: str, out_dir: str, *,
                   if g]
 
     from ..stages.detect import load_tagger_state
-    entities_ref = ray.put(load_tagger_state(
-        os.path.join(corpus_dir, "entities.parquet"),
-        kb_whitelist=kb_whitelist, kb_blacklist=kb_blacklist))
+    tagger_kw = {"entities_path": os.path.join(corpus_dir,
+                                               "entities.parquet"),
+                 "kb_whitelist": kb_whitelist, "kb_blacklist": kb_blacklist}
+    entities_ref = ray.put(load_tagger_state(**tagger_kw))
     cfg = manifest.config_hash()
     if kb_whitelist is not None or kb_blacklist is not None:
         # non-default typing filters are semantic config: fold them into
@@ -322,7 +327,7 @@ def run_kg_pipeline(corpus_dir: str, out_dir: str, *,
 
     if conv_partitioned:
         _extract_fused_waves(out_dir, raw_root, ev_root, pending,
-                             entities_ref, cfg,
+                             entities_ref, cfg, tagger_kw,
                              detect_concurrency=detect_concurrency,
                              keep_events=keep_events)
     else:

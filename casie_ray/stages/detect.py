@@ -1,8 +1,10 @@
 """Detection stage: the engine seat of CASIE's nugget/argument taggers
-(T1/T2, nug_arg_detection.py:111-208) — a stateful actor-pool
-``map_batches`` class. The catalog (broadcast via ``ray.put``, the small
-side of the linker J5/T7) and the compiled lexicon tables are built ONCE
-per actor in ``__init__``; ``__call__`` processes one Arrow batch of
+(T1/T2, nug_arg_detection.py:111-208). The catalog (broadcast via
+``ray.put``, the small side of the linker J5/T7) and the compiled lexicon
+tables are built ONCE per worker process: as an actor-pool
+``map_batches`` class (:class:`DetectTagger`, the general layout), or as
+the per-process cached extractor of the fused task
+:func:`extract_shard_files`. ``__call__`` processes one Arrow batch of
 transcript turns and appends the detection columns (schema.DETECTION_*).
 """
 
@@ -59,10 +61,10 @@ def build_tagger_state(entities, kb_whitelist=None,
                        kb_blacklist=None) -> dict:
     """Build the tagger's broadcast state ONCE (driver side): catalog
     matcher, blocked fuzzy-link index (J5), hot-vocab pre-pass set.
-    ``ray.put`` the result and pass the ref to every tagger actor —
-    actors then pay one plasma deserialize (~50 ms) instead of
-    re-deriving the embedding index per actor per group (~1.3 s at
-    sf1.0), which is pure serial cost on the extraction critical path.
+    ``ray.put`` the result and pass the ref to the taggers — each worker
+    process then pays one plasma deserialize (~50 ms) per build instead
+    of re-deriving the embedding index (~1.3 s at sf1.0), which is pure
+    serial cost on the extraction critical path.
     ``kb_whitelist``/``kb_blacklist`` override the KB candidate typing
     filters (PipelineConfig surface; None -> lexicon defaults)."""
     catalog = build_catalog_matcher(entities)
@@ -248,28 +250,21 @@ class ShardExtractor(DetectTagger):
 
 
 class ShardFileExtractor(ShardExtractor):
-    """File-granular zero-shuffle extraction: the actor pool consumes a
-    Dataset of shard PATHS and reads each shard itself (column-pruned),
-    so conversation/shard alignment is exact by construction — Ray block
+    """File-granular zero-shuffle extraction: each call gets a batch of
+    shard PATHS and reads each shard itself (column-pruned), so
+    conversation/shard alignment is exact by construction — Ray block
     planning can otherwise split or merge file blocks. This is the
-    engine's hot path; use as
-    ``from_items(files).map_batches(ShardFileExtractor, batch_size=1,
-    concurrency=(a, b))``.
+    engine's hot path; the fused stage-A task :func:`extract_shard_files`
+    keeps one instance per worker process.
 
-    ``events_dir``: when set, each shard's event rows (minus args) are
-    also written to ``events_dir/<shard basename>`` from inside the
-    task — fusing the events sink into the extraction pass. File names
-    derive from the input shard, so a task retry overwrites its own
-    output (idempotent).
-
-    ``sink``: when set instead, the task is FULLY fused: it writes the
-    shard's events AND its partially-deduped raw triples itself (into
-    the per-group temp dirs ``sink`` names) and returns only a one-row
-    stats table per shard. One embarrassingly-parallel execution then
-    covers a whole WAVE of resume groups — no downstream stage, no
-    per-group actor-pool spin-up, no object-store traffic (the
-    extraction output never leaves the task). ``sink`` is a dict:
-    ``{"gids": {shard basename: gid}, "ev_root": dir | None,
+    Without ``sink`` a call returns the shards' event rows. With ``sink``
+    the call is FULLY fused: it writes each shard's events AND its
+    partially-deduped raw triples itself (into the per-group temp dirs
+    ``sink`` names) and returns only a one-row stats table per shard —
+    no downstream stage, no object-store traffic (the extraction output
+    never leaves the task). File names derive from the input shard, so
+    a task retry overwrites its own output (idempotent). ``sink`` is a
+    dict: ``{"gids": {shard basename: gid}, "ev_root": dir | None,
     "raw_root": dir, "surf_root": dir | None, "suffix": tmp-dir
     suffix}``. ``surf_root`` additionally side-writes the shard's
     distinct (surface node, entity block) rows, so canonicalization
@@ -283,52 +278,78 @@ class ShardFileExtractor(ShardExtractor):
         ("n_turns", pa.int64()),
     ])
 
-    def __init__(self, entities_ref, events_dir: str | None = None,
-                 sink: dict | None = None):
-        super().__init__(entities_ref)
-        self.events_dir = events_dir
-        self.sink = sink
-
-    def __call__(self, batch: pa.Table) -> pa.Table:  # type: ignore[override]
+    def __call__(self, batch: pa.Table,  # type: ignore[override]
+                 sink: dict | None = None) -> pa.Table:
         import os
         import pyarrow.parquet as pq
         from ..schema import EVENT_SCHEMA
-        from ..stages.triples import partial_dedup, triples_from_events
+        from ..stages.triples import (
+            extract_surface_nodes, partial_dedup, triples_from_events,
+        )
 
         out = [EVENT_SCHEMA.empty_table()]
         stats: list[dict] = []
         for path in batch.column("item").to_pylist():
             tbl = pq.read_table(path, columns=self.COLUMNS)
             events, event_objs = self.extract_turns_with_events(tbl)
-            base = os.path.basename(path)
-            if self.sink is not None:
-                gid = self.sink["gids"][base]
-                trip = partial_dedup(triples_from_events(event_objs))
-                pq.write_table(trip, os.path.join(
-                    self.sink["raw_root"],
-                    f".group-{gid:05d}{self.sink['suffix']}", base))
-                if self.sink.get("surf_root"):
-                    from ..stages.triples import extract_surface_nodes
-                    pq.write_table(extract_surface_nodes(trip),
-                                   os.path.join(
-                                       self.sink["surf_root"],
-                                       f".group-{gid:05d}"
-                                       f"{self.sink['suffix']}", base))
-                if self.sink.get("ev_root"):
-                    pq.write_table(events.drop_columns(["args"]),
-                                   os.path.join(
-                                       self.sink["ev_root"],
-                                       f".group-{gid:05d}"
-                                       f"{self.sink['suffix']}", base))
-                stats.append({"shard": base, "gid": gid,
-                              "n_events": events.num_rows,
-                              "n_triples": trip.num_rows,
-                              "n_turns": tbl.num_rows})
+            if sink is None:
+                out.append(events)
                 continue
-            if self.events_dir is not None:
+            base = os.path.basename(path)
+            gid = sink["gids"][base]
+            gdir = f".group-{gid:05d}{sink['suffix']}"
+            trip = partial_dedup(triples_from_events(event_objs))
+            pq.write_table(trip, os.path.join(sink["raw_root"], gdir, base))
+            if sink.get("surf_root"):
+                pq.write_table(extract_surface_nodes(trip),
+                               os.path.join(sink["surf_root"], gdir, base))
+            if sink.get("ev_root"):
                 pq.write_table(events.drop_columns(["args"]),
-                               os.path.join(self.events_dir, base))
-            out.append(events)
-        if self.sink is not None:
+                               os.path.join(sink["ev_root"], gdir, base))
+            stats.append({"shard": base, "gid": gid,
+                          "n_events": events.num_rows,
+                          "n_triples": trip.num_rows,
+                          "n_turns": tbl.num_rows})
+        if sink is not None:
             return pa.Table.from_pylist(stats, schema=self.STATS_SCHEMA)
         return pa.concat_tables(out)
+
+
+# this worker process's extractor: (hex of the tagger-state ref it was
+# built from, ShardFileExtractor). Ray reuses pooled task workers across
+# executions, so later waves and builds skip the state deserialize and
+# extractor set-up; a build with new state replaces the entry.
+_EXTRACTOR: tuple[str, ShardFileExtractor] | None = None
+
+
+def _tagger_state(state_ref, entities_path, kb_whitelist, kb_blacklist):
+    """``ray.get`` the broadcast tagger state; if the object is lost or
+    freed, rebuild it from the entities table (disk-cached)."""
+    import ray
+    try:
+        return ray.get(state_ref)
+    except ray.exceptions.ObjectLostError:
+        if entities_path is None:
+            raise
+        return load_tagger_state(entities_path, kb_whitelist=kb_whitelist,
+                                 kb_blacklist=kb_blacklist)
+
+
+def extract_shard_files(batch: pa.Table, state_box: list,
+                        entities_path: str | None = None,
+                        kb_whitelist=None, kb_blacklist=None,
+                        sink: dict | None = None) -> pa.Table:
+    """Fused stage-A task body over a batch of shard paths (column
+    ``item``); see :class:`ShardFileExtractor` for ``sink``. Use as
+    ``from_items(files, override_num_blocks=len(files)).map_batches(
+    extract_shard_files, fn_args=([state_ref],), batch_size=1)``: the
+    tagger-state ref travels inside a list so Ray hands it over
+    unresolved, and it is fetched once per worker process, not per task.
+    ``entities_path`` and the KB filters rebuild the state if the
+    broadcast object is lost."""
+    global _EXTRACTOR
+    state_ref = state_box[0]
+    if _EXTRACTOR is None or _EXTRACTOR[0] != state_ref.hex():
+        _EXTRACTOR = (state_ref.hex(), ShardFileExtractor(_tagger_state(
+            state_ref, entities_path, kb_whitelist, kb_blacklist)))
+    return _EXTRACTOR[1](batch, sink)

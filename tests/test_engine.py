@@ -327,6 +327,32 @@ def test_join_rewrite_path_identical_to_broadcast(kg_out, tmp_path):
         load(la, "nodes", ["node_id"]), load(da, "nodes", ["node_id"]))
 
 
+def _fused_sink_digests(files, entities_ref, out, to_uri=lambda p: p,
+                        **kw) -> dict:
+    """Run fused stage A over ``files`` into sink roots under ``out``;
+    returns the sha256 of every raw / surf / events file, by root."""
+    import hashlib
+
+    from casie_ray.pipelines.kg import extract_group_ds
+
+    roots = {r: os.path.join(out, r) for r in ("raw", "surf", "events")}
+    for root in roots.values():
+        os.makedirs(os.path.join(root, ".group-00000.tmp"))
+    sink = {"gids": {os.path.basename(p): 0 for p in files},
+            "raw_root": to_uri(roots["raw"]),
+            "surf_root": to_uri(roots["surf"]),
+            "ev_root": to_uri(roots["events"]), "suffix": ".tmp"}
+    stats = extract_group_ds([to_uri(p) for p in files], entities_ref,
+                             detect_concurrency=2, sink=sink,
+                             **kw).take_all()
+    assert sum(r["n_events"] for r in stats) > 0
+    return {r: {os.path.basename(f): hashlib.sha256(
+                    open(f, "rb").read()).hexdigest()
+                for f in sorted(glob.glob(os.path.join(
+                    root, ".group-00000.tmp", "*.parquet")))}
+            for r, root in roots.items()}
+
+
 @pytest.mark.parametrize("as_uri", [False, True],
                          ids=["plain-path", "file-uri"])
 def test_fused_sink_uri_clean(ray_session, smoke_corpus, tmp_path, as_uri):
@@ -335,54 +361,79 @@ def test_fused_sink_uri_clean(ray_session, smoke_corpus, tmp_path, as_uri):
     fsspec-URI-clean — running the fused extraction with file:// URIs
     for both the input shards and the sink roots produces byte-identical
     parquet output to the plain-path run."""
-    import glob
-    import hashlib
-    import os
+    import json
 
     import ray
 
-    from casie_ray.pipelines.kg import extract_group_ds, list_transcript_files
+    from casie_ray.pipelines.kg import list_transcript_files
     from casie_ray.stages.detect import load_tagger_state
 
     files = list_transcript_files(smoke_corpus)[:3]
     entities_ref = ray.put(load_tagger_state(
         os.path.join(smoke_corpus, "entities.parquet")))
-
-    out = str(tmp_path / ("uri" if as_uri else "plain"))
-    raw_root = os.path.join(out, "raw")
-    surf_root = os.path.join(out, "surf")
-    ev_root = os.path.join(out, "events")
-    for root in (raw_root, surf_root, ev_root):
-        os.makedirs(os.path.join(root, ".group-00000.tmp"))
-
-    def u(p: str) -> str:
-        return "file://" + p if as_uri else p
-
-    sink = {"gids": {os.path.basename(p): 0 for p in files},
-            "raw_root": u(raw_root), "surf_root": u(surf_root),
-            "ev_root": u(ev_root), "suffix": ".tmp"}
-    stats = extract_group_ds([u(p) for p in files], entities_ref,
-                             detect_concurrency=2, sink=sink).take_all()
-    assert sum(r["n_events"] for r in stats) > 0
-
-    def digests(root):
-        return {os.path.basename(f): hashlib.sha256(
-            open(f, "rb").read()).hexdigest()
-            for f in sorted(glob.glob(
-                os.path.join(root, ".group-00000.tmp", "*.parquet")))}
-
-    got = {r: digests(os.path.join(out, r))
-           for r in ("raw", "surf", "events")}
+    got = _fused_sink_digests(
+        files, entities_ref, str(tmp_path / ("uri" if as_uri else "plain")),
+        to_uri=(lambda p: "file://" + p) if as_uri else (lambda p: p))
     assert all(len(v) == 3 for v in got.values())
     # stash for cross-param comparison via a session-stable location
     marker = tmp_path.parent / ("uri_clean_" +
                                 ("uri" if as_uri else "plain") + ".json")
-    import json
     marker.write_text(json.dumps(got, sort_keys=True))
     other = tmp_path.parent / ("uri_clean_" +
                                ("plain" if as_uri else "uri") + ".json")
     if other.exists():
         assert json.loads(other.read_text()) == got   # byte-identical
+
+
+def test_lost_tagger_state_is_rebuilt(ray_session, smoke_corpus, tmp_path):
+    """A lost broadcast object does not break stage A: with the
+    tagger-state object freed before the run, the tasks rebuild the
+    state from the entities table and write raw, surf and events files
+    byte-identical to a run with a live ref."""
+    import ray
+    from ray._private.internal_api import free
+
+    from casie_ray.pipelines.kg import list_transcript_files
+    from casie_ray.stages.detect import load_tagger_state
+
+    files = list_transcript_files(smoke_corpus)[:2]
+    ents = os.path.join(smoke_corpus, "entities.parquet")
+    live = _fused_sink_digests(files, ray.put(load_tagger_state(ents)),
+                               str(tmp_path / "live"))
+    lost_ref = ray.put(load_tagger_state(ents))
+    free([lost_ref])
+    with pytest.raises(ray.exceptions.ObjectLostError):
+        ray.get(lost_ref, timeout=60)
+    lost = _fused_sink_digests(files, lost_ref, str(tmp_path / "lost"),
+                               entities_path=ents)
+    assert lost == live
+
+
+def test_no_stage_a_actor_outlives_a_build(ray_session, smoke_corpus,
+                                           tmp_path):
+    """Stage A leaves no actor behind: with the cyclic GC off, after
+    each of two builds in one session the GCS actor table holds no ALIVE
+    ShardFileExtractor actor, and the two outputs are identical."""
+    import gc
+
+    from ray._private.state import actors
+
+    from casie_ray.pipelines.kg import run_kg_pipeline
+
+    outs = []
+    gc.disable()
+    try:
+        for i in range(2):
+            out = str(tmp_path / f"kg{i}")
+            run_kg_pipeline(smoke_corpus, out, resume=False)
+            alive = [a["ActorClassName"] for a in actors().values()
+                     if a["State"] == "ALIVE"
+                     and "ShardFileExtractor" in a["ActorClassName"]]
+            assert alive == []
+            outs.append(_norm(_triples(out)))
+    finally:
+        gc.enable()
+    pd.testing.assert_frame_equal(*outs)
 
 
 def test_model_seat_swap_only_changes_realis(ray_session, smoke_corpus):

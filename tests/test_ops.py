@@ -2922,6 +2922,86 @@ def test_ktruss_planted(ray_session):
     assert run(rnd) == ktruss_local(rnd)
 
 
+def test_ktruss_rejects_out_of_domain_params(ray_session):
+    """k <= 2 would keep zero-support edges the support table never
+    holds, and rounds = 0 has no support to report: both fail loudly."""
+    import pyarrow as pa
+    import ray.data
+
+    from casie_ray.ops.graphx import ktruss
+
+    ds = ray.data.from_arrow(pa.table({"subj": ["a", "b", "c"],
+                                       "obj": ["b", "c", "a"]}))
+    for kw in ({"k": 2}, {"k": 0}, {"rounds": 0}, {"rounds": -1}):
+        with pytest.raises(ValueError):
+            ktruss(ds, **kw)
+
+
+def test_ktruss_skips_rebuild_after_final_round(ray_session, monkeypatch):
+    """The peeled edge set and its degree table feed only the next
+    round, so ``rounds`` peels rebuild the degrees ``rounds - 1`` times
+    (plus the initial build), and the output still matches the
+    sequential peel."""
+    import pyarrow as pa
+    import ray.data
+
+    from casie_ray.ops import graphx
+
+    calls = []
+    orig = graphx.bucket_groupby
+
+    def counting(ds, fn, *a, **kw):
+        calls.append(fn)
+        return orig(ds, fn, *a, **kw)
+
+    monkeypatch.setattr(graphx, "bucket_groupby", counting)
+    clique = [f"c{i}" for i in range(5)]
+    edges = [(clique[i], clique[j]) for i in range(5)
+             for j in range(i + 1, 5)] + [("c0", "t1"), ("t1", "t2"),
+                                          ("t2", "c0")]
+    ds = ray.data.from_arrow(pa.table({"subj": [a for a, _ in edges],
+                                       "obj": [b for _, b in edges]}))
+    for rounds in (1, 3):
+        calls.clear()
+        got = {(r["src"], r["dst"]): r["support"]
+               for r in graphx.ktruss(ds, rounds=rounds).take_all()}
+        assert got == graphx.ktruss_local(edges, rounds=rounds)
+        assert calls.count(graphx._tri_deg_bucket) == rounds
+
+
+def test_kmv_type_overlap_drops_null_users(ray_session, tmp_path):
+    """Null user ids are not users: the op drops them, giving the same
+    registers as the table without them, and its DuckDB twin agrees."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq_
+
+    import __ray_entry__ as entrymod
+    from casie_ray.ops.sketch import kmv_type_overlap
+
+    types = ["A"] * 40 + ["B"] * 40
+    users = list(range(40)) + list(range(20, 60))
+    path = str(tmp_path / "events.parquet")
+
+    def run(t, u):
+        pq_.write_table(pa.table({"event_type": pa.array(t, pa.string()),
+                                  "user_id": pa.array(u, pa.int64())}),
+                        path)
+        got = pd.DataFrame(kmv_type_overlap(str(tmp_path)).take_all())
+        con = duckdb.connect()
+        con.execute(f"CREATE VIEW events AS SELECT * FROM "
+                    f"read_parquet('{path}')")
+        want = con.execute(entrymod._kmv_overlap_sql()).fetchdf()
+        pd.testing.assert_frame_equal(_normalize(got[list(want.columns)]),
+                                      _normalize(want), check_dtype=False,
+                                      check_exact=True)
+        return got
+
+    clean = run(types, users)
+    dirty = run(types + ["A", "B", "B"], users + [None, None, None])
+    pd.testing.assert_frame_equal(dirty, clean)
+    assert clean["n_inter"].tolist() == [20]
+
+
 def test_kmv_type_overlap_planted(ray_session, tmp_path):
     """KMV register set algebra: below k distinct users per type the
     registers are the full sets, so n_inter / jaccard_ppm are EXACT
