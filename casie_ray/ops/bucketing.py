@@ -22,6 +22,7 @@ slots at deployment (the default suits the single-node test rig).
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 N_OPS_BUCKETS = 256
 
@@ -153,31 +154,52 @@ def segment_pair_indices(keys: list[np.ndarray]):
     return np.concatenate(out_a), np.concatenate(out_b)
 
 
-def fnv1a_hashes(words: list[str]) -> np.ndarray:
-    """FNV-1a 64-bit hash of each string, byte-exact with the scalar
-    reference loop but vectorized across words: one numpy pass per byte
-    POSITION (bounded by the longest word), not per byte."""
+def fnv1a_hashes(words) -> np.ndarray:
+    """FNV-1a 64-bit hash of each string's UTF-8 bytes, byte-exact with
+    the scalar reference loop. ``words`` is a string or large_string
+    ``pa.Array`` (sliced arrays included), a ``pa.ChunkedArray`` or a
+    ``list[str]`` (converted with ``pa.array(words, pa.string())``); a
+    null entry raises ValueError. The kernel reads the Arrow offsets and
+    data buffers directly and runs one numpy pass per byte POSITION over
+    the strings still that long (rows ordered longest first, so each
+    pass is a prefix slice): total work is the byte count, not
+    rows x longest string."""
+    if isinstance(words, pa.ChunkedArray):
+        words = words.combine_chunks()
+    elif not isinstance(words, pa.Array):
+        words = pa.array(words, pa.string())
     n = len(words)
     out = np.full(n, FNV_OFF, dtype=np.uint64)
     if n == 0:
         return out
-    enc = [w.encode() for w in words]
-    lens = np.fromiter((len(b) for b in enc), np.int64, n)
+    if words.null_count:
+        raise ValueError(f"fnv1a_hashes: {words.null_count} null string(s)")
+    if pa.types.is_string(words.type):
+        otype = np.int32
+    elif pa.types.is_large_string(words.type):
+        otype = np.int64
+    else:
+        raise TypeError(f"fnv1a_hashes: expected strings, got {words.type}")
+    _, obuf, dbuf = words.buffers()
+    offs = np.frombuffer(obuf, otype, n + 1,
+                         words.offset * np.dtype(otype).itemsize) \
+        .astype(np.int64)
+    lens = np.diff(offs)
     maxlen = int(lens.max())
     if maxlen == 0:
         return out
-    flat = np.frombuffer(b"".join(enc), dtype=np.uint8)
-    buf = np.zeros((n, maxlen), dtype=np.uint8)
-    ends = np.cumsum(lens)
-    starts = ends - lens
-    row_idx = np.repeat(np.arange(n), lens)
-    col_idx = np.arange(len(flat)) - np.repeat(starts, lens)
-    buf[row_idx, col_idx] = flat
-    with np.errstate(over="ignore"):
-        for j in range(maxlen):
-            live = lens > j
-            out[live] = (out[live] ^ buf[live, j].astype(np.uint64)) \
-                * FNV_BASE
+    data = np.frombuffer(dbuf, np.uint8)
+    order = np.argsort(-lens, kind="stable")
+    pos = offs[:-1][order]
+    # live[j] = how many strings have a byte at position j
+    live = np.searchsorted(-lens[order], -np.arange(maxlen), side="left")
+    h = out[order]
+    for j in range(maxlen):
+        k = live[j]
+        h[:k] ^= data.take(pos[:k])
+        h[:k] *= FNV_BASE
+        pos[:k] += 1
+    out[order] = h
     return out
 
 

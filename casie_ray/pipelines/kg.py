@@ -76,8 +76,9 @@ def extract_group_ds(files: list[str], entities_ref, *,
     set, caps the parallel tasks. With ``sink`` set the tasks also write
     their own events + partially-deduped triples (fully fused hot path;
     see ShardFileExtractor) and the Dataset yields only per-shard stats
-    rows. ``entities_path`` and the KB filters let a task rebuild the
-    tagger state if the ``entities_ref`` object is lost.
+    rows. ``entities_path`` and the KB filters let a task or a detect
+    actor rebuild the tagger state if the ``entities_ref`` object is
+    lost (either layout).
     ``conv_partitioned=False`` is the general-layout fallback: a detect
     actor pool followed by a ``groupby(conv_id)`` sort shuffle."""
     import ray
@@ -104,7 +105,10 @@ def extract_group_ds(files: list[str], entities_ref, *,
                          columns=["conv_id", "turn_idx", "text", "ts"])
     ds = ds.map_batches(
         DetectTagger,
-        fn_constructor_args=(entities_ref,),
+        fn_constructor_args=([entities_ref],),
+        fn_constructor_kwargs={"entities_path": entities_path,
+                               "kb_whitelist": kb_whitelist,
+                               "kb_blacklist": kb_blacklist},
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=detect_concurrency,
@@ -340,7 +344,7 @@ def run_kg_pipeline(corpus_dir: str, out_dir: str, *,
             ds = extract_group_ds(gfiles, entities_ref,
                                   detect_concurrency=detect_concurrency,
                                   batch_size=batch_size,
-                                  conv_partitioned=False)
+                                  conv_partitioned=False, **tagger_kw)
             ds = ds.materialize()  # events reused for both outputs
             n_events = ds.count()
             trip = ds.map_batches(emit_triples_batch,

@@ -118,24 +118,28 @@ def load_tagger_state(entities_path: str, kb_whitelist=None,
 
 
 class DetectTagger:
-    """map_batches(DetectTagger, fn_constructor_args=(state_ref,),
-    batch_format="pyarrow", concurrency=..). ``state_ref`` may be a
-    ray.put ref to (or plain value of) either a prebuilt
-    :func:`build_tagger_state` dict or a raw entities list (tests)."""
+    """map_batches(DetectTagger, fn_constructor_args=([state_ref],),
+    fn_constructor_kwargs={"entities_path": ..}, batch_format="pyarrow",
+    concurrency=..). ``state`` is a prebuilt :func:`build_tagger_state`
+    dict or a raw entities list (tests), or a ``ray.put`` ref to either —
+    bare or boxed in a one-element list so Ray hands it over unresolved.
+    A ref whose object is lost or freed is rebuilt from
+    ``entities_path`` with the KB filters (see :func:`_tagger_state`)."""
 
-    def __init__(self, entities_ref):
+    def __init__(self, state, entities_path: str | None = None,
+                 kb_whitelist=None, kb_blacklist=None):
         import ray
-        obj = ray.get(entities_ref) if not isinstance(
-            entities_ref, (list, tuple, dict)) else entities_ref
-        if isinstance(obj, dict):
-            self.catalog = obj["catalog"]
-            self.fuzzy = obj["fuzzy"]
-            self.hot_vocab = pa.array(obj["hot_vocab"])
-        else:
-            st = build_tagger_state(obj)
-            self.catalog = st["catalog"]
-            self.fuzzy = st["fuzzy"]
-            self.hot_vocab = pa.array(st["hot_vocab"])
+        if isinstance(state, list) and len(state) == 1 \
+                and isinstance(state[0], ray.ObjectRef):
+            state = state[0]
+        if isinstance(state, ray.ObjectRef):
+            state = _tagger_state(state, entities_path, kb_whitelist,
+                                  kb_blacklist)
+        if not isinstance(state, dict):
+            state = build_tagger_state(state)
+        self.catalog = state["catalog"]
+        self.fuzzy = state["fuzzy"]
+        self.hot_vocab = pa.array(state["hot_vocab"])
 
     def interesting_mask(self, texts: pa.ChunkedArray | pa.Array) -> np.ndarray:
         """Vectorized pre-pass over a whole text column: False rows are
@@ -200,42 +204,61 @@ class ShardExtractor(DetectTagger):
     state/manifest.py): detection + doc logic + role/realis + coref run
     per conversation inside one whole-shard table, emitting event rows
     directly. The groupby(conv_id) shuffle path (extract_events_group)
-    remains the fallback for inputs with arbitrary row layout."""
+    remains the fallback for inputs with arbitrary row layout.
+
+    Turn-sparse: only the turns the vectorized :meth:`interesting_mask`
+    passes (about 13% at sf0.01) leave Arrow, so per-row Python is paid
+    only by rows that can produce output. A masked-out turn yields an
+    empty detection, and every doc-logic step reads detections with
+    ``.get`` / ±1-turn lookups, so leaving it out of the conversation's
+    detection dict is exact; ``ts`` is read only for event turns, which
+    all pass the mask. A conversation with no passing turn is never
+    visited."""
+
+    KEYS = ["conv_id", "turn_idx"]
 
     def extract_turns_with_events(self, batch: pa.Table) \
             -> tuple[pa.Table, list]:
         """All conversations in `batch` must be complete. Returns the
         EVENT_SCHEMA row table AND the Event objects (the fused sink
         emits triples from the objects, skipping a rows->objects
-        round-trip)."""
+        round-trip). A repeated (conv_id, turn_idx) keeps its LAST row,
+        as the oracle does; a null key raises ValueError."""
         from ..schema import EVENT_SCHEMA
         from ..stages.doclogic import extract_conversation_events
 
-        conv_ids = batch.column("conv_id").to_pylist()
-        turn_idxs = batch.column("turn_idx").to_pylist()
-        texts = batch.column("text").to_pylist()
-        tss = batch.column("ts").to_pylist()
-        # vectorized pre-pass over the whole shard table: only turns the
-        # mask marks interesting pay the per-token Python detection
-        mask = self.interesting_mask(batch.column("text"))
-        by_conv: dict[str, list[int]] = {}
-        for k, cid in enumerate(conv_ids):
-            by_conv.setdefault(cid, []).append(k)
+        for key in self.KEYS:
+            if batch.column(key).null_count:
+                raise ValueError(
+                    f"{batch.column(key).null_count} null {key} value(s)")
+        # duplicates resolve over the FULL table, before the mask filter,
+        # so a masked-out later copy still wins over an earlier one
+        n = batch.num_rows
+        last = batch.select(self.KEYS) \
+            .append_column("row", pa.array(np.arange(n))) \
+            .group_by(self.KEYS).aggregate([("row", "max")])
+        if last.num_rows < n:
+            batch = batch.take(last.column("row_max"))
+        hot = batch.filter(pa.array(self.interesting_mask(
+            batch.column("text"))))
+        hot = hot.take(pc.sort_indices(
+            hot, [(k, "ascending") for k in self.KEYS]))
+        conv_ids = hot.column("conv_id").to_pylist()
+        turn_idxs = hot.column("turn_idx").to_pylist()
+        texts = hot.column("text").to_pylist()
+        tss = hot.column("ts").to_pylist()
         out_rows: list[dict] = []
         out_events: list = []
         catalog, fuzzy = self.catalog, self.fuzzy
-        for cid in sorted(by_conv):
-            idxs = sorted(by_conv[cid], key=lambda k: turn_idxs[k])
-            # inline empty fast path: ~87% of turns fail the pre-pass,
-            # so skip the detect_or_skip call layer for them (fresh
-            # TurnDetection per turn — downstream mutates cand_tokens)
-            detections = {
-                turn_idxs[k]:
-                    detect_turn(texts[k] or "", catalog, fuzzy)
-                    if mask[k] else TurnDetection([], [], [], [], [])
-                for k in idxs
-            }
-            ts_of = {turn_idxs[k]: tss[k] for k in idxs}
+        k, m = 0, len(conv_ids)
+        while k < m:
+            cid = conv_ids[k]
+            detections, ts_of = {}, {}
+            while k < m and conv_ids[k] == cid:
+                ti = turn_idxs[k]
+                detections[ti] = detect_turn(texts[k] or "", catalog, fuzzy)
+                ts_of[ti] = tss[k]
+                k += 1
             evs, rows = extract_conversation_events(cid, detections, ts_of)
             out_events.extend(evs)
             out_rows.extend(rows)
@@ -291,7 +314,10 @@ class ShardFileExtractor(ShardExtractor):
         stats: list[dict] = []
         for path in batch.column("item").to_pylist():
             tbl = pq.read_table(path, columns=self.COLUMNS)
-            events, event_objs = self.extract_turns_with_events(tbl)
+            try:
+                events, event_objs = self.extract_turns_with_events(tbl)
+            except ValueError as e:
+                raise ValueError(f"shard {path}: {e}") from e
             if sink is None:
                 out.append(events)
                 continue
@@ -348,8 +374,8 @@ def extract_shard_files(batch: pa.Table, state_box: list,
     ``entities_path`` and the KB filters rebuild the state if the
     broadcast object is lost."""
     global _EXTRACTOR
-    state_ref = state_box[0]
-    if _EXTRACTOR is None or _EXTRACTOR[0] != state_ref.hex():
-        _EXTRACTOR = (state_ref.hex(), ShardFileExtractor(_tagger_state(
-            state_ref, entities_path, kb_whitelist, kb_blacklist)))
+    key = state_box[0].hex()
+    if _EXTRACTOR is None or _EXTRACTOR[0] != key:
+        _EXTRACTOR = (key, ShardFileExtractor(
+            state_box, entities_path, kb_whitelist, kb_blacklist))
     return _EXTRACTOR[1](batch, sink)

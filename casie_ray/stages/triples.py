@@ -22,12 +22,13 @@ from ..semantics import emit_triples
 N_BUCKETS = 4096
 
 
-def triple_buckets(subj: list[str], pred: list[str],
-                   obj: list[str]) -> np.ndarray:
+def triple_buckets(subj, pred, obj) -> np.ndarray:
     """Dedup-exchange bucket = FNV-1a of the \\x00-joined key, shared
     by every path that (re)computes it (emit, rewrite) so equal keys
-    always co-locate. Vectorized via the shared kernel."""
-    keys = [f"{s}\x00{p}\x00{o}" for s, p, o in zip(subj, pred, obj)]
+    always co-locate. Takes Arrow string arrays (or ChunkedArrays): the
+    key column is one ``binary_join_element_wise`` and the hash reads
+    its buffers directly."""
+    keys = pc.binary_join_element_wise(subj, pred, obj, "\x00")
     return (fnv1a_hashes(keys) % np.uint64(N_BUCKETS)).astype(np.int32)
 
 RAW_TRIPLE_SCHEMA = pa.schema([
@@ -37,33 +38,44 @@ RAW_TRIPLE_SCHEMA = pa.schema([
 ])
 
 
-def _prov(conv_id: str, turn_idx: int, start: int, end: int) -> str:
+def _pad8(ints: pa.Array) -> pa.Array:
+    """Zero-padded decimal text, as f"{v:08d}" formats a non-negative
+    int (a longer value keeps all its digits). Negative values would
+    pad differently, so they raise."""
+    if len(ints) and pc.min(ints).as_py() < 0:
+        raise ValueError("provenance ints must be non-negative")
+    return pc.utf8_lpad(pc.cast(ints, pa.string()), 8, "0")
+
+
+def _prov(conv_id: pa.Array, turn_idx: pa.Array, start: pa.Array,
+          end: pa.Array) -> pa.Array:
     # \x00 separator sorts below every printable char, so the string min
     # over provenances orders exactly like the (conv_id, turn, start, end)
     # tuple even when one conv_id is a proper prefix of another
-    return f"{conv_id}\x00{turn_idx:08d}\x00{start:08d}\x00{end:08d}"
+    return pc.binary_join_element_wise(
+        conv_id, _pad8(turn_idx), _pad8(start), _pad8(end), "\x00")
 
 
 def triples_from_events(events: list) -> pa.Table:
-    """Event OBJECTS -> raw triple table, built columnar (one pa.array
-    per column, vectorized FNV buckets) — the fused extraction path
-    calls this directly on the Events it already holds, so the hot path
-    never round-trips through row dicts (r2 verdict "wrong" #3)."""
+    """Event OBJECTS -> raw triple table, built columnar: one pa.array
+    per column, then Arrow kernels for the provenance strings and the
+    FNV buckets — the fused extraction path calls this directly on the
+    Events it already holds, so the hot path never round-trips through
+    event rows and formats no per-row strings in Python."""
     trips = emit_triples(events)
     if not trips:
         return RAW_TRIPLE_SCHEMA.empty_table()
-    subj = [t["subj"] for t in trips]
-    pred = [t["pred"] for t in trips]
-    obj = [t["obj"] for t in trips]
+
+    def col(name, typ=pa.string()):
+        return pa.array([t[name] for t in trips], typ)
+
+    subj, pred, obj = col("subj"), col("pred"), col("obj")
     return pa.table({
-        "subj": pa.array(subj, pa.string()),
-        "pred": pa.array(pred, pa.string()),
-        "obj": pa.array(obj, pa.string()),
-        "subj_type": pa.array([t["subj_type"] for t in trips], pa.string()),
-        "obj_type": pa.array([t["obj_type"] for t in trips], pa.string()),
-        "prov": pa.array(
-            [_prov(t["conv_id"], t["turn_idx"], t["ev_start"], t["ev_end"])
-             for t in trips], pa.string()),
+        "subj": subj, "pred": pred, "obj": obj,
+        "subj_type": col("subj_type"), "obj_type": col("obj_type"),
+        "prov": _prov(col("conv_id"), col("turn_idx", pa.int64()),
+                      col("ev_start", pa.int64()),
+                      col("ev_end", pa.int64())),
         "count": pa.array(np.ones(len(trips), np.int64)),
         "bucket": pa.array(triple_buckets(subj, pred, obj), pa.int32()),
     }).cast(RAW_TRIPLE_SCHEMA)
@@ -148,7 +160,7 @@ def emit_nodes_batch(batch: pa.Table) -> pa.Table:
     g = g.rename_columns(["node_id", "degree", "type"])
     # vectorized FNV bucket (pure function of node_id, so equal nodes
     # co-locate; the bucket column is dropped from the final output)
-    h = fnv1a_hashes(g.column("node_id").to_pylist())
+    h = fnv1a_hashes(g.column("node_id"))
     bucket = pa.array((h % np.uint64(N_BUCKETS)).astype(np.int32),
                       pa.int32())
     return pa.table({"node_id": g.column("node_id"),
@@ -194,11 +206,11 @@ def extract_surface_nodes(batch: pa.Table) -> pa.Table:
         if p is not None:
             nodes.add((v, canon_block_key(*p)))
     pairs = sorted(nodes)
-    blocks = [b for _, b in pairs]
+    blocks = pa.array([b for _, b in pairs], pa.string())
     bucket = (fnv1a_hashes(blocks) % np.uint64(N_BUCKETS)).astype(np.int32)
     return pa.table({
         "node": pa.array([n for n, _ in pairs], pa.string()),
-        "block": pa.array(blocks, pa.string()),
+        "block": blocks,
         "bucket": pa.array(bucket, pa.int32()),
     })
 
@@ -240,18 +252,17 @@ def rewrite_triples(mapping_ref):
         subj, s_hit = replace(batch.column("subj"))
         obj, o_hit = replace(batch.column("obj"))
         # bucket must stay the SAME function of (subj,pred,obj) as
-        # emit_triples_batch (equal keys -> equal bucket across changed
-        # and unchanged rows), so recompute crc32 — but only for the
-        # rows a mapping actually touched (the variant mass)
+        # triples_from_events (equal keys -> equal bucket across changed
+        # and unchanged rows), so recompute the FNV-1a bucket — but only
+        # for the rows a mapping actually touched (the variant mass)
         changed = np.nonzero(s_hit | o_hit)[0]
         bucket = batch.column("bucket").to_numpy(
             zero_copy_only=False).copy()
         if len(changed):
-            s_l = pc.take(subj, pa.array(changed)).to_pylist()
-            o_l = pc.take(obj, pa.array(changed)).to_pylist()
-            p_l = pc.take(batch.column("pred"),
-                          pa.array(changed)).to_pylist()
-            bucket[changed] = triple_buckets(s_l, p_l, o_l)
+            idx = pa.array(changed)
+            bucket[changed] = triple_buckets(
+                pc.take(subj, idx), pc.take(batch.column("pred"), idx),
+                pc.take(obj, idx))
         return pa.table({
             "subj": subj,
             "pred": batch.column("pred"),
@@ -324,13 +335,8 @@ def rewrite_triples_ds(raw_ds, mapping_ds):
                     if c not in (key, canon, "bucket")}
             cols[key] = folded
             if last:
-                s_l = cols["subj"].to_pylist() if key != "subj" \
-                    else folded.to_pylist()
-                o_l = cols["obj"].to_pylist() if key != "obj" \
-                    else folded.to_pylist()
-                p_l = cols["pred"].to_pylist()
-                cols["bucket"] = pa.array(triple_buckets(s_l, p_l, o_l),
-                                          pa.int32())
+                cols["bucket"] = pa.array(triple_buckets(
+                    cols["subj"], cols["pred"], cols["obj"]), pa.int32())
             t = pa.table(cols)
             return t.select(RAW_TRIPLE_SCHEMA.names).cast(
                 RAW_TRIPLE_SCHEMA) if last else t

@@ -409,6 +409,195 @@ def test_lost_tagger_state_is_rebuilt(ray_session, smoke_corpus, tmp_path):
     assert lost == live
 
 
+def test_general_layout_survives_lost_tagger_state(ray_session,
+                                                  smoke_corpus):
+    """The general-layout DetectTagger pool rebuilds a freed tagger-state
+    object from the entities table: its events equal a live-ref run."""
+    import pyarrow as pa
+    import ray
+    from ray._private.internal_api import free
+
+    from casie_ray.pipelines.kg import extract_group_ds, list_transcript_files
+    from casie_ray.stages.detect import load_tagger_state
+
+    files = list_transcript_files(smoke_corpus)[:2]
+    ents = os.path.join(smoke_corpus, "entities.parquet")
+
+    def events(ref, **kw):
+        ds = extract_group_ds(files, ref, detect_concurrency=1,
+                              conv_partitioned=False, **kw)
+        return pa.concat_tables(ds.iter_batches(
+            batch_format="pyarrow", batch_size=None)).sort_by("event_id")
+
+    live = events(ray.put(load_tagger_state(ents)))
+    assert live.num_rows > 0
+    lost_ref = ray.put(load_tagger_state(ents))
+    free([lost_ref])
+    with pytest.raises(ray.exceptions.ObjectLostError):
+        ray.get(lost_ref, timeout=60)
+    assert events(lost_ref, entities_path=ents).equals(live)
+
+
+# ---- turn-sparse stage A: planted shards, no Ray ----
+
+def _shard_extractor(smoke_corpus):
+    from casie_ray.stages.detect import ShardFileExtractor, load_tagger_state
+    return ShardFileExtractor(load_tagger_state(
+        os.path.join(smoke_corpus, "entities.parquet")))
+
+
+def _per_conversation_reference(ext, tbl):
+    """semantics.extract_conversation over ALL turns of each conversation
+    (a repeated turn keeps its later row) -> (event rows without the
+    realis window flags, Event objects), conversations in id order."""
+    from casie_ray.schema import event_to_row
+    from casie_ray.semantics import extract_conversation
+
+    by_conv: dict = {}
+    for r in tbl.to_pylist():
+        by_conv.setdefault(r["conv_id"], {})[r["turn_idx"]] = r
+    rows, objs = [], []
+    for cid in sorted(by_conv):
+        turns = [by_conv[cid][ti] for ti in sorted(by_conv[cid])]
+        evs = extract_conversation(cid, turns, ext.catalog, fuzzy=ext.fuzzy)
+        ts = {t["turn_idx"]: t["ts"] for t in turns}
+        rows += [event_to_row(e, ts[e.turn_idx], False, False) for e in evs]
+        objs += evs
+    return rows, objs
+
+
+def _assert_matches_reference(ext, tbl):
+    import pyarrow as pa
+
+    from casie_ray.schema import EVENT_SCHEMA
+    from casie_ray.stages.triples import triples_from_events
+
+    events, objs = ext.extract_turns_with_events(tbl)
+    want_rows, want_objs = _per_conversation_reference(ext, tbl)
+    flags = ["modal", "generic"]
+    want = pa.Table.from_pylist(want_rows, schema=EVENT_SCHEMA)
+    assert events.drop_columns(flags).equals(want.drop_columns(flags))
+    assert triples_from_events(objs).equals(triples_from_events(want_objs))
+    return events
+
+
+def _plain_turns(tbl, conv_id, texts):
+    """Rows for ``conv_id`` with the given texts, typed like ``tbl``."""
+    import pyarrow as pa
+    ts = tbl.column("ts")[0].as_py()
+    return pa.Table.from_pylist(
+        [{"conv_id": conv_id, "turn_idx": i, "text": t, "ts": ts}
+         for i, t in enumerate(texts)], schema=tbl.schema)
+
+
+def test_sparse_stage_a_detects_only_mask_passing_turns(smoke_corpus,
+                                                        monkeypatch):
+    import pyarrow.parquet as pq
+
+    from casie_ray.pipelines.kg import list_transcript_files
+    from casie_ray.stages import detect
+
+    ext = _shard_extractor(smoke_corpus)
+    tbl = pq.read_table(list_transcript_files(smoke_corpus)[0],
+                        columns=ext.COLUMNS)
+    calls = []
+    orig = detect.detect_turn
+
+    def counting(*a, **k):
+        calls.append(1)
+        return orig(*a, **k)
+
+    monkeypatch.setattr(detect, "detect_turn", counting)
+    events, _ = ext.extract_turns_with_events(tbl)
+    mask = ext.interesting_mask(tbl.column("text"))
+    assert events.num_rows > 0 and 0 < mask.sum() < len(mask)
+    assert len(calls) == mask.sum()
+
+
+def test_sparse_stage_a_shuffled_shard_with_silent_conversation(
+        smoke_corpus):
+    """Row order and conversations whose every turn fails the mask do
+    not change the output: the events table and the emitted triples equal
+    a per-conversation extract_conversation over all turns."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from casie_ray.pipelines.kg import list_transcript_files
+
+    ext = _shard_extractor(smoke_corpus)
+    tbl = pq.read_table(list_transcript_files(smoke_corpus)[0],
+                        columns=ext.COLUMNS)
+    silent = _plain_turns(tbl, "conv-silent", [
+        "the quick brown fox .", "", "we talked about lunch and the rain ."])
+    assert not ext.interesting_mask(silent.column("text")).any()
+    tbl = pa.concat_tables([tbl, silent])
+    perm = np.random.default_rng(7).permutation(tbl.num_rows)
+    events = _assert_matches_reference(ext, tbl.take(pa.array(perm)))
+    assert events.num_rows > 0
+    assert "conv-silent" not in events.column("conv_id").to_pylist()
+
+
+def test_sparse_stage_a_duplicate_turn_keeps_later_row(smoke_corpus,
+                                                       tmp_path):
+    """A repeated (conv_id, turn_idx) keeps its later row, as the dense
+    loop and oracle.extract_events do, even when that later copy is plain
+    prose the mask filters out: the earlier copy's event must vanish."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from casie_ray.oracle import extract_events
+    from casie_ray.pipelines.kg import list_transcript_files
+    from casie_ray.stages.triples import triples_from_events
+
+    ext = _shard_extractor(smoke_corpus)
+    tbl = pq.read_table(list_transcript_files(smoke_corpus)[0],
+                        columns=ext.COLUMNS)
+    base, _ = ext.extract_turns_with_events(tbl)
+    cid, ti = base.column("conv_id")[0].as_py(), \
+        base.column("turn_idx")[0].as_py()
+    dup = _plain_turns(tbl, cid, ["the quick brown fox ."]) \
+        .set_column(1, "turn_idx", pa.array([ti], tbl.schema.field(
+            "turn_idx").type))
+    dupped = pa.concat_tables([tbl, dup])
+    events = _assert_matches_reference(ext, dupped)
+    assert (cid, ti) not in set(zip(events.column("conv_id").to_pylist(),
+                                    events.column("turn_idx").to_pylist()))
+    assert events.num_rows < base.num_rows
+
+    corpus = tmp_path / "dup"
+    (corpus / "transcripts").mkdir(parents=True)
+    shutil.copy(os.path.join(smoke_corpus, "entities.parquet"), corpus)
+    pq.write_table(dupped, corpus / "transcripts" / "shard.parquet")
+    want = [e for _, evs in extract_events(str(corpus)) for e in evs]
+    _, objs = ext.extract_turns_with_events(dupped)
+    assert triples_from_events(objs).equals(triples_from_events(want))
+
+
+@pytest.mark.parametrize("key", ["conv_id", "turn_idx"])
+def test_sparse_stage_a_null_key_names_the_shard(smoke_corpus, tmp_path,
+                                                 key):
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from casie_ray.pipelines.kg import list_transcript_files
+
+    ext = _shard_extractor(smoke_corpus)
+    tbl = pq.read_table(list_transcript_files(smoke_corpus)[0],
+                        columns=ext.COLUMNS)
+    i = tbl.schema.get_field_index(key)
+    col = tbl.column(key)
+    nulled = pc.if_else(pa.array([k == 5 for k in range(tbl.num_rows)]),
+                        pa.nulls(tbl.num_rows, col.type), col)
+    path = tmp_path / "shard-with-null-key.parquet"
+    pq.write_table(tbl.set_column(i, key, nulled), path)
+    with pytest.raises(ValueError, match=r"shard-with-null-key.*null " + key):
+        ext(pa.table({"item": [str(path)]}))
+
+
 def test_no_stage_a_actor_outlives_a_build(ray_session, smoke_corpus,
                                            tmp_path):
     """Stage A leaves no actor behind: with the cyclic GC off, after

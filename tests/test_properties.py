@@ -30,6 +30,13 @@ def test_shingle_hash_batch_matches_scalar(texts):
         assert got.get(i, set()) == want, (i, t)
 
 
+def _fnv1a_ref(w: str) -> int:
+    h = 14695981039346656037
+    for b in w.encode():
+        h = ((h ^ b) * 1099511628211) % (1 << 64)
+    return h
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(ASCII_TEXT, max_size=6))
 def test_fnv1a_hashes_match_scalar_reference(words):
@@ -37,10 +44,79 @@ def test_fnv1a_hashes_match_scalar_reference(words):
 
     got = fnv1a_hashes(words)
     for w, g in zip(words, got.tolist()):
-        h = 14695981039346656037
-        for b in w.encode():
-            h = ((h ^ b) * 1099511628211) % (1 << 64)
-        assert g == h, w
+        assert g == _fnv1a_ref(w), w
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text(max_size=20), max_size=8),
+       st.integers(min_value=0, max_value=3), st.booleans())
+def test_fnv1a_hashes_arrow_inputs_match_scalar_reference(words, skip,
+                                                          large):
+    """The kernel reads Arrow buffers directly: a sliced array (non-zero
+    offset), a ChunkedArray and large_string offsets must all hash like
+    the scalar loop, for any unicode text including empty strings."""
+    import pyarrow as pa
+
+    from casie_ray.ops.bucketing import fnv1a_hashes
+
+    typ = pa.large_string() if large else pa.string()
+    arr = pa.array(["\u00e9x"] * skip + words, typ).slice(skip)
+    assert arr.offset == skip
+    want = [_fnv1a_ref(w) for w in words]
+    assert fnv1a_hashes(arr).tolist() == want
+    half = len(words) // 2
+    chunked = pa.chunked_array([arr.slice(0, half), arr.slice(half)], typ)
+    assert fnv1a_hashes(chunked).tolist() == want
+    assert fnv1a_hashes(words).tolist() == want
+
+
+def test_fnv1a_hashes_edge_inputs():
+    import pyarrow as pa
+
+    from casie_ray.ops.bucketing import fnv1a_hashes
+
+    for empty in ([], pa.array([], pa.string()),
+                  pa.chunked_array([], pa.large_string())):
+        out = fnv1a_hashes(empty)
+        assert out.dtype == np.uint64 and len(out) == 0
+    words = ["", "", "caf\u00e9", "\u6f22\u5b57", "\x00", ""]
+    want = [_fnv1a_ref(w) for w in words]
+    assert fnv1a_hashes(words).tolist() == want
+    assert fnv1a_hashes(pa.array(["", ""])).tolist() == [_fnv1a_ref("")] * 2
+    with pytest.raises(ValueError, match="null"):
+        fnv1a_hashes(pa.array(["a", None]))
+    with pytest.raises(ValueError, match="null"):
+        fnv1a_hashes(["a", None])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.text(max_size=12),
+                          st.integers(min_value=0, max_value=10**10),
+                          st.integers(min_value=0, max_value=10**9),
+                          st.integers(min_value=0, max_value=99)),
+                max_size=6))
+def test_columnar_provenance_matches_fstring(rows):
+    """Triple provenance built with Arrow kernels equals the per-row
+    f-string it replaced, including ints wider than the 8-digit pad."""
+    import pyarrow as pa
+
+    from casie_ray.stages.triples import _prov
+
+    cols = list(zip(*rows)) or [[], [], [], []]
+    got = _prov(pa.array(cols[0], pa.string()),
+                *(pa.array(c, pa.int64()) for c in cols[1:]))
+    assert got.to_pylist() == [
+        f"{c}\x00{t:08d}\x00{s:08d}\x00{e:08d}" for c, t, s, e in rows]
+
+
+def test_columnar_provenance_rejects_negative_ints():
+    import pyarrow as pa
+
+    from casie_ray.stages.triples import _prov
+
+    ok = pa.array([1], pa.int64())
+    with pytest.raises(ValueError, match="non-negative"):
+        _prov(pa.array(["c"]), ok, pa.array([-5], pa.int64()), ok)
 
 
 @settings(max_examples=40, deadline=None)
