@@ -154,6 +154,26 @@ def segment_pair_indices(keys: list[np.ndarray]):
     return np.concatenate(out_a), np.concatenate(out_b)
 
 
+def string_buffers(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """The buffers of a string or large_string ``pa.Array`` (sliced
+    arrays included): its ``len(arr) + 1`` offsets as int64, and a
+    zero-copy uint8 view of the data they index. Null slots are not
+    checked."""
+    if pa.types.is_string(arr.type):
+        otype = np.int32
+    elif pa.types.is_large_string(arr.type):
+        otype = np.int64
+    else:
+        raise TypeError(f"expected strings, got {arr.type}")
+    _, obuf, dbuf = arr.buffers()
+    offs = np.frombuffer(obuf, otype, len(arr) + 1,
+                         arr.offset * np.dtype(otype).itemsize) \
+        .astype(np.int64)
+    data = np.frombuffer(dbuf, np.uint8) if dbuf is not None \
+        else np.zeros(0, np.uint8)
+    return offs, data
+
+
 def fnv1a_hashes(words) -> np.ndarray:
     """FNV-1a 64-bit hash of each string's UTF-8 bytes, byte-exact with
     the scalar reference loop. ``words`` is a string or large_string
@@ -174,21 +194,11 @@ def fnv1a_hashes(words) -> np.ndarray:
         return out
     if words.null_count:
         raise ValueError(f"fnv1a_hashes: {words.null_count} null string(s)")
-    if pa.types.is_string(words.type):
-        otype = np.int32
-    elif pa.types.is_large_string(words.type):
-        otype = np.int64
-    else:
-        raise TypeError(f"fnv1a_hashes: expected strings, got {words.type}")
-    _, obuf, dbuf = words.buffers()
-    offs = np.frombuffer(obuf, otype, n + 1,
-                         words.offset * np.dtype(otype).itemsize) \
-        .astype(np.int64)
+    offs, data = string_buffers(words)
     lens = np.diff(offs)
     maxlen = int(lens.max())
     if maxlen == 0:
         return out
-    data = np.frombuffer(dbuf, np.uint8)
     order = np.argsort(-lens, kind="stable")
     pos = offs[:-1][order]
     # live[j] = how many strings have a byte at position j

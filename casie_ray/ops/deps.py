@@ -596,25 +596,3 @@ def svo_triples_sql(corpus: str) -> str:
              AND o.gov_id = v.tok_idx
         WHERE s.gov_rel = 'nsubj' AND o.gov_rel = 'obj'
     """
-
-
-def dep_parse_text(text: str):
-    """Single-turn entry for feature consumers: run the same classify +
-    head-rule cascade over one turn's text. Returns ``(cls, rel,
-    govf)`` int arrays (``govf`` -1 = ROOT; flat index == 0-based token
-    position since there is exactly one turn), or ``None`` for a
-    token-less text. Reuses ``_dep_core`` on a one-row batch so the
-    rules can never diverge from the distributed ``turn_dep_features``
-    op. (Used by the recorded v3.2 argument-seat experiment —
-    BASELINE.md "Argument seat v3.2 dep-feature experiment" — whose
-    dev gain was below noise, so the seat ships without it.)"""
-    t = pa.table({
-        "conv_id": pa.array(["x"], pa.string()),
-        "turn_idx": pa.array([0], pa.int32()),
-        "text": pa.array([text or ""], pa.string()),
-    })
-    core = _dep_core(t)
-    if core is None:
-        return None
-    _c, _t, _s, cls, rel, govf, _st, _tok = core
-    return cls, rel, govf

@@ -49,18 +49,6 @@ def _bucket_of(arr, n: int) -> pa.Array:
     return pa.array((h % np.uint64(n)).astype(np.int32), pa.int32())
 
 
-def _init_labels_batch(batch: pa.Table) -> pa.Table:
-    u = pc.unique(pa.concat_arrays([
-        batch.column("src").combine_chunks().cast(pa.string()),
-        batch.column("dst").combine_chunks().cast(pa.string())]))
-    return pa.table({"node": u, "label": u})
-
-
-def _dedup_nodes_bucket(group: pa.Table) -> pa.Table:
-    g = group.group_by(["node"]).aggregate([("label", "min")])
-    return g.rename_columns(["node", "label"])
-
-
 def _fused_round_bucket(n_buckets: int):
     """One hash bucket of NODES: min-reduce this round's incoming label
     messages, then forward the reduced labels along the bucket's edge

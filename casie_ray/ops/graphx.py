@@ -1195,23 +1195,6 @@ def bfs_reach_sql(triples_glob: str, max_depth: int = 3) -> str:
         SELECT node, CAST(min(d) AS BIGINT) AS dist FROM r GROUP BY node"""
 
 
-def pagerank_local(edges: list[tuple[str, str]], iters: int = 3
-                   ) -> dict[str, int]:
-    """Sequential fixed-point oracle for tests."""
-    e = sorted(set(edges))
-    nodes = sorted({a for a, _ in e} | {b for _, b in e})
-    outdeg: dict[str, int] = {}
-    for a, _ in e:
-        outdeg[a] = outdeg.get(a, 0) + 1
-    rank = {n: PR_SCALE for n in nodes}
-    for _ in range(iters):
-        nxt = {n: PR_BASE for n in nodes}
-        for a, b in e:
-            nxt[b] += (rank[a] * DAMP_NUM // DAMP_DEN) // outdeg[a]
-        rank = nxt
-    return rank
-
-
 def pagerank_sql(triples_glob: str, iters: int = 3) -> str:
     """Unrolled DuckDB oracle for :func:`pagerank` — one CTE per
     iteration, all-integer arithmetic, bit-exact vs the engine."""

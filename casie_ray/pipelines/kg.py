@@ -4,7 +4,8 @@ Physical plan (SURVEY §4.3), all Ray Data, streaming executor:
 
   Stage A (fully fused, one execution per WAVE of resumable groups;
   conv-partitioned layout -> ZERO shuffles — see extract_group_ds for
-  the general-layout groupby(conv_id) fallback):
+  the general-layout groupby(conv_id) fallback, which writes the same
+  per-group raw / surf / events tables):
     from_items(shard paths of the wave, one block per shard)
       .map_batches(extract_shard_files,  # Ray tasks, one per shard, on
                    batch_size=1)         # pooled workers that keep the
@@ -13,16 +14,22 @@ Physical plan (SURVEY §4.3), all Ray Data, streaming executor:
                                          # logic + roles + realis + coref;
                                          # each task ALSO emits + partially
                                          # dedupes (S8/A7 combiner) +
-                                         # writes its shard's triples +
-                                         # events
+                                         # writes its shard's triples,
+                                         # surf side table + events
       -> per-shard stats rows -> swap group dirs, commit manifests
+    (the tagger state is loaded and broadcast only if a group is
+    pending, so a resume that skips every group starts at stage B)
 
   Stage B (global finalize, reruns cheaply on resume; hash-shuffle):
-    read raw triples
+    read surf side tables (a group without them raises)
       -> entity-block hash exchange -> cosine merges -> union-find
+    read raw triples
       -> rewrite to canonical nodes
-      -> (subj,pred,obj) hash exchange -> vectorized exact dedup
+      -> (subj,pred,obj) hash exchange -> sort-fused exact dedup (one
+         sort, run reductions, output already in key order)
       -> edges (unique triples), nodes (degree-aggregated)
+    Below SMALL_FINALIZE_BYTES of raw triples the same kernels run
+    once in the driver (_finalize_local).
 
 The driver owns no Ray session: callers (tests / bench / CLI) init Ray.
 """
@@ -39,12 +46,14 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..ops.bucketing import bucket_groupby
-from ..stages.detect import DetectTagger, extract_shard_files
+from ..stages.detect import (
+    detect_batch, extract_shard_files, load_tagger_state,
+)
 from ..stages.doclogic import extract_events_group
 from ..stages.triples import (
-    emit_nodes_batch, emit_triples_batch, extract_surface_nodes,
-    final_dedup_group, final_nodes_group, merge_edges_multi, partial_dedup,
-    rewrite_triples,
+    RAW_TRIPLE_SCHEMA, emit_nodes_batch, emit_triples_batch,
+    extract_surface_nodes, final_dedup_group, final_nodes_group,
+    merge_edges_multi, partial_dedup, rewrite_triples,
 )
 from ..state import manifest
 
@@ -72,43 +81,36 @@ def extract_group_ds(files: list[str], entities_ref, *,
     ``conv_partitioned=True`` (the corpus layout guarantee: conversations
     never span shards) runs the ZERO-SHUFFLE path: one Ray task per
     shard runs :func:`extract_shard_files`, so a retry redoes one shard
-    and extraction needs no exchange at all. ``detect_concurrency``, when
-    set, caps the parallel tasks. With ``sink`` set the tasks also write
-    their own events + partially-deduped triples (fully fused hot path;
-    see ShardFileExtractor) and the Dataset yields only per-shard stats
-    rows. ``entities_path`` and the KB filters let a task or a detect
-    actor rebuild the tagger state if the ``entities_ref`` object is
-    lost (either layout).
-    ``conv_partitioned=False`` is the general-layout fallback: a detect
-    actor pool followed by a ``groupby(conv_id)`` sort shuffle."""
-    import ray
-
+    and extraction needs no exchange at all. With ``sink`` set the tasks
+    also write their own events + partially-deduped triples (fully fused
+    hot path; see ShardFileExtractor) and the Dataset yields only
+    per-shard stats rows.
+    ``conv_partitioned=False`` is the general-layout fallback: detection
+    as Ray tasks (:func:`detect_batch`, the tagger cached per worker
+    process like the fused path's) followed by a ``groupby(conv_id)``
+    sort shuffle. In both layouts ``detect_concurrency``, when set, caps
+    the parallel detection tasks, and ``entities_path`` and the KB
+    filters let a task rebuild the tagger state if the ``entities_ref``
+    object is lost."""
     rd = _ray_data()
+    tagger_kw = {"entities_path": entities_path,
+                 "kb_whitelist": kb_whitelist, "kb_blacklist": kb_blacklist}
     if conv_partitioned:
         return rd.from_items(files, override_num_blocks=len(files)) \
             .map_batches(
                 extract_shard_files,
                 fn_args=([entities_ref],),
-                fn_kwargs={"entities_path": entities_path,
-                           "kb_whitelist": kb_whitelist,
-                           "kb_blacklist": kb_blacklist, "sink": sink},
+                fn_kwargs={**tagger_kw, "sink": sink},
                 batch_format="pyarrow",
                 batch_size=1,
                 concurrency=detect_concurrency,
             )
-    if detect_concurrency is None:
-        # actor pool takes 3/4 of CPUs, leaving headroom for the read /
-        # write / shuffle stages so the executor never starves them
-        ncpu = int(ray.cluster_resources().get("CPU", 4))
-        detect_concurrency = max(2, (ncpu * 3) // 4)
     ds = rd.read_parquet(files,
                          columns=["conv_id", "turn_idx", "text", "ts"])
     ds = ds.map_batches(
-        DetectTagger,
-        fn_constructor_args=([entities_ref],),
-        fn_constructor_kwargs={"entities_path": entities_path,
-                               "kb_whitelist": kb_whitelist,
-                               "kb_blacklist": kb_blacklist},
+        detect_batch,
+        fn_args=([entities_ref],),
+        fn_kwargs=tagger_kw,
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=detect_concurrency,
@@ -285,11 +287,9 @@ def run_kg_pipeline(corpus_dir: str, out_dir: str, *,
         groups = [g for g in (files[i::n_groups] for i in range(n_groups))
                   if g]
 
-    from ..stages.detect import load_tagger_state
     tagger_kw = {"entities_path": os.path.join(corpus_dir,
                                                "entities.parquet"),
                  "kb_whitelist": kb_whitelist, "kb_blacklist": kb_blacklist}
-    entities_ref = ray.put(load_tagger_state(**tagger_kw))
     cfg = manifest.config_hash()
     if kb_whitelist is not None or kb_blacklist is not None:
         # non-default typing filters are semantic config: fold them into
@@ -329,18 +329,19 @@ def run_kg_pipeline(corpus_dir: str, out_dir: str, *,
             continue
         pending.append((gid, gfiles))
 
+    # the tagger state is loaded and broadcast only when a group needs
+    # extraction: a resume that skips every group goes straight to
+    # stage B
+    entities_ref = ray.put(load_tagger_state(**tagger_kw)) if pending \
+        else None
     if conv_partitioned:
         _extract_fused_waves(out_dir, raw_root, ev_root, pending,
                              entities_ref, cfg, tagger_kw,
                              detect_concurrency=detect_concurrency,
                              keep_events=keep_events)
     else:
+        surf_root = os.path.join(out_dir, "surf")
         for gid, gfiles in pending:
-            # this layout writes no surf side tables; drop any stale
-            # ones a previous fused run left for this group
-            shutil.rmtree(os.path.join(out_dir, "surf",
-                                       f"group-{gid:05d}"),
-                          ignore_errors=True)
             ds = extract_group_ds(gfiles, entities_ref,
                                   detect_concurrency=detect_concurrency,
                                   batch_size=batch_size,
@@ -351,18 +352,21 @@ def run_kg_pipeline(corpus_dir: str, out_dir: str, *,
                                   batch_format="pyarrow",
                                   batch_size=None) \
                      .map_batches(partial_dedup, batch_format="pyarrow",
-                                  batch_size=None)
-            tmp = os.path.join(raw_root, f".group-{gid:05d}.tmp")
-            shutil.rmtree(tmp, ignore_errors=True)
-            trip.write_parquet(tmp)
-            manifest.atomic_dir_swap(tmp, os.path.join(raw_root,
-                                                       f"group-{gid:05d}"))
+                                  batch_size=None).materialize()
+            # raw triples and their surf side table, as the fused sink
+            # writes them per shard
+            outs = [(raw_root, trip),
+                    (surf_root, trip.map_batches(extract_surface_nodes,
+                                                 batch_format="pyarrow",
+                                                 batch_size=None))]
             if keep_events:
-                tmp_e = os.path.join(ev_root, f".group-{gid:05d}.tmp")
-                shutil.rmtree(tmp_e, ignore_errors=True)
-                ds.drop_columns(["args"]).write_parquet(tmp_e)
-                manifest.atomic_dir_swap(tmp_e, os.path.join(
-                    ev_root, f"group-{gid:05d}"))
+                outs.append((ev_root, ds.drop_columns(["args"])))
+            for root, out in outs:
+                tmp = os.path.join(root, f".group-{gid:05d}.tmp")
+                shutil.rmtree(tmp, ignore_errors=True)
+                out.write_parquet(tmp)
+                manifest.atomic_dir_swap(tmp, os.path.join(
+                    root, f"group-{gid:05d}"))
             manifest.commit(out_dir, gid, cfg, gfiles, {
                 "input_files": len(gfiles), "events": n_events,
             })
@@ -389,27 +393,38 @@ SMALL_FINALIZE_BYTES = 32 * 1024 * 1024
 SMALL_CANON_BYTES = 64 * 1024 * 1024
 
 
-def _finalize_local(out_dir, raw_files, groups, skipped, timings,
-                    t0) -> dict:
+def _canonical_mapping_local(surf_files: list[str]) -> dict[str, str]:
+    """Variant -> canonical node mapping from the surf side tables, in
+    this process: the shared merge-edge kernel, then the sequential
+    union-find."""
+    from ..ops.graph import components_local
+
+    if not surf_files:
+        return {}
+    medges = merge_edges_multi(
+        pa.concat_tables([pq.read_table(f) for f in surf_files]))
+    comp = components_local(list(zip(medges.column("src").to_pylist(),
+                                     medges.column("dst").to_pylist())))
+    return {n: r for n, r in comp.items() if n != r}
+
+
+def _finalize_local(out_dir, raw_files, surf_files, groups, skipped,
+                    timings, t0) -> dict:
     """Small-input finalize: the SAME shared kernels as the distributed
     path, applied once in-process. Below the byte cutoff the three
     distributed executions cost more in orchestration than the data
     (the same size-aware escape hatch as the 200k-merge-edge driver
-    union-find); output is tested identical to the distributed path."""
-    import pyarrow as pa
-
-    from ..ops.graph import components_local
-    from ..stages.triples import RAW_TRIPLE_SCHEMA
-
+    union-find); output is tested identical to the distributed path.
+    Canonicalization reads the surf side tables that stage A wrote with
+    each group (distinct surface nodes), never the raw triples; the
+    dedup is one sort-fused :func:`final_dedup_group` over every raw
+    triple."""
+    t1 = time.time()
+    mapping = _canonical_mapping_local(surf_files)
+    timings["canonicalize"] = round(time.time() - t1, 2)
     t1 = time.time()
     tbl = pa.concat_tables([pq.read_table(f) for f in raw_files]) \
         if raw_files else RAW_TRIPLE_SCHEMA.empty_table()
-    medges = merge_edges_multi(extract_surface_nodes(tbl))
-    comp = components_local(list(zip(medges.column("src").to_pylist(),
-                                     medges.column("dst").to_pylist())))
-    mapping = {n: r for n, r in comp.items() if n != r}
-    timings["canonicalize"] = round(time.time() - t1, 2)
-    t1 = time.time()
     if mapping:
         tbl = rewrite_triples(mapping)(tbl)
     edges_tbl = final_dedup_group(tbl)
@@ -485,40 +500,35 @@ def _finalize(out_dir, raw_root, groups, skipped, timings, t0) -> dict:
     rd = _ray_data()
     raw_files = sorted(glob.glob(
         os.path.join(raw_root, "group-*", "*.parquet")))
-    if sum(os.path.getsize(f) for f in raw_files) <= SMALL_FINALIZE_BYTES:
-        return _finalize_local(out_dir, raw_files, groups, skipped,
-                               timings, t0)
-    # canonicalization reads the per-shard surf side tables (distinct
-    # surface nodes, a tiny fraction of the raw-triple mass) when the
-    # fused extraction wrote them; the general-layout fallback derives
-    # them from a pruned raw read
+    # canonicalization reads only the per-shard surf side tables
+    # (distinct surface nodes, a tiny fraction of the raw-triple mass)
+    # that stage A writes with every group in either layout; a group
+    # without them would silently drop its variants from the merge
+    surf_root = os.path.join(out_dir, "surf")
+    missing = [os.path.basename(d) for d in
+               sorted(glob.glob(os.path.join(raw_root, "group-*")))
+               if not os.path.isdir(os.path.join(surf_root,
+                                                 os.path.basename(d)))]
+    if missing:
+        raise FileNotFoundError(
+            f"no surf side tables under {surf_root} for raw-triple "
+            f"group(s) {', '.join(missing)}; re-extract them "
+            f"(resume=False)")
     surf_files = sorted(glob.glob(
-        os.path.join(out_dir, "surf", "group-*", "*.parquet")))
-    if surf_files and sum(os.path.getsize(f)
-                          for f in surf_files) <= SMALL_CANON_BYTES:
+        os.path.join(surf_root, "group-*", "*.parquet")))
+    if sum(os.path.getsize(f) for f in raw_files) <= SMALL_FINALIZE_BYTES:
+        return _finalize_local(out_dir, raw_files, surf_files, groups,
+                               skipped, timings, t0)
+    if sum(os.path.getsize(f) for f in surf_files) <= SMALL_CANON_BYTES:
         # size-aware escape hatch (same pattern as the 200k-merge-edge
         # driver union-find and the small finalize): below the cutoff
         # the distributed exchange's fixed cost exceeds the work, and
         # the kernels are identical either way
-        import pyarrow.dataset as pads
-
-        from ..ops.graph import components_local
-        tbl = pads.dataset(surf_files).to_table()
-        medges = merge_edges_multi(tbl)
-        comp = components_local(
-            list(zip(medges.column("src").to_pylist(),
-                     medges.column("dst").to_pylist())))
-        mapping = {n: r for n, r in comp.items() if n != r}
+        mapping = _canonical_mapping_local(surf_files)
     else:
         ncpu_s = int(ray.cluster_resources().get("CPU", 4))
-        if surf_files:
-            surf_ds = _read_path_chunks(rd, surf_files, ncpu_s)
-        else:
-            surf_ds = _read_path_chunks(rd, raw_files, ncpu_s,
-                                        columns=["subj", "obj"]) \
-                .map_batches(extract_surface_nodes, batch_format="pyarrow",
-                             batch_size=None)
-        mapping = compute_canonical_mapping(surf_ds)
+        mapping = compute_canonical_mapping(
+            _read_path_chunks(rd, surf_files, ncpu_s))
     # size read blocks to ~128 MB of on-disk raw triples (never fewer
     # than one per CPU): the raw dir holds one tiny file per input
     # shard, and letting the reader split per-file would pay per-task

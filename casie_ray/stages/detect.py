@@ -1,11 +1,11 @@
 """Detection stage: the engine seat of CASIE's nugget/argument taggers
 (T1/T2, nug_arg_detection.py:111-208). The catalog (broadcast via
 ``ray.put``, the small side of the linker J5/T7) and the compiled lexicon
-tables are built ONCE per worker process: as an actor-pool
-``map_batches`` class (:class:`DetectTagger`, the general layout), or as
-the per-process cached extractor of the fused task
-:func:`extract_shard_files`. ``__call__`` processes one Arrow batch of
-transcript turns and appends the detection columns (schema.DETECTION_*).
+tables are built ONCE per worker process, as the per-process cached
+extractor of the Ray-task bodies :func:`extract_shard_files` (the fused
+layout) and :func:`detect_batch` (the general layout).
+:meth:`DetectTagger.tag_batch` processes one Arrow batch of transcript
+turns and appends the detection columns (schema.DETECTION_*).
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ class DetectTagger:
             return TurnDetection([], [], [], [], [])
         return detect_turn(text or "", self.catalog, self.fuzzy)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def tag_batch(self, batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
         mask = self.interesting_mask(batch.column("text"))
         starts, flags, trigs, ments, cands = [], [], [], [], []
@@ -196,6 +196,8 @@ class DetectTagger:
             "cand_tokens": pa.array(cands, type=pa.list_(CAND_T)),
         }
         return pa.table({name: cols[name] for name, _ in DETECTION_FIELDS})
+
+    __call__ = tag_batch
 
 
 class ShardExtractor(DetectTagger):
@@ -361,6 +363,18 @@ def _tagger_state(state_ref, entities_path, kb_whitelist, kb_blacklist):
                                  kb_blacklist=kb_blacklist)
 
 
+def _cached_extractor(state_box: list, entities_path, kb_whitelist,
+                      kb_blacklist) -> ShardFileExtractor:
+    """This worker process's extractor for the boxed tagger-state ref,
+    built on first use (see ``_EXTRACTOR``)."""
+    global _EXTRACTOR
+    key = state_box[0].hex()
+    if _EXTRACTOR is None or _EXTRACTOR[0] != key:
+        _EXTRACTOR = (key, ShardFileExtractor(
+            state_box, entities_path, kb_whitelist, kb_blacklist))
+    return _EXTRACTOR[1]
+
+
 def extract_shard_files(batch: pa.Table, state_box: list,
                         entities_path: str | None = None,
                         kb_whitelist=None, kb_blacklist=None,
@@ -373,9 +387,17 @@ def extract_shard_files(batch: pa.Table, state_box: list,
     unresolved, and it is fetched once per worker process, not per task.
     ``entities_path`` and the KB filters rebuild the state if the
     broadcast object is lost."""
-    global _EXTRACTOR
-    key = state_box[0].hex()
-    if _EXTRACTOR is None or _EXTRACTOR[0] != key:
-        _EXTRACTOR = (key, ShardFileExtractor(
-            state_box, entities_path, kb_whitelist, kb_blacklist))
-    return _EXTRACTOR[1](batch, sink)
+    return _cached_extractor(state_box, entities_path, kb_whitelist,
+                             kb_blacklist)(batch, sink)
+
+
+def detect_batch(batch: pa.Table, state_box: list,
+                 entities_path: str | None = None,
+                 kb_whitelist=None, kb_blacklist=None) -> pa.Table:
+    """General-layout detection task body: the detection columns of a
+    batch of transcript turns (:meth:`DetectTagger.tag_batch`). Called
+    like :func:`extract_shard_files` (boxed state ref, same rebuild
+    arguments) and sharing its per-process extractor, so detection runs
+    as plain Ray tasks and holds no CPU between batches."""
+    return _cached_extractor(state_box, entities_path, kb_whitelist,
+                             kb_blacklist).tag_batch(batch)

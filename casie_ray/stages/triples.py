@@ -5,8 +5,11 @@ Emission is the engine equivalent of the reference's brat frame writers
 two-phase aggregate: a vectorized per-batch Arrow ``group_by`` combine
 (pre-aggregation before the shuffle) followed by a bucketed
 ``groupby("bucket").map_groups`` final — the bucket column spreads hot
-keys (e.g. hot-entity `targets` edges) across 4096 reducers, and each
-reducer is itself vectorized Arrow, never per-key Python.
+keys (e.g. hot-entity `targets` edges) across 4096 reducers. The final
+reduce (:func:`final_dedup_group`) is sort-fused: one Arrow sort, then
+numpy run reductions and a buffer-level provenance decode, never
+per-key Python. Canonicalization reads the surf side tables
+(:func:`extract_surface_nodes` per shard) that stage A writes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..ops.bucketing import fnv1a_hashes
+from ..ops.bucketing import fnv1a_hashes, string_buffers
 from ..schema import TRIPLE_SCHEMA, row_to_event
 from ..semantics import emit_triples
 
@@ -38,12 +41,19 @@ RAW_TRIPLE_SCHEMA = pa.schema([
 ])
 
 
+_PROV_INT_MAX = 10**8 - 1
+
+
 def _pad8(ints: pa.Array) -> pa.Array:
-    """Zero-padded decimal text, as f"{v:08d}" formats a non-negative
-    int (a longer value keeps all its digits). Negative values would
-    pad differently, so they raise."""
-    if len(ints) and pc.min(ints).as_py() < 0:
-        raise ValueError("provenance ints must be non-negative")
+    """Zero-padded 8-digit decimal text, as f"{v:08d}" formats an int in
+    [0, 10^8). Provenance order (string min) and its fixed-width decode
+    in :func:`final_dedup_group` both rely on exactly 8 digits, so a
+    negative or wider value raises ValueError."""
+    if len(ints):
+        lo, hi = pc.min_max(ints).values()
+        if lo.as_py() < 0 or hi.as_py() > _PROV_INT_MAX:
+            raise ValueError(f"provenance ints must be non-negative and at "
+                             f"most {_PROV_INT_MAX}")
     return pc.utf8_lpad(pc.cast(ints, pa.string()), 8, "0")
 
 
@@ -94,48 +104,112 @@ _RENAME = {"count_sum": "count", "prov_min": "prov",
            "bucket_min": "bucket"}
 
 
-def _dedup_table(t: pa.Table) -> pa.Table:
-    """Vectorized exact dedup of one Arrow table on (subj, pred, obj):
-    sum counts, keep the provenance-minimal row."""
-    g = t.group_by(["subj", "pred", "obj"]).aggregate(_AGG)
+def partial_dedup(batch: pa.Table) -> pa.Table:
+    """Per-batch combiner (runs before the shuffle): vectorized exact
+    dedup on (subj, pred, obj) that sums counts and keeps the minimal
+    provenance, types and bucket. A hash ``group_by``: unlike the final
+    dedup, the combiner's output order does not matter."""
+    if batch.num_rows == 0:
+        return RAW_TRIPLE_SCHEMA.empty_table()
+    g = batch.group_by(["subj", "pred", "obj"]).aggregate(_AGG)
     g = g.rename_columns([_RENAME.get(c, c) for c in g.column_names])
     return g.select(RAW_TRIPLE_SCHEMA.names).cast(RAW_TRIPLE_SCHEMA)
 
 
-def partial_dedup(batch: pa.Table) -> pa.Table:
-    """Per-batch combiner (runs before the shuffle)."""
-    if batch.num_rows == 0:
-        return RAW_TRIPLE_SCHEMA.empty_table()
-    return _dedup_table(batch)
+def _run_starts(cols: list, n: int) -> np.ndarray:
+    """Row positions where a run of equal keys begins, for columns that
+    are already sorted: adjacent rows are compared column by column."""
+    change = np.zeros(n, dtype=bool)
+    change[0] = True
+    for col in cols:
+        change[1:] |= pc.not_equal(col.slice(1), col.slice(0, n - 1)) \
+            .to_numpy(zero_copy_only=False)
+    return np.flatnonzero(change)
+
+
+def _run_min_strings(col, order: np.ndarray, starts: np.ndarray) -> pa.Array:
+    """Per-run minimum of a string column, with Arrow's ``min`` order and
+    null skipping: each row becomes the rank of its value in the sorted
+    dictionary (nulls rank last), rows are put in run ``order``, and
+    ``np.minimum.reduceat`` takes each run's smallest rank."""
+    enc = pc.dictionary_encode(col.combine_chunks()
+                               if isinstance(col, pa.ChunkedArray) else col)
+    by_value = pc.sort_indices(enc.dictionary)
+    k = len(by_value)
+    rank = np.empty(k + 1, np.int64)
+    rank[by_value.to_numpy()] = np.arange(k)
+    rank[k] = k
+    codes = pc.fill_null(enc.indices, k).to_numpy(zero_copy_only=False)
+    best = np.minimum.reduceat(rank[codes][order], starts)
+    return enc.dictionary.take(by_value).take(pa.array(best, mask=best == k))
+
+
+# provenance suffix: "\x00%08d" for each of turn_idx, ev_start, ev_end,
+# as byte positions counted back from the end of the string
+_PROV_SUFFIX = 27
+_PROV_SEPS = np.array([-27, -18, -9])
+_PROV_DIGITS = np.array([s + 1 + d for s in _PROV_SEPS for d in range(8)])
+
+
+def _decode_prov(prov: pa.Array) -> tuple[pa.Array, np.ndarray]:
+    """Split provenance strings into (conv_id strings, int32 [3, n] rows
+    of turn_idx / ev_start / ev_end). The suffix is fixed-width ASCII,
+    so its digits are read in numpy at fixed negative offsets from each
+    string's end in the Arrow buffers, and conv_id is the rest, even
+    when it contains the \\x00 separator itself. A malformed suffix
+    raises ValueError."""
+    offs, data = string_buffers(prov)
+    if len(prov) and int(np.diff(offs).min()) < _PROV_SUFFIX:
+        raise ValueError("provenance shorter than its 27-byte suffix")
+    ends = offs[1:, None]
+    digits = data[ends + _PROV_DIGITS] - np.uint8(ord("0"))
+    if data[ends + _PROV_SEPS].any() or (digits > 9).any():
+        raise ValueError("malformed provenance suffix")
+    ints = digits.reshape(-1, 3, 8).astype(np.int32) \
+        @ (10 ** np.arange(7, -1, -1, dtype=np.int32))
+    conv = pc.utf8_slice_codeunits(prov, start=0, stop=-_PROV_SUFFIX)
+    return conv, np.ascontiguousarray(ints.T)
 
 
 def final_dedup_group(group: pa.Table) -> pa.Table:
-    """Per-bucket final dedup + decode provenance -> TRIPLE_SCHEMA."""
-    import numpy as np
-    if group.num_rows == 0:
+    """Exact dedup of raw triple rows on (subj, pred, obj) -> TRIPLE_SCHEMA
+    rows in key order: the final reduce of the dedup exchange (one call
+    per bucket group) and of the driver-local finalize. Sort-fused, with
+    no hash aggregate and no output re-sort: ONE sort by (subj, pred,
+    obj, prov) makes each key a run whose first row carries the minimal
+    provenance; ``count`` is a run sum and each type a run minimum (over
+    sorted-dictionary ranks). The surviving provenance strings are
+    decoded in numpy from their fixed 27-byte suffix. A null key,
+    provenance or count raises ValueError."""
+    n = group.num_rows
+    if n == 0:
         return TRIPLE_SCHEMA.empty_table()
-    g = _dedup_table(group)
-    # vectorized provenance decode: the suffix is fixed-width ASCII
-    # ("\x00%08d" x 3 = 27 codeunits), so negative-index slices recover
-    # the fields even when conv_id itself contains the separator
-    prov = g.column("prov")
-    conv = pc.utf8_slice_codeunits(prov, start=0, stop=-27)
-    ti = pc.cast(pc.utf8_slice_codeunits(prov, start=-26, stop=-18),
-                 pa.int32())
-    st = pc.cast(pc.utf8_slice_codeunits(prov, start=-17, stop=-9),
-                 pa.int32())
-    en = pc.cast(pc.utf8_slice_codeunits(prov, start=-8), pa.int32())
-    # deterministic output order within the bucket
-    out = pa.table({
-        "subj": g.column("subj"), "pred": g.column("pred"),
-        "obj": g.column("obj"), "subj_type": g.column("subj_type"),
-        "obj_type": g.column("obj_type"),
-        "conv_id": conv, "turn_idx": ti, "ev_start": st, "ev_end": en,
-        "weight": pa.array(np.ones(g.num_rows, np.float32)),
-        "count": g.column("count"),
-    }).cast(TRIPLE_SCHEMA)
-    return out.sort_by([("subj", "ascending"), ("pred", "ascending"),
-                        ("obj", "ascending")])
+    for c in ("subj", "pred", "obj", "prov", "count"):
+        if group.column(c).null_count:
+            raise ValueError(f"final_dedup_group: null {c} value(s)")
+    idx = pc.sort_indices(group, [(c, "ascending") for c in
+                                  ("subj", "pred", "obj", "prov")])
+    keys = [group.column(c).take(idx).combine_chunks()
+            for c in ("subj", "pred", "obj")]
+    starts = _run_starts(keys, n)
+    order = idx.to_numpy()
+    conv, ints = _decode_prov(group.column("prov").take(
+        pa.array(order[starts])).combine_chunks())
+    firsts = pa.array(starts)
+    count = group.column("count").to_numpy()[order]
+    return pa.table({
+        "subj": keys[0].take(firsts), "pred": keys[1].take(firsts),
+        "obj": keys[2].take(firsts),
+        "subj_type": _run_min_strings(group.column("subj_type"), order,
+                                      starts),
+        "obj_type": _run_min_strings(group.column("obj_type"), order,
+                                     starts),
+        "conv_id": conv,
+        "turn_idx": pa.array(ints[0]), "ev_start": pa.array(ints[1]),
+        "ev_end": pa.array(ints[2]),
+        "weight": pa.array(np.ones(len(starts), np.float32)),
+        "count": pa.array(np.add.reduceat(count, starts)),
+    }, schema=TRIPLE_SCHEMA)
 
 
 NODE_SCHEMA = pa.schema([
@@ -213,10 +287,6 @@ def extract_surface_nodes(batch: pa.Table) -> pa.Table:
         "block": blocks,
         "bucket": pa.array(bucket, pa.int32()),
     })
-
-
-def surface_dedup_group(group: pa.Table) -> pa.Table:
-    return group.slice(0, 1)
 
 
 def merge_edges_group(group: pa.Table) -> pa.Table:

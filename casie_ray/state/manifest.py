@@ -28,7 +28,7 @@ def _embed_dim() -> int:
 # bump whenever the on-disk output layout changes (e.g. the prov
 # encoding, or the surf/ side tables) so resume never mixes formats
 # across code versions
-FORMAT_VERSION = 5  # v5: dedup/canon bucket hash switched crc32 -> FNV
+FORMAT_VERSION = 6  # v6: every complete group has surf side tables
 
 
 def config_hash() -> str:

@@ -25,15 +25,3 @@ TOKEN_RE = re.compile(
 def tokenize(text: str) -> list[tuple[str, int, int]]:
     """text -> [(token, start_char, end_char)] with end exclusive."""
     return [(m.group(0), m.start(), m.end()) for m in TOKEN_RE.finditer(text)]
-
-
-def tokenize_many(texts) -> list[list[tuple[str, int, int]]]:
-    return [tokenize(t or "") for t in texts]
-
-
-_WORD_RE = re.compile(r"[A-Za-z0-9_']+")
-
-
-def simple_words(text: str) -> list[str]:
-    """Lowercased word stream (no offsets) for similarity / stats kernels."""
-    return _WORD_RE.findall(text.lower())

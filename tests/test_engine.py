@@ -236,6 +236,21 @@ def test_incremental_update_extracts_only_new_shards(smoke_corpus,
     pd.testing.assert_frame_equal(edges(out), edges(fresh))
 
 
+def _stage_a_copy(kg_out, dest):
+    """Copy a build's stage-A output (raw triples + surf side tables)
+    into ``dest``, the layout ``_finalize`` reads; returns the
+    raw-triples root."""
+    for sub in ("raw_triples", "surf"):
+        shutil.copytree(os.path.join(kg_out, sub), os.path.join(dest, sub))
+    return os.path.join(dest, "raw_triples")
+
+
+def _finalize_files(root):
+    return [sorted(glob.glob(os.path.join(root, sub, "group-*",
+                                          "*.parquet")))
+            for sub in ("raw_triples", "surf")]
+
+
 def test_local_and_distributed_finalize_identical(kg_out, tmp_path):
     """The small-input finalize fast path must produce byte-identical
     edges and nodes to the distributed path on the same raw triples."""
@@ -244,25 +259,18 @@ def test_local_and_distributed_finalize_identical(kg_out, tmp_path):
 
     from casie_ray.pipelines import kg as kgmod
 
-    raw_files = sorted(glob.glob(os.path.join(kg_out, "raw_triples",
-                                              "group-*", "*.parquet")))
-    assert raw_files
+    raw_files, surf_files = _finalize_files(kg_out)
+    assert raw_files and surf_files
     la = str(tmp_path / "local")
     da = str(tmp_path / "dist")
     os.makedirs(la), os.makedirs(da)
-    kgmod._finalize_local(la, raw_files, [[]], 0, {}, 0.0)
+    kgmod._finalize_local(la, raw_files, surf_files, [[]], 0, {}, 0.0)
     # force the distributed path regardless of input size
     orig = kgmod.SMALL_FINALIZE_BYTES
     kgmod.SMALL_FINALIZE_BYTES = -1
     try:
-        # distributed _finalize re-globs from a raw_root layout
-        import shutil as _sh
-        rr = str(tmp_path / "raw_root")
-        for f in raw_files:
-            gdir = os.path.join(rr, os.path.basename(os.path.dirname(f)))
-            os.makedirs(gdir, exist_ok=True)
-            _sh.copy(f, gdir)
-        kgmod._finalize(da, rr, [[]], 0, {}, 0.0)
+        # distributed _finalize re-globs from a raw_root + surf layout
+        kgmod._finalize(da, _stage_a_copy(kg_out, da), [[]], 0, {}, 0.0)
     finally:
         kgmod.SMALL_FINALIZE_BYTES = orig
 
@@ -289,25 +297,20 @@ def test_join_rewrite_path_identical_to_broadcast(kg_out, tmp_path):
 
     from casie_ray.pipelines import kg as kgmod
 
-    raw_files = sorted(glob.glob(os.path.join(kg_out, "raw_triples",
-                                              "group-*", "*.parquet")))
-    assert raw_files
+    raw_files, surf_files = _finalize_files(kg_out)
+    assert raw_files and surf_files
     la = str(tmp_path / "local")
     da = str(tmp_path / "dist")
     os.makedirs(la), os.makedirs(da)
-    kgmod._finalize_local(la, raw_files, [[]], 0, {}, 0.0)
+    kgmod._finalize_local(la, raw_files, surf_files, [[]], 0, {}, 0.0)
     saved = {k: getattr(kgmod, k) for k in
              ("SMALL_FINALIZE_BYTES", "SMALL_CANON_BYTES",
               "DRIVER_UNIONFIND_MAX", "CANON_BROADCAST_MAX")}
     for k in saved:
         setattr(kgmod, k, -1)
     try:
-        rr = str(tmp_path / "raw_root")
-        for f in raw_files:
-            gdir = os.path.join(rr, os.path.basename(os.path.dirname(f)))
-            os.makedirs(gdir, exist_ok=True)
-            shutil.copy(f, gdir)
-        info = kgmod._finalize(da, rr, [[]], 0, {}, 0.0)
+        info = kgmod._finalize(da, _stage_a_copy(kg_out, da), [[]], 0, {},
+                               0.0)
         # the forced path must actually have merged variants (otherwise
         # this test exercises nothing)
         assert info["canon_merged"] > 0
@@ -325,6 +328,107 @@ def test_join_rewrite_path_identical_to_broadcast(kg_out, tmp_path):
         load(da, "edges", ["subj", "pred", "obj"]))
     pd.testing.assert_frame_equal(
         load(la, "nodes", ["node_id"]), load(da, "nodes", ["node_id"]))
+
+
+@pytest.mark.parametrize("tier", ["default", "distributed"])
+def test_mixed_layout_resume_matches_cold_build(ray_session, smoke_corpus,
+                                                kg_out, tmp_path,
+                                                monkeypatch, tier):
+    """A fused build whose group 1 is then re-extracted by the general
+    layout must finalize to the edges of a cold build: the general
+    layout writes that group's surf side tables too, so
+    canonicalization sees every surface node in either finalize tier."""
+    from casie_ray.pipelines import kg as kgmod
+
+    if tier == "distributed":
+        monkeypatch.setattr(kgmod, "SMALL_FINALIZE_BYTES", 0)
+    out = str(tmp_path / "kg")
+    cold = kgmod.run_kg_pipeline(smoke_corpus, out, resume=False,
+                                 n_groups=3)
+    os.remove(os.path.join(out, "_manifests", "group-00001.json"))
+    mixed = kgmod.run_kg_pipeline(smoke_corpus, out, resume=True,
+                                  n_groups=3, conv_partitioned=False)
+    assert mixed["groups_skipped"] == 2
+    assert mixed["canon_merged"] == cold["canon_merged"] > 0
+    pd.testing.assert_frame_equal(_norm(_triples(kg_out)),
+                                  _norm(_triples(out)))
+
+
+def test_finalize_names_group_without_surf_tables(kg_out, tmp_path):
+    """Stage B canonicalizes from the surf side tables only, so a
+    raw-triples group without them fails loudly, naming the group."""
+    from casie_ray.pipelines import kg as kgmod
+
+    out = str(tmp_path / "kg")
+    raw_root = _stage_a_copy(kg_out, out)
+    shutil.rmtree(os.path.join(out, "surf", "group-00001"))
+    with pytest.raises(FileNotFoundError, match="group-00001"):
+        kgmod._finalize(out, raw_root, [[]], 0, {}, 0.0)
+
+
+def test_full_skip_resume_loads_no_tagger_state(ray_session, smoke_corpus,
+                                               tmp_path, monkeypatch):
+    """A resume with no pending group neither loads nor broadcasts the
+    tagger state."""
+    from casie_ray.pipelines import kg as kgmod
+
+    out = str(tmp_path / "kg")
+    cold = kgmod.run_kg_pipeline(smoke_corpus, out, resume=False,
+                                 n_groups=2)
+
+    def no_load(*a, **k):
+        raise AssertionError("tagger state loaded on a full-skip resume")
+
+    monkeypatch.setattr(kgmod, "load_tagger_state", no_load)
+    info = kgmod.run_kg_pipeline(smoke_corpus, out, resume=True,
+                                 n_groups=2)
+    assert info["groups_skipped"] == 2
+    assert info["edges"] == cold["edges"]
+
+
+_GENERAL_LAYOUT_RUN = """
+import sys
+import ray
+from casie_ray.pipelines.kg import run_kg_pipeline
+ray.init(address="local", num_cpus=int(sys.argv[3]),
+         include_dashboard=False, logging_level="ERROR")
+try:
+    run_kg_pipeline(sys.argv[1], sys.argv[2], resume=False, n_groups=1,
+                    conv_partitioned=False)
+finally:
+    ray.shutdown()
+"""
+
+
+@pytest.mark.parametrize("ncpu", [1, 2])
+def test_general_layout_finishes_at_low_cpu(smoke_corpus, kg_out, tmp_path,
+                                            ncpu):
+    """The general layout finishes in a Ray session of 1 or 2 logical
+    CPUs with the fused build's triples: detection runs as tasks, so it
+    never holds every CPU while the read and the conv_id exchange wait.
+    The run is a subprocess with its own session; on timeout its whole
+    process group (driver and Ray daemons) is killed, so a hang fails
+    the test and leaves no process behind."""
+    import signal
+    import subprocess
+    import sys
+
+    out = str(tmp_path / "kg")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _GENERAL_LAYOUT_RUN, smoke_corpus, out,
+         str(ncpu)], cwd=repo, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    try:
+        log, _ = proc.communicate(timeout=300)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"general layout at {ncpu} CPU(s) did not finish "
+                    f"in 300 s")
+    assert proc.returncode == 0, log[-3000:]
+    pd.testing.assert_frame_equal(_norm(_triples(kg_out)),
+                                  _norm(_triples(out)))
 
 
 def _fused_sink_digests(files, entities_ref, out, to_uri=lambda p: p,

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 ASCII_TEXT = st.text(
@@ -91,13 +91,13 @@ def test_fnv1a_hashes_edge_inputs():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.text(max_size=12),
-                          st.integers(min_value=0, max_value=10**10),
-                          st.integers(min_value=0, max_value=10**9),
+                          st.integers(min_value=0, max_value=10**8 - 1),
+                          st.integers(min_value=0, max_value=10**8 - 1),
                           st.integers(min_value=0, max_value=99)),
                 max_size=6))
 def test_columnar_provenance_matches_fstring(rows):
     """Triple provenance built with Arrow kernels equals the per-row
-    f-string it replaced, including ints wider than the 8-digit pad."""
+    f-string it replaced, up to the widest 8-digit int."""
     import pyarrow as pa
 
     from casie_ray.stages.triples import _prov
@@ -117,6 +117,86 @@ def test_columnar_provenance_rejects_negative_ints():
     ok = pa.array([1], pa.int64())
     with pytest.raises(ValueError, match="non-negative"):
         _prov(pa.array(["c"]), ok, pa.array([-5], pa.int64()), ok)
+
+
+def test_columnar_provenance_rejects_ints_wider_than_8_digits():
+    """Provenance order and its fixed-width decode assume 8 digits: a
+    turn index of 10^8 raises instead of decoding to a wrong value."""
+    import pyarrow as pa
+
+    from casie_ray.stages.triples import _prov
+
+    ok = pa.array([1, 2], pa.int64())
+    with pytest.raises(ValueError, match="at most 99999999"):
+        _prov(pa.array(["c", "d"]), pa.array([10**8, 3], pa.int64()), ok,
+              ok)
+
+
+_CONV_IDS = ["c", "c1", "c\x00", "c\x00!", "c\x00x", "\u00e9", ""]
+_TYPES = ["Event", "Organization", "Person", "\u00c9", None]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["s", "t", "s\x00"]), st.sampled_from(["p", "q"]),
+    st.sampled_from(["o", "\u6f22"]), st.sampled_from(_TYPES),
+    st.sampled_from(_TYPES), st.sampled_from(_CONV_IDS),
+    st.sampled_from([0, 7, 10**8 - 1]), st.integers(0, 3),
+    st.integers(0, 3), st.integers(1, 3), st.integers(0, 4095)),
+    max_size=24), st.integers(0, 3), st.integers(0, 24))
+@example(rows=[], skip=2, cut=0)
+@example(rows=[("s", "p", "o", None, "Event", "c\x00", 7, 0, 1, 2, 9)],
+         skip=1, cut=1)
+def test_final_dedup_group_matches_dict_reference(rows, skip, cut):
+    """The sort-fused final dedup against a plain dict reference: per
+    (subj, pred, obj) the count sums, and the provenance and each type
+    are minima (types skipping nulls); output rows come in key order.
+    Keys repeat and tie on provenance, types differ within a key, and
+    conv_ids hold \\x00 or are prefixes of one another. The input is
+    sliced (non-zero offset) and split into two chunks."""
+    import pyarrow as pa
+
+    from casie_ray.stages.triples import (
+        RAW_TRIPLE_SCHEMA, _prov, final_dedup_group,
+    )
+
+    def table(rs):
+        cols = list(zip(*rs)) or [[]] * 11
+        return pa.table({
+            "subj": cols[0], "pred": cols[1], "obj": cols[2],
+            "subj_type": pa.array(cols[3], pa.string()),
+            "obj_type": pa.array(cols[4], pa.string()),
+            "prov": _prov(pa.array(cols[5], pa.string()),
+                          *(pa.array(c, pa.int64()) for c in cols[6:9])),
+            "count": pa.array(cols[9], pa.int64()),
+            "bucket": pa.array(cols[10], pa.int32()),
+        }, schema=RAW_TRIPLE_SCHEMA)
+
+    filler = [("z", "z", "z", "Z", "Z", "z", 1, 1, 1, 1, 0)] * skip
+    t = table(filler + rows).slice(skip)
+    cut = min(cut, len(rows))
+    chunked = pa.concat_tables([t.slice(0, cut), t.slice(cut)])
+
+    def tmin(vals):
+        vals = [v for v in vals if v is not None]
+        return min(vals) if vals else None
+
+    groups: dict = {}
+    for r, prov in zip(rows, t.column("prov").to_pylist()):
+        groups.setdefault(r[:3], []).append((r, prov))
+    want = []
+    for key in sorted(groups):
+        g = groups[key]
+        prov = min(p for _, p in g)
+        want.append({
+            "subj": key[0], "pred": key[1], "obj": key[2],
+            "subj_type": tmin(r[3] for r, _ in g),
+            "obj_type": tmin(r[4] for r, _ in g),
+            "conv_id": prov[:-27], "turn_idx": int(prov[-26:-18]),
+            "ev_start": int(prov[-17:-9]), "ev_end": int(prov[-8:]),
+            "weight": 1.0, "count": sum(r[9] for r, _ in g)})
+    for inp in (t, chunked):
+        assert final_dedup_group(inp).to_pylist() == want
 
 
 @settings(max_examples=40, deadline=None)
