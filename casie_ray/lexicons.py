@@ -19,6 +19,7 @@ time/number vocab) is engine infrastructure, built fresh.
 
 from __future__ import annotations
 
+import functools
 import re
 
 TRIGGER_TYPES = [
@@ -409,9 +410,11 @@ NON_CONTENT_WORDS = frozenset(STOPWORDS) | frozenset(MODAL_WORDS) \
     | frozenset(GENERIC_WORDS)
 
 
+@functools.lru_cache(maxsize=65536)
 def normalize_surface(s: str) -> str:
     """Canonical-form normalization for entity surfaces: lowercase,
-    strip possessives and non-alphanumerics, collapse whitespace."""
+    strip possessives and non-alphanumerics, collapse whitespace.
+    Memoized: surfaces repeat heavily across turns and conversations."""
     s = s.lower()
     s = re.sub(r"'s\b", "", s)
     s = re.sub(r"[^a-z0-9]+", " ", s)

@@ -115,9 +115,7 @@ def extract_group_ds(files: list[str], entities_ref, *,
         batch_size=batch_size,
         concurrency=detect_concurrency,
     )
-    # fused doc-logic + role/realis + coref: one conv_id shuffle (see
-    # stages/doclogic.extract_events_group for the unfused variant used
-    # when real role/realis models occupy their actor-pool seats)
+    # fused doc-logic + role/realis + coref: one conv_id shuffle
     ds = ds.groupby("conv_id").map_groups(extract_events_group,
                                           batch_format="pyarrow")
     return ds

@@ -4,10 +4,10 @@ This module holds the *rules* of the extractor — detection, document
 logic, role/realis assignment, event coreference, triple emission — as
 pure functions over plain Python structures for ONE conversation. The
 single-process oracle (``casie_ray.oracle``) drives these sequentially;
-the distributed engine uses them inside ``groupby(conv_id).map_groups``
-for the doc-level stages and re-implements the per-token detection as a
-vectorized Arrow stage (``casie_ray.stages.tagger``), tested for exact
-agreement with :func:`detect_turn`.
+the distributed engine's stage-A kernel (``casie_ray.stages.detect``)
+runs the same functions per conversation, except event coreference,
+which it batches over a whole shard (:func:`coref_many`, checked
+against the oracle's :func:`coref_events`).
 
 The neural models of the reference (unavailable, SURVEY §3.4) are
 replaced by lexicon rules occupying the same pipeline seats:
@@ -684,6 +684,13 @@ def assign_realis(event: Event, modal: bool, generic: bool) -> None:
 
 # ---------------------------------------------------------------------------
 # Event coreference (corefdiffbyevent, link_coref.py:1510-1679)
+#
+# Two implementations of one rule. :func:`coref_many` is the engine's
+# kernel: one numpy pass over every within-subset event pair of a whole
+# shard. :func:`coref_events` (one :func:`_coref_distance_matrix` per
+# (conversation, etype) subset) is its sequential twin, run only by the
+# oracle, so the oracle comparison checks the batched kernel
+# independently.
 # ---------------------------------------------------------------------------
 
 
@@ -842,6 +849,146 @@ def coref_events(events: list[Event], turn_ts: dict[int, dt.datetime]) -> None:
             continue
         dist = _coref_distance_matrix(evs, turn_ts)
         labels = _average_linkage(dist, lx.COREF_THRESHOLD)
+        groups: dict[int, list[Event]] = {}
+        for e, lab in zip(evs, labels):
+            groups.setdefault(lab, []).append(e)
+        for members in groups.values():
+            root = min(m.event_id for m in members)
+            for m in members:
+                m.cluster = root
+
+
+def _segment_cross(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (a, b) index pairs of each segment's full cross product,
+    diagonal included, for segments laid out contiguously with the given
+    lengths: segment s yields ``start_s + (k // L_s, k % L_s)`` for
+    ``k < L_s**2``, segments in order."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    sq = lengths * lengths
+    seg = np.repeat(np.arange(len(lengths)), sq)
+    k = np.arange(int(sq.sum())) - np.repeat(np.cumsum(sq) - sq, sq)
+    size = lengths[seg]
+    return starts[seg] + k // size, starts[seg] + k % size
+
+
+def coref_many(convs) -> None:
+    """Shard-batched event coreference: the engine's kernel.
+
+    ``convs`` yields one ``(events, turn_ts)`` pair per conversation.
+    Subsets are formed exactly as in :func:`coref_events`, and every
+    within-subset event pair of every conversation gets its seven
+    features in ONE numpy pass: subset s with n events owns the
+    contiguous n×n row-major slice of the pair arrays, so the per-subset
+    min-max is a ``maximum.reduceat`` over pair segments (the minimum is
+    always the zeroed diagonal) and average linkage runs on the reshaped
+    slice. Every distance is bit-identical to
+    :func:`_coref_distance_matrix`: same per-pair float ops, same
+    operand order in the weighted sum."""
+    subsets: list[tuple[list[Event], dict]] = []
+    for events, turn_ts in convs:
+        by_type: dict[str, list[Event]] = {}
+        for e in events:
+            by_type.setdefault(e.etype, []).append(e)
+        for etype in sorted(by_type):
+            evs = sorted(by_type[etype], key=lambda e: e.event_id)
+            if len(evs) == 1:
+                evs[0].cluster = evs[0].event_id
+            else:
+                subsets.append((evs, turn_ts))
+    if not subsets:
+        return
+    # per-event features, events flattened subset by subset
+    realis_of: dict = {}
+    type_of: dict[str, int] = {}
+    norm_of: dict[str, int] = {}
+    eid_of: dict[str, int] = {}
+    nug, realis, turn, times, nargs = [], [], [], [], []
+    a_owner, a_type, a_norm, a_eid = [], [], [], []
+    for evs, turn_ts in subsets:
+        for e in evs:
+            i = len(nug)
+            t = None
+            for m in e.args:
+                a_owner.append(i)
+                a_type.append(type_of.setdefault(m.argtype, len(type_of)))
+                norm = lx.normalize_surface(m.text)
+                a_norm.append(norm_of.setdefault(norm, len(norm_of)))
+                a_eid.append(-1 if m.entity_id is None
+                             else eid_of.setdefault(m.entity_id, len(eid_of)))
+                if t is None and m.argtype == "Time":
+                    t = parse_time_mention(m.text, turn_ts.get(e.turn_idx))
+            nug.append(e.nugget_text)
+            realis.append(realis_of.setdefault(e.realis, len(realis_of)))
+            turn.append(e.turn_idx)
+            times.append(t)
+            nargs.append(len(e.args))
+    n_ev = len(nug)
+    sizes = np.array([len(evs) for evs, _ in subsets], dtype=np.int64)
+    sq = sizes * sizes
+    pair_start = np.cumsum(sq) - sq
+    pi, pj = _segment_cross(sizes)
+    diag = pi == pj
+
+    # nuggetdiff through _strdist, once per distinct ordered text pair
+    text_of: dict[str, int] = {}
+    nc = np.array([text_of.setdefault(s, len(text_of)) for s in nug],
+                  dtype=np.int64)
+    texts = list(text_of)
+    keys, inv = np.unique(nc[pi] * len(texts) + nc[pj], return_inverse=True)
+    nuggetdiff = np.array([_strdist(texts[k // len(texts)],
+                                    texts[k % len(texts)])
+                           for k in keys.tolist()], dtype=np.float64)[inv]
+
+    rc = np.array(realis, dtype=np.int64)
+    realisdiff = (rc[pi] != rc[pj]).astype(np.float64)
+    tc = np.array(turn, dtype=np.int64)
+    nuggetdist = np.abs(tc[pi] - tc[pj]).astype(np.float64)
+    has_t = np.array([t is not None for t in times])
+    tv = np.array([0 if t is None else t for t in times], dtype=np.int64)
+    timedist = (has_t[pi] & has_t[pj] & (tv[pi] != tv[pj])) \
+        .astype(np.float64)
+
+    na = np.array(nargs, dtype=np.int64)
+    owner = np.array(a_owner, dtype=np.int64)
+    counts = np.zeros((n_ev, len(type_of)), dtype=np.int64)
+    np.add.at(counts, (owner, np.array(a_type, dtype=np.int64)), 1)
+    inter = np.minimum(counts[pi], counts[pj]).sum(axis=1)
+    argtype_i = inter.astype(np.float64)
+    argmiss = (na[pi] - inter).astype(np.float64)
+
+    # argcoref hits: the cross product of each subset's argument codes,
+    # scattered onto the owning event pair
+    ev_sub = np.repeat(np.arange(len(subsets)), sizes)
+    ev_loc = np.arange(n_ev) - (np.cumsum(sizes) - sizes)[ev_sub]
+    aa, ab = _segment_cross(np.bincount(ev_sub[owner],
+                                        minlength=len(subsets)))
+    ea, eb = owner[aa], owner[ab]
+    norm = np.array(a_norm, dtype=np.int64)
+    eid = np.array(a_eid, dtype=np.int64)
+    hit = ((eid[aa] >= 0) & (eid[aa] == eid[ab])) | (norm[aa] == norm[ab])
+    sub_a = ev_sub[ea]
+    pidx = pair_start[sub_a] + ev_loc[ea] * sizes[sub_a] + ev_loc[eb]
+    hits = np.bincount(pidx[hit], minlength=len(pi))
+    total = na[pi] * na[pj]
+    argcoref = np.where(total > 0, 1.0 - hits / np.maximum(total, 1), 1.0)
+
+    def minmax(m):
+        # per-subset min-max; every feature is >= 0, so the minimum is
+        # the zeroed diagonal and (m - 0) / (max - 0) is just m / max
+        m[diag] = 0.0
+        mx = np.repeat(np.maximum.reduceat(m, pair_start), sq)
+        return m / np.where(mx == 0, 1.0, mx)
+
+    w = lx.COREF_WEIGHTS
+    dist = (nuggetdiff * w[0] + realisdiff * w[1] + minmax(argtype_i) * w[2]
+            + argcoref * w[3] + minmax(nuggetdist) * w[4]
+            + minmax(argmiss) * w[5] + timedist * w[6])
+    dist[diag] = 0.0
+    for (evs, _), off, n in zip(subsets, pair_start.tolist(),
+                                sizes.tolist()):
+        labels = _average_linkage(dist[off:off + n * n].reshape(n, n),
+                                  lx.COREF_THRESHOLD)
         groups: dict[int, list[Event]] = {}
         for e, lab in zip(evs, labels):
             groups.setdefault(lab, []).append(e)

@@ -23,6 +23,7 @@ from ..schema import (
 from ..semantics import (
     TurnDetection, build_catalog_matcher, build_fuzzy_index, detect_turn,
 )
+from . import doclogic
 
 # a turn whose text is entirely lowercase prose (no digits, uppercase,
 # '$', or other special characters) can only produce detections through
@@ -203,10 +204,13 @@ class DetectTagger:
 class ShardExtractor(DetectTagger):
     """Zero-shuffle extraction for conv-partitioned input (the corpus
     layout guarantee: conversations never span shards — see
-    state/manifest.py): detection + doc logic + role/realis + coref run
-    per conversation inside one whole-shard table, emitting event rows
-    directly. The groupby(conv_id) shuffle path (extract_events_group)
-    remains the fallback for inputs with arbitrary row layout.
+    state/manifest.py): detection + doc logic + role/realis run per
+    conversation inside one whole-shard table, then event coreference
+    runs ONCE over every conversation of the shard (one
+    ``semantics.coref_many`` numpy pass, via
+    ``doclogic.coref_event_rows``), emitting event rows directly. The
+    groupby(conv_id) shuffle path (extract_events_group) remains the
+    fallback for inputs with arbitrary row layout.
 
     Turn-sparse: only the turns the vectorized :meth:`interesting_mask`
     passes (about 13% at sf0.01) leave Arrow, so per-row Python is paid
@@ -227,7 +231,6 @@ class ShardExtractor(DetectTagger):
         round-trip). A repeated (conv_id, turn_idx) keeps its LAST row,
         as the oracle does; a null key raises ValueError."""
         from ..schema import EVENT_SCHEMA
-        from ..stages.doclogic import extract_conversation_events
 
         for key in self.KEYS:
             if batch.column(key).null_count:
@@ -249,8 +252,7 @@ class ShardExtractor(DetectTagger):
         turn_idxs = hot.column("turn_idx").to_pylist()
         texts = hot.column("text").to_pylist()
         tss = hot.column("ts").to_pylist()
-        out_rows: list[dict] = []
-        out_events: list = []
+        convs: list[tuple[list, list, dict]] = []
         catalog, fuzzy = self.catalog, self.fuzzy
         k, m = 0, len(conv_ids)
         while k < m:
@@ -261,12 +263,14 @@ class ShardExtractor(DetectTagger):
                 detections[ti] = detect_turn(texts[k] or "", catalog, fuzzy)
                 ts_of[ti] = tss[k]
                 k += 1
-            evs, rows = extract_conversation_events(cid, detections, ts_of)
-            out_events.extend(evs)
-            out_rows.extend(rows)
+            evs, flags = doclogic.extract_conversation_events(cid,
+                                                              detections)
+            if evs:
+                convs.append((evs, flags, ts_of))
+        out_rows = doclogic.coref_event_rows(convs)
         tbl = pa.Table.from_pylist(out_rows, schema=EVENT_SCHEMA) \
             if out_rows else EVENT_SCHEMA.empty_table()
-        return tbl, out_events
+        return tbl, [e for evs, _, _ in convs for e in evs]
 
     def extract_turns(self, batch: pa.Table) -> pa.Table:
         return self.extract_turns_with_events(batch)[0]

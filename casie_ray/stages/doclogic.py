@@ -1,10 +1,11 @@
-"""Doc-logic stage: per-conversation ``groupby("conv_id").map_groups``
-implementing recheck → compatible → link (SURVEY M3 milestone; reference
-semantics link_coref.py:1027-1407). Shuffle #1 of the pipeline — keyed
-on conv_id so every turn of a conversation lands in one group.
-
-Emits event rows (schema.EVENT_SCHEMA) with realis/roles/cluster still
-null — those belong to the RoleRealis and Coref seats.
+"""Doc-logic stage: doc logic (recheck → compatible → link; SURVEY M3
+milestone, reference semantics link_coref.py:1027-1407) + role/realis
+rules per conversation, and the event coreference batched over many
+conversations. The fused stage-A kernel (``stages/detect.ShardExtractor``)
+calls :func:`extract_conversation_events` per conversation and
+:func:`coref_event_rows` once per shard; the general layout's
+``groupby(conv_id).map_groups`` runs both over one conversation
+(:func:`extract_events_group`).
 """
 
 from __future__ import annotations
@@ -12,71 +13,48 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..schema import EVENT_SCHEMA, event_to_row, row_to_detection
-from ..semantics import doc_logic, realis_window_flags
+from ..semantics import (
+    assign_realis, assign_roles, coref_many, doc_logic, realis_window_flags,
+)
 
 
-def doc_logic_group(group: pa.Table) -> pa.Table:
-    rows = group.to_pylist()
-    if not rows:
-        return EVENT_SCHEMA.empty_table()
-    conv_id = rows[0]["conv_id"]
-    detections = {r["turn_idx"]: row_to_detection(r) for r in rows}
-    ts_of = {r["turn_idx"]: r["ts"] for r in rows}
+def extract_conversation_events(conv_id: str, detections: dict) \
+        -> tuple[list, list[tuple[bool, bool]]]:
+    """Doc logic + roles + realis over one conversation's precomputed
+    per-turn detections -> (Event objects, their (modal, generic)
+    realis-window flags). Coref is left to :func:`coref_event_rows`,
+    which batches it over every conversation of a shard."""
     events = doc_logic(conv_id, detections)
-    if not events:
-        return EVENT_SCHEMA.empty_table()
-    out = []
+    flags = []
     for e in events:
-        modal, generic = realis_window_flags(detections[e.turn_idx],
-                                             e.nugget_start)
-        out.append(event_to_row(e, ts_of[e.turn_idx], modal, generic))
-    return pa.Table.from_pylist(out, schema=EVENT_SCHEMA)
-
-
-def extract_conversation_events(conv_id: str, detections: dict,
-                                ts_of: dict) -> tuple[list, list[dict]]:
-    """Shared core: doc logic + roles + realis + coref over precomputed
-    per-turn detections -> (Event objects, EVENT_SCHEMA row dicts). The
-    fused extraction keeps the OBJECTS for direct columnar triple
-    emission; callers that only sink rows use events_from_detections."""
-    from ..semantics import assign_realis, assign_roles, coref_events
-
-    events = doc_logic(conv_id, detections)
-    if not events:
-        return [], []
-    flags = {}
-    for e in events:
-        flags[e.event_id] = realis_window_flags(detections[e.turn_idx],
-                                                e.nugget_start)
+        flags.append(realis_window_flags(detections[e.turn_idx],
+                                         e.nugget_start))
         assign_roles(e)
-        assign_realis(e, *flags[e.event_id])
-    coref_events(events, dict(ts_of))
-    return events, [event_to_row(e, ts_of[e.turn_idx], *flags[e.event_id])
-                    for e in events]
+        assign_realis(e, *flags[-1])
+    return events, flags
 
 
-def events_from_detections(conv_id: str, detections: dict, ts_of: dict,
-                           ) -> list[dict]:
-    return extract_conversation_events(conv_id, detections, ts_of)[1]
+def coref_event_rows(convs: list[tuple[list, list, dict]]) -> list[dict]:
+    """One :func:`semantics.coref_many` pass over per-conversation
+    ``(events, flags, ts_of)``, then their EVENT_SCHEMA row dicts in
+    input order."""
+    coref_many((evs, ts_of) for evs, _, ts_of in convs)
+    return [event_to_row(e, ts_of[e.turn_idx], *f)
+            for evs, flags, ts_of in convs for e, f in zip(evs, flags)]
 
 
 def extract_events_group(group: pa.Table) -> pa.Table:
-    """Fused per-conversation stage: doc logic + role/realis rules +
-    coref in ONE ``groupby(conv_id)`` shuffle. The unfused chain
-    (doc_logic_group → role_realis_batch → coref_group) sorts by conv_id
-    twice; with the zero-state rule bundles standing in for the role/
-    realis models there is no actor state to justify the second shuffle.
-    A build with real neural role/realis models reverts to the unfused
-    chain so those stages get their own actor pools (T4/T5 seats,
-    stages/rolerealis.ModelRoleRealisScorer)."""
-    from ..semantics import assign_realis, assign_roles, coref_events
-
+    """General-layout per-conversation stage, run as
+    ``groupby(conv_id).map_groups`` over the detection columns: doc
+    logic + role/realis rules + coref for the group's one conversation,
+    the same kernels the fused stage-A task runs per shard."""
     rows = group.to_pylist()
     if not rows:
         return EVENT_SCHEMA.empty_table()
     conv_id = rows[0]["conv_id"]
     detections = {r["turn_idx"]: row_to_detection(r) for r in rows}
     ts_of = {r["turn_idx"]: r["ts"] for r in rows}
-    out = events_from_detections(conv_id, detections, ts_of)
+    evs, flags = extract_conversation_events(conv_id, detections)
+    out = coref_event_rows([(evs, flags, ts_of)])
     return pa.Table.from_pylist(out, schema=EVENT_SCHEMA) if out \
         else EVENT_SCHEMA.empty_table()

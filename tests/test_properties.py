@@ -5,6 +5,8 @@ regex engine. No Ray session needed — pure kernels only."""
 
 from __future__ import annotations
 
+import datetime as dt
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -197,6 +199,83 @@ def test_final_dedup_group_matches_dict_reference(rows, skip, cut):
             "weight": 1.0, "count": sum(r[9] for r, _ in g)})
     for inp in (t, chunked):
         assert final_dedup_group(inp).to_pylist() == want
+
+
+_COREF_TS = [None, dt.datetime(2018, 3, 1), dt.datetime(2019, 7, 4, 12)]
+_COREF_ARG = st.tuples(
+    st.sampled_from(["Time", "Organization", "Person", "Money"]),
+    st.sampled_from(["Acme Corp", "acme corp.", "ACME's  corp", "Bob",
+                     "bob!", "yesterday", "March 2018", "march 2018",
+                     "last week", "soon", "Monday", "$5"]),
+    st.sampled_from([None, "E1", "E2"]))
+_COREF_EVENT = st.tuples(
+    st.sampled_from(["Ransom", "Databreach", "Phishing"]),
+    st.sampled_from(["hack", "Hack", "HACKED", "breach", "ransom"]),
+    st.sampled_from(["Actual", "Other", "Generic", None]),
+    st.integers(0, 3), st.lists(_COREF_ARG, max_size=3))
+# (events, per-turn ts choice: an index into _COREF_TS, or 3 = no entry)
+_COREF_CONV = st.tuples(st.lists(_COREF_EVENT, max_size=6),
+                        st.lists(st.integers(0, 3), min_size=4,
+                                 max_size=4))
+
+
+def _coref_convs(spec):
+    """Fresh Event objects for a drawn spec; event ids run against
+    insertion order so the per-subset event_id sort matters."""
+    from casie_ray.semantics import Event, Mention
+
+    convs = []
+    for ci, (evs, ts) in enumerate(spec):
+        events = [Event(f"c{ci}:e{len(evs) - k:02d}", f"c{ci}", ti, etype,
+                        k, k + 1, nug, realis=realis,
+                        args=[Mention(0, 1, text, at, eid)
+                              for at, text, eid in args])
+                  for k, (etype, nug, realis, ti, args) in enumerate(evs)]
+        convs.append((events, {t: _COREF_TS[c] for t, c in enumerate(ts)
+                               if c < len(_COREF_TS)}))
+    return convs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_COREF_CONV, max_size=4))
+@example(spec=[])
+@example(spec=[([("Ransom", "hack", None, 1, []),
+                 ("Ransom", "Hack", None, 1, [])], [0, 0, 0, 0])])
+# min-max must see a zeroed diagonal (argtype overlap of an event with
+# itself is its argument count)
+@example(spec=[([("Ransom", "ransom", "Other", 0,
+                  [("Organization", "Acme Corp", "E1"),
+                   ("Money", "bob!", "E2"), ("Time", "yesterday", "E1")]),
+                 ("Ransom", "HACKED", "Actual", 2,
+                  [("Time", "yesterday", "E1")])], [1, 3, 3, 3])])
+# min-max is per subset, not over the whole call
+@example(spec=[([("Databreach", "Hack", "Other", 3,
+                  [("Organization", "bob!", "E1"),
+                   ("Organization", "Bob", None), ("Money", "$5", None)]),
+                 ("Databreach", "ransom", "Actual", 2,
+                  [("Time", "Acme Corp", "E1"), ("Person", "yesterday", None),
+                   ("Money", "Acme Corp", "E2")])], [3, 1, 2, 0]),
+               ([("Databreach", "HACKED", "Actual", 2, []),
+                 ("Databreach", "ransom", None, 0,
+                  [("Money", "soon", "E1")])], [0, 3, 2, 2])])
+def test_coref_many_matches_per_conversation_coref(spec):
+    """The shard-batched coref kernel against the sequential per-
+    conversation twin: every event gets the same cluster. Several
+    conversations go in one call, with several etypes, singleton
+    subsets, argument-less events, surfaces differing only in case or
+    punctuation, shared and null entity ids, absolute / relative /
+    unparsable Time args with and without a turn ts, nugget case
+    variants, and subsets whose turn gaps or argtype overlaps are all
+    zero (the min-max ``max == 0`` branch)."""
+    from casie_ray.semantics import coref_events, coref_many
+
+    want = _coref_convs(spec)
+    for events, turn_ts in want:
+        coref_events(events, turn_ts)
+    got = _coref_convs(spec)
+    coref_many(iter(got))
+    assert [[e.cluster for e in evs] for evs, _ in got] \
+        == [[e.cluster for e in evs] for evs, _ in want]
 
 
 @settings(max_examples=40, deadline=None)
