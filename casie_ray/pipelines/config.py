@@ -37,8 +37,12 @@ class PipelineConfig:
       - kb_whitelist / kb_blacklist
 
     Physical execution (flow to :func:`run_kg_pipeline` verbatim):
-      - batch_size, detect_concurrency, group_size, keep_events,
-        conv_partitioned, resume
+      - detect_concurrency, group_size, keep_events, resume
+      - conv_partitioned: True runs the fused stage-A kernel straight
+        on the input shards; False first re-partitions each group's
+        turns by conv_id into staging shards, for input whose
+        conversations span shards. Stage B fails loudly if a
+        conversation still ended up in two shards.
 
     User extension stages, each ``(stage, kwargs)`` applied as
     ``map_batches(stage, **kwargs)`` in order:
@@ -48,7 +52,6 @@ class PipelineConfig:
 
     kb_whitelist: frozenset | None = None
     kb_blacklist: frozenset | None = None
-    batch_size: int = 256
     detect_concurrency: int | None = None
     group_size: int | None = None
     keep_events: bool = True
@@ -78,7 +81,6 @@ def run_configured(corpus_dir: str, out_dir: str,
     return run_kg_pipeline(
         corpus_dir, out_dir,
         resume=cfg.resume,
-        batch_size=cfg.batch_size,
         detect_concurrency=cfg.detect_concurrency,
         keep_events=cfg.keep_events,
         conv_partitioned=cfg.conv_partitioned,

@@ -2,10 +2,12 @@
 
 Physical plan (SURVEY §4.3), all Ray Data, streaming executor:
 
-  Stage A (fully fused, one execution per WAVE of resumable groups;
-  conv-partitioned layout -> ZERO shuffles — see extract_group_ds for
-  the general-layout groupby(conv_id) fallback, which writes the same
-  per-group raw / surf / events tables):
+  Stage A (ONE fused kernel, one execution per WAVE of resumable
+  groups; it needs every conversation whole in one shard):
+    [conv_partitioned=False only: a staging pre-pass per group —
+     read the group's shards with (ordinal, row) columns, one
+     hash(conv_id) bucketed exchange into len(group) staging shards,
+     each sorted back to file-then-row order (_stage_group)]
     from_items(shard paths of the wave, one block per shard)
       .map_batches(extract_shard_files,  # Ray tasks, one per shard, on
                    batch_size=1)         # pooled workers that keep the
@@ -15,13 +17,15 @@ Physical plan (SURVEY §4.3), all Ray Data, streaming executor:
                                          # each task ALSO emits + partially
                                          # dedupes (S8/A7 combiner) +
                                          # writes its shard's triples,
-                                         # surf side table + events
+                                         # surf + convs side tables, events
       -> per-shard stats rows -> swap group dirs, commit manifests
     (the tagger state is loaded and broadcast only if a group is
     pending, so a resume that skips every group starts at stage B)
 
   Stage B (global finalize, reruns cheaply on resume; hash-shuffle):
-    read surf side tables (a group without them raises)
+    read surf + convs side tables (a group without them raises)
+      -> conv_id bucketed check: a conversation in two shards raises
+    read surf side tables
       -> entity-block hash exchange -> cosine merges -> union-find
     read raw triples
       -> rewrite to canonical nodes
@@ -43,19 +47,22 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..ops.bucketing import bucket_groupby
+from ..ops.bucketing import bucket_groupby, fnv1a_hashes
 from ..stages.detect import (
-    detect_batch, extract_shard_files, load_tagger_state,
+    ShardFileExtractor, extract_shard_files, load_tagger_state,
 )
-from ..stages.doclogic import extract_events_group
 from ..stages.triples import (
-    RAW_TRIPLE_SCHEMA, emit_nodes_batch, emit_triples_batch,
-    extract_surface_nodes, final_dedup_group, final_nodes_group,
-    merge_edges_multi, partial_dedup, rewrite_triples,
+    N_BUCKETS, RAW_TRIPLE_SCHEMA, emit_nodes_batch,
+    final_dedup_group, final_nodes_group, merge_edges_multi,
+    rewrite_triples,
 )
 from ..state import manifest
+
+# stage A's per-group output dirs under out_dir (prune + wave dir swap)
+STAGE_A_ROOTS = ("raw_triples", "surf", "events", "convs")
 
 
 def _ray_data():
@@ -71,79 +78,94 @@ def list_transcript_files(corpus_dir: str) -> list[str]:
 
 
 def extract_group_ds(files: list[str], entities_ref, *,
-                     detect_concurrency=None, batch_size: int = 256,
-                     conv_partitioned: bool = True,
+                     detect_concurrency=None,
                      sink: dict | None = None,
                      entities_path: str | None = None,
                      kb_whitelist=None, kb_blacklist=None):
-    """Build the stage-A Dataset (lazy) for one group of input shards.
-
-    ``conv_partitioned=True`` (the corpus layout guarantee: conversations
-    never span shards) runs the ZERO-SHUFFLE path: one Ray task per
-    shard runs :func:`extract_shard_files`, so a retry redoes one shard
-    and extraction needs no exchange at all. With ``sink`` set the tasks
-    also write their own events + partially-deduped triples (fully fused
-    hot path; see ShardFileExtractor) and the Dataset yields only
-    per-shard stats rows.
-    ``conv_partitioned=False`` is the general-layout fallback: detection
-    as Ray tasks (:func:`detect_batch`, the tagger cached per worker
-    process like the fused path's) followed by a ``groupby(conv_id)``
-    sort shuffle. In both layouts ``detect_concurrency``, when set, caps
-    the parallel detection tasks, and ``entities_path`` and the KB
-    filters let a task rebuild the tagger state if the ``entities_ref``
-    object is lost."""
-    rd = _ray_data()
-    tagger_kw = {"entities_path": entities_path,
-                 "kb_whitelist": kb_whitelist, "kb_blacklist": kb_blacklist}
-    if conv_partitioned:
-        return rd.from_items(files, override_num_blocks=len(files)) \
-            .map_batches(
-                extract_shard_files,
-                fn_args=([entities_ref],),
-                fn_kwargs={**tagger_kw, "sink": sink},
-                batch_format="pyarrow",
-                batch_size=1,
-                concurrency=detect_concurrency,
-            )
-    ds = rd.read_parquet(files,
-                         columns=["conv_id", "turn_idx", "text", "ts"])
-    ds = ds.map_batches(
-        detect_batch,
-        fn_args=([entities_ref],),
-        fn_kwargs=tagger_kw,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=detect_concurrency,
-    )
-    # fused doc-logic + role/realis + coref: one conv_id shuffle
-    ds = ds.groupby("conv_id").map_groups(extract_events_group,
-                                          batch_format="pyarrow")
-    return ds
+    """Build the stage-A Dataset (lazy) over shards that each hold whole
+    conversations (:func:`_stage_group` makes them so for other input):
+    one Ray task per shard runs :func:`extract_shard_files`, so a retry
+    redoes one shard and extraction needs no exchange. With ``sink`` set
+    the tasks also write their own events, partially deduped triples and
+    side tables (see ShardFileExtractor) and the Dataset yields only
+    per-shard stats rows; without it, the event rows.
+    ``detect_concurrency``, when set, caps the parallel tasks, and
+    ``entities_path`` and the KB filters let a task rebuild the tagger
+    state if the ``entities_ref`` object is lost."""
+    return _ray_data().from_items(files, override_num_blocks=len(files)) \
+        .map_batches(
+            extract_shard_files,
+            fn_args=([entities_ref],),
+            fn_kwargs={"entities_path": entities_path,
+                       "kb_whitelist": kb_whitelist,
+                       "kb_blacklist": kb_blacklist, "sink": sink},
+            batch_format="pyarrow",
+            batch_size=1,
+            concurrency=detect_concurrency,
+        )
 
 
-def _prune_stale_groups(root: str, n_groups: int) -> None:
-    """Remove group output dirs (and leftover temps) whose gid is outside
-    the current run's group range — stale output from a prior run with a
-    different grouping would otherwise be globbed into finalize."""
-    for d in glob.glob(os.path.join(root, "group-*")) + \
-            glob.glob(os.path.join(root, ".group-*.tmp")):
-        base = os.path.basename(d)
-        try:
-            gid = int(base.strip(".").split("-")[1].split(".")[0])
-        except (IndexError, ValueError):
-            gid = -1
-        if gid < 0 or gid >= n_groups:
-            shutil.rmtree(d, ignore_errors=True)
+def _stage_group(stage_dir: str, gid: int, gfiles: list[str]) -> list[str]:
+    """The ``conv_partitioned=False`` pre-pass: one bucketed exchange on
+    FNV-1a(conv_id) mod ``len(gfiles)`` (the group's task granularity is
+    unchanged) writes each bucket as the staging shard
+    ``stage_dir/g{gid}-b{bucket}.parquet`` in (source shard ordinal, row)
+    order, so a repeated (conv_id, turn_idx) still keeps its last row in
+    file-then-row order. Returns the staging shard paths."""
+    import ray
+
+    ordinal = {p: i for i, p in enumerate(gfiles)}
+
+    def locate(t: "pa.Table", path: str) -> "pa.Table":
+        cid = t.column("conv_id")
+        if cid.null_count:
+            raise ValueError(f"shard {path}: {cid.null_count} null "
+                             f"conv_id value(s)")
+        h = fnv1a_hashes(cid)
+        return t.append_column(
+            "ordinal", pa.array(np.full(t.num_rows, ordinal[path],
+                                        np.int32))) \
+            .append_column("row", pa.array(np.arange(t.num_rows))) \
+            .append_column("bucket", pa.array(
+                (h % np.uint64(len(gfiles))).astype(np.int32)))
+
+    def write(g: "pa.Table") -> "pa.Table":
+        b = g.column("bucket")[0].as_py()
+        path = os.path.join(stage_dir, f"g{gid:05d}-b{b:05d}.parquet")
+        pq.write_table(g.sort_by([("ordinal", "ascending"),
+                                  ("row", "ascending")])
+                       .select(ShardFileExtractor.COLUMNS), path)
+        return pa.table({"path": [path]})
+
+    os.makedirs(stage_dir, exist_ok=True)
+    ncpu = int(ray.cluster_resources().get("CPU", 4))
+    ds = _read_path_chunks(_ray_data(), gfiles, max(ncpu, len(gfiles)),
+                           columns=ShardFileExtractor.COLUMNS,
+                           per_file=locate)
+    return sorted(r["path"] for r in bucket_groupby(ds, write).take_all())
 
 
-def _prune_stale_manifests(out_dir: str, n_groups: int) -> None:
-    mdir = manifest.manifest_dir(out_dir)
-    for p in glob.glob(os.path.join(mdir, "group-*.json")):
-        try:
-            gid = int(os.path.basename(p).split("-")[1].split(".")[0])
-        except (IndexError, ValueError):
-            gid = -1
-        if gid < 0 or gid >= n_groups:
+def _gid(name: str) -> int:
+    """Group id in a group dir, temp dir or manifest name, else -1."""
+    try:
+        return int(name.strip(".").split("-")[1].split(".")[0])
+    except (IndexError, ValueError):
+        return -1
+
+
+def _prune_stale(out_dir: str, keep: set[int]) -> None:
+    """Remove the stage-A group dirs, leftover temps and manifests of
+    every gid not in ``keep``: output from a prior run with more groups,
+    or of a group emptied by shard removal, would otherwise be globbed
+    into finalize and double-count triples."""
+    for root in STAGE_A_ROOTS:
+        for pat in ("group-*", ".group-*.tmp"):
+            for d in glob.glob(os.path.join(out_dir, root, pat)):
+                if _gid(os.path.basename(d)) not in keep:
+                    shutil.rmtree(d, ignore_errors=True)
+    for p in glob.glob(os.path.join(manifest.manifest_dir(out_dir),
+                                    "group-*.json")):
+        if _gid(os.path.basename(p)) not in keep:
             try:
                 os.remove(p)
             except OSError:
@@ -204,65 +226,71 @@ def _stable_groups(out_dir: str, files: list[str],
 WAVE_GROUPS = 8
 
 
-def _extract_fused_waves(out_dir, raw_root, ev_root, pending, entities_ref,
-                         cfg, tagger_kw, *, detect_concurrency=None,
-                         keep_events=True) -> None:
+def _extract_fused_waves(out_dir, pending, entities_ref, cfg, tagger_kw,
+                         *, detect_concurrency=None, keep_events=True,
+                         conv_partitioned=True) -> None:
     """Fully fused stage A over waves of groups: each shard task writes
-    its own events + partially-deduped raw triples into per-group temp
-    dirs and returns a stats row; the driver swaps dirs and commits
-    manifests per group when the wave's single execution finishes.
+    its own events, partially-deduped raw triples and side tables into
+    per-group temp dirs and returns a stats row; the driver swaps dirs
+    and commits manifests per group when the wave's single execution
+    finishes. With ``conv_partitioned=False`` the tasks run on the
+    wave's staging shards (:func:`_stage_group`), which are removed once
+    the wave's groups commit; manifests always record the input shards.
     ``tagger_kw`` (entities path + KB filters) rebuilds the tagger state
     if ``entities_ref`` is lost."""
-    surf_root = os.path.join(out_dir, "surf")
+    roots = {r: os.path.join(out_dir, r) for r in STAGE_A_ROOTS
+             if keep_events or r != "events"}
+    stage_dir = os.path.join(out_dir, "_staging")
     for w in range(0, len(pending), WAVE_GROUPS):
         wave = pending[w:w + WAVE_GROUPS]
         gids: dict[str, int] = {}
         files: list[str] = []
-        roots = [raw_root, surf_root] + ([ev_root] if keep_events else [])
         for gid, gfiles in wave:
-            for root in roots:
+            for root in roots.values():
                 td = os.path.join(root, f".group-{gid:05d}.tmp")
                 shutil.rmtree(td, ignore_errors=True)
                 os.makedirs(td, exist_ok=True)
-            for p in gfiles:
+            shards = gfiles if conv_partitioned \
+                else _stage_group(stage_dir, gid, gfiles)
+            for p in shards:
                 gids[os.path.basename(p)] = gid
                 files.append(p)
-        sink = {"gids": gids, "raw_root": raw_root, "suffix": ".tmp",
-                "surf_root": surf_root,
-                "ev_root": ev_root if keep_events else None}
+        sink = {"gids": gids, "raw_root": roots["raw_triples"],
+                "suffix": ".tmp", "surf_root": roots["surf"],
+                "convs_root": roots["convs"],
+                "ev_root": roots.get("events")}
+        # a wave of groups whose shards hold no rows stages no shard
         stats = extract_group_ds(
             files, entities_ref, detect_concurrency=detect_concurrency,
-            conv_partitioned=True, sink=sink, **tagger_kw).take_all()
-        ev_by_gid: dict[int, int] = {}
-        turns_by_gid: dict[int, int] = {}
+            sink=sink, **tagger_kw).take_all() if files else []
+        counters = {gid: {"input_files": len(gfiles), "events": 0,
+                          "turns": 0} for gid, gfiles in wave}
         for r in stats:
-            ev_by_gid[r["gid"]] = ev_by_gid.get(r["gid"], 0) \
-                + r["n_events"]
-            turns_by_gid[r["gid"]] = turns_by_gid.get(r["gid"], 0) \
-                + r.get("n_turns", 0)
+            counters[r["gid"]]["events"] += r["n_events"]
+            counters[r["gid"]]["turns"] += r["n_turns"]
         for gid, gfiles in wave:
-            for root in roots:
+            for root in roots.values():
                 manifest.atomic_dir_swap(
                     os.path.join(root, f".group-{gid:05d}.tmp"),
                     os.path.join(root, f"group-{gid:05d}"))
-            manifest.commit(out_dir, gid, cfg, gfiles, {
-                "input_files": len(gfiles),
-                "events": ev_by_gid.get(gid, 0),
-                "turns": turns_by_gid.get(gid, 0),
-            })
+            manifest.commit(out_dir, gid, cfg, gfiles, counters[gid])
+        shutil.rmtree(stage_dir, ignore_errors=True)
 
 
 def run_kg_pipeline(corpus_dir: str, out_dir: str, *,
                     n_groups: int | None = None, resume: bool = True,
-                    detect_concurrency=None, batch_size: int = 256,
+                    detect_concurrency=None,
                     keep_events: bool = True,
                     conv_partitioned: bool = True,
                     group_size: int = GROUP_SIZE,
                     kb_whitelist=None, kb_blacklist=None) -> dict:
     """Run extraction + finalize; returns counters. Requires an active
-    Ray session (callers own init/shutdown). ``kb_whitelist``/
-    ``kb_blacklist`` override the KB candidate typing filters
-    (config.PipelineConfig surface; None -> lexicon defaults)."""
+    Ray session (callers own init/shutdown). ``conv_partitioned=False``
+    stages each pending group's turns by conv_id before the fused
+    kernel runs (for input whose conversations span shards inside a
+    group). ``kb_whitelist``/``kb_blacklist`` override the KB candidate
+    typing filters (config.PipelineConfig surface; None -> lexicon
+    defaults)."""
     import ray
 
     t0 = time.time()
@@ -299,28 +327,11 @@ def run_kg_pipeline(corpus_dir: str, out_dir: str, *,
             digest_size=8).hexdigest()
 
     raw_root = os.path.join(out_dir, "raw_triples")
-    ev_root = os.path.join(out_dir, "events")
-    os.makedirs(raw_root, exist_ok=True)
-    # a reused out_dir may hold group dirs from a prior run with MORE
-    # groups (shrunk corpus / smaller n_groups); finalize globs every
-    # group dir, so stale ones would double-count triples — prune them
-    _prune_stale_groups(raw_root, len(groups))
-    _prune_stale_groups(ev_root, len(groups))
-    _prune_stale_groups(os.path.join(out_dir, "surf"), len(groups))
-    _prune_stale_manifests(out_dir, len(groups))
+    _prune_stale(out_dir, {gid for gid, g in enumerate(groups) if g})
     skipped = 0
     pending: list[tuple[int, list[str]]] = []
     for gid, gfiles in enumerate(groups):
         if not gfiles:
-            # group emptied by shard removal: clear its stale output so
-            # finalize can't double-count it
-            for root in (raw_root, ev_root, os.path.join(out_dir, "surf")):
-                shutil.rmtree(os.path.join(root, f"group-{gid:05d}"),
-                              ignore_errors=True)
-            try:
-                os.remove(manifest.manifest_path(out_dir, gid))
-            except OSError:
-                pass
             continue
         if resume and manifest.is_complete(out_dir, gid, cfg, gfiles):
             skipped += 1
@@ -332,42 +343,10 @@ def run_kg_pipeline(corpus_dir: str, out_dir: str, *,
     # stage B
     entities_ref = ray.put(load_tagger_state(**tagger_kw)) if pending \
         else None
-    if conv_partitioned:
-        _extract_fused_waves(out_dir, raw_root, ev_root, pending,
-                             entities_ref, cfg, tagger_kw,
-                             detect_concurrency=detect_concurrency,
-                             keep_events=keep_events)
-    else:
-        surf_root = os.path.join(out_dir, "surf")
-        for gid, gfiles in pending:
-            ds = extract_group_ds(gfiles, entities_ref,
-                                  detect_concurrency=detect_concurrency,
-                                  batch_size=batch_size,
-                                  conv_partitioned=False, **tagger_kw)
-            ds = ds.materialize()  # events reused for both outputs
-            n_events = ds.count()
-            trip = ds.map_batches(emit_triples_batch,
-                                  batch_format="pyarrow",
-                                  batch_size=None) \
-                     .map_batches(partial_dedup, batch_format="pyarrow",
-                                  batch_size=None).materialize()
-            # raw triples and their surf side table, as the fused sink
-            # writes them per shard
-            outs = [(raw_root, trip),
-                    (surf_root, trip.map_batches(extract_surface_nodes,
-                                                 batch_format="pyarrow",
-                                                 batch_size=None))]
-            if keep_events:
-                outs.append((ev_root, ds.drop_columns(["args"])))
-            for root, out in outs:
-                tmp = os.path.join(root, f".group-{gid:05d}.tmp")
-                shutil.rmtree(tmp, ignore_errors=True)
-                out.write_parquet(tmp)
-                manifest.atomic_dir_swap(tmp, os.path.join(
-                    root, f"group-{gid:05d}"))
-            manifest.commit(out_dir, gid, cfg, gfiles, {
-                "input_files": len(gfiles), "events": n_events,
-            })
+    _extract_fused_waves(out_dir, pending, entities_ref, cfg, tagger_kw,
+                         detect_concurrency=detect_concurrency,
+                         keep_events=keep_events,
+                         conv_partitioned=conv_partitioned)
     timings["extract"] = round(time.time() - t0, 2)
 
     # ---- stage B: canonicalize + global dedup + graph materialize ----
@@ -406,18 +385,65 @@ def _canonical_mapping_local(surf_files: list[str]) -> dict[str, str]:
     return {n: r for n, r in comp.items() if n != r}
 
 
-def _finalize_local(out_dir, raw_files, surf_files, groups, skipped,
-                    timings, t0) -> dict:
+def split_conversations(t: "pa.Table") -> "pa.Table":
+    """Layout check over convs side-table rows (conv_id, shard, gid; a
+    shard's conv_ids are distinct, so a conv_id on two rows is in two
+    shards): ONE summary row with the number of split conversations, the
+    smallest one with two of its shards, and whether a split crosses
+    groups. Bucket-agnostic: it serves the in-process check and each
+    group of a bucketed exchange."""
+    g = t.group_by("conv_id").aggregate([("gid", "count")])
+    hit = g.filter(pc.greater(g["gid_count"], 1))["conv_id"]
+    split = t.filter(pc.is_in(t["conv_id"], hit)).group_by("conv_id") \
+        .aggregate([("shard", "min"), ("shard", "max"),
+                    ("gid", "count_distinct")]).sort_by("conv_id")
+    first = (split.slice(0, 1).to_pylist() or [{}])[0]
+    return pa.table({
+        "n_split": [split.num_rows],
+        "conv_id": pa.array([first.get("conv_id")], pa.string()),
+        "shard_a": pa.array([first.get("shard_min")], pa.string()),
+        "shard_b": pa.array([first.get("shard_max")], pa.string()),
+        "cross_group": [bool(pc.any(pc.greater(
+            split["gid_count_distinct"], 1)).as_py())],
+    })
+
+
+def _raise_on_split(rows: list[dict]) -> None:
+    """Raise if the :func:`split_conversations` summary rows count a
+    conversation stage A saw in two shards: its doc logic, realis windows
+    and coreference ran on each part alone, so its triples are wrong."""
+    n = sum(r["n_split"] for r in rows)
+    if not n:
+        return
+    hit = min((r for r in rows if r["n_split"]), key=lambda r: r["conv_id"])
+    raise ValueError(
+        f"{n} conversation(s) appear in more than one stage-A shard, e.g. "
+        f"{hit['conv_id']!r} in {hit['shard_a']} and {hit['shard_b']}; "
+        f"stage A needs each conversation whole in one shard: re-extract "
+        f"(resume=False) with conv_partitioned=False, which re-partitions "
+        f"each group's turns by conv_id"
+        + (", and with every shard of a conversation in one group (fewer "
+           "n_groups, or a larger group_size)"
+           if any(r["cross_group"] for r in rows) else ""))
+
+
+def _finalize_local(out_dir, raw_files, surf_files, conv_files, groups,
+                    skipped, timings, t0) -> dict:
     """Small-input finalize: the SAME shared kernels as the distributed
     path, applied once in-process. Below the byte cutoff the three
     distributed executions cost more in orchestration than the data
     (the same size-aware escape hatch as the 200k-merge-edge driver
     union-find); output is tested identical to the distributed path.
-    Canonicalization reads the surf side tables that stage A wrote with
-    each group (distinct surface nodes), never the raw triples; the
-    dedup is one sort-fused :func:`final_dedup_group` over every raw
-    triple."""
+    The layout check reads the convs side tables once; canonicalization
+    reads the surf side tables that stage A wrote with each group
+    (distinct surface nodes), never the raw triples; the dedup is one
+    sort-fused :func:`final_dedup_group` over every raw triple."""
     t1 = time.time()
+    if conv_files:
+        # ParquetFile.read skips read_table's dataset set-up, which is
+        # most of the cost of reading these small files
+        _raise_on_split(split_conversations(pa.concat_tables(
+            [pq.ParquetFile(f).read() for f in conv_files])).to_pylist())
     mapping = _canonical_mapping_local(surf_files)
     timings["canonicalize"] = round(time.time() - t1, 2)
     t1 = time.time()
@@ -448,13 +474,15 @@ def _finalize_local(out_dir, raw_files, surf_files, groups, skipped,
 
 
 def _read_path_chunks(rd, files: list[str], n_blocks: int,
-                      columns: list[str] | None = None):
+                      columns: list[str] | None = None, per_file=None):
     """Read many small parquet shards as ~``n_blocks`` size-balanced
     blocks WITHOUT ParquetDatasource's driver-side per-file metadata
     prefetch: chunk the path list by cumulative byte size on the driver
     (stat only — no parquet footer reads), then each task reads its
     chunk with ``pq.read_table``. O(1) driver work per file instead of
     a serial footer fetch; the actual reads happen in parallel tasks.
+    ``per_file(table, path)``, when given, maps each file's table in the
+    reading task (e.g. to append columns that depend on the path).
 
     DEPLOYMENT REQUIREMENT: paths are opened from inside worker tasks,
     so on a multi-node cluster they MUST live on storage every node
@@ -482,9 +510,12 @@ def _read_path_chunks(rd, files: list[str], n_blocks: int,
     def load(batch: "pa.Table") -> "pa.Table":
         paths = [p for chunk in batch.column("paths").to_pylist()
                  for p in chunk]
-        tbls = [pq.read_table(p, columns=columns) for p in paths]
-        return pa.concat_tables(tbls) if tbls else \
-            pq.read_table(files[0], columns=columns).slice(0, 0)
+        tbls = [pq.read_table(p, columns=columns) for p in paths] or \
+            [pq.read_table(files[0], columns=columns).slice(0, 0)]
+        if per_file is not None:
+            tbls = [per_file(t, p)
+                    for t, p in zip(tbls, paths or files[:1])]
+        return pa.concat_tables(tbls)
 
     return rd.from_items([{"paths": c} for c in chunks],
                          override_num_blocks=max(1, len(chunks))) \
@@ -500,23 +531,38 @@ def _finalize(out_dir, raw_root, groups, skipped, timings, t0) -> dict:
         os.path.join(raw_root, "group-*", "*.parquet")))
     # canonicalization reads only the per-shard surf side tables
     # (distinct surface nodes, a tiny fraction of the raw-triple mass)
-    # that stage A writes with every group in either layout; a group
-    # without them would silently drop its variants from the merge
-    surf_root = os.path.join(out_dir, "surf")
-    missing = [os.path.basename(d) for d in
-               sorted(glob.glob(os.path.join(raw_root, "group-*")))
-               if not os.path.isdir(os.path.join(surf_root,
-                                                 os.path.basename(d)))]
-    if missing:
-        raise FileNotFoundError(
-            f"no surf side tables under {surf_root} for raw-triple "
-            f"group(s) {', '.join(missing)}; re-extract them "
-            f"(resume=False)")
-    surf_files = sorted(glob.glob(
-        os.path.join(surf_root, "group-*", "*.parquet")))
-    if sum(os.path.getsize(f) for f in raw_files) <= SMALL_FINALIZE_BYTES:
-        return _finalize_local(out_dir, raw_files, surf_files, groups,
-                               skipped, timings, t0)
+    # and the layout check only the convs side tables, both written by
+    # stage A with every group; a group without them would silently drop
+    # its variants from the merge, or its conversations from the check
+    present = sorted(os.path.basename(d)
+                     for d in glob.glob(os.path.join(raw_root, "group-*")))
+    side: dict[str, list[str]] = {}
+    for name in ("surf", "convs"):
+        root = os.path.join(out_dir, name)
+        missing = [g for g in present
+                   if not os.path.isdir(os.path.join(root, g))]
+        if missing:
+            raise FileNotFoundError(
+                f"no {name} side tables under {root} for raw-triple "
+                f"group(s) {', '.join(missing)}; re-extract them "
+                f"(resume=False)")
+        side[name] = sorted(glob.glob(os.path.join(root, "group-*",
+                                                   "*.parquet")))
+    surf_files, conv_files = side["surf"], side["convs"]
+    raw_bytes = sum(os.path.getsize(f) for f in raw_files)
+    if raw_bytes <= SMALL_FINALIZE_BYTES:
+        return _finalize_local(out_dir, raw_files, surf_files, conv_files,
+                               groups, skipped, timings, t0)
+    ncpu = int(ray.cluster_resources().get("CPU", 4))
+    if conv_files:
+        def conv_bucket(t: "pa.Table", _path: str) -> "pa.Table":
+            return t.append_column("bucket", pa.array(
+                (fnv1a_hashes(t.column("conv_id"))
+                 % np.uint64(N_BUCKETS)).astype(np.int32)))
+
+        _raise_on_split(bucket_groupby(
+            _read_path_chunks(rd, conv_files, ncpu, per_file=conv_bucket),
+            split_conversations, coarse_per_cpu=4).take_all())
     if sum(os.path.getsize(f) for f in surf_files) <= SMALL_CANON_BYTES:
         # size-aware escape hatch (same pattern as the 200k-merge-edge
         # driver union-find and the small finalize): below the cutoff
@@ -524,9 +570,8 @@ def _finalize(out_dir, raw_root, groups, skipped, timings, t0) -> dict:
         # the kernels are identical either way
         mapping = _canonical_mapping_local(surf_files)
     else:
-        ncpu_s = int(ray.cluster_resources().get("CPU", 4))
         mapping = compute_canonical_mapping(
-            _read_path_chunks(rd, surf_files, ncpu_s))
+            _read_path_chunks(rd, surf_files, ncpu))
     # size read blocks to ~128 MB of on-disk raw triples (never fewer
     # than one per CPU): the raw dir holds one tiny file per input
     # shard, and letting the reader split per-file would pay per-task
@@ -537,8 +582,6 @@ def _finalize(out_dir, raw_root, groups, skipped, timings, t0) -> dict:
     # (3.7 s at sf1.0's 667 shard files) that scales with shard count,
     # not cluster size, and was the single biggest non-scaling term in
     # the 4-vs-16-CPU efficiency measurement.
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    raw_bytes = sum(os.path.getsize(f) for f in raw_files)
     n_blocks = int(max(ncpu, raw_bytes // (128 << 20)))
     raw = _read_path_chunks(rd, raw_files, n_blocks)
     timings["canonicalize"] = round(time.time() - t1, 2)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from .semantics import Event, Mention, Trigger, TurnDetection
+from .semantics import Event, Mention, TurnDetection
 
 TRIGGER_T = pa.struct([
     ("tok_idx", pa.int32()), ("start", pa.int32()), ("end", pa.int32()),
@@ -41,7 +41,6 @@ DETECTION_FIELDS = [
     ("mentions", pa.list_(MENTION_T)),
     ("cand_tokens", pa.list_(CAND_T)),
 ]
-DETECTION_SCHEMA = pa.schema(DETECTION_FIELDS)
 
 EVENT_FIELDS = [
     ("conv_id", pa.string()), ("turn_idx", pa.int32()),
@@ -78,20 +77,6 @@ def detection_to_row(det: TurnDetection) -> dict:
                          "surface": c[3], "cap": c[4]}
                         for c in det.cand_tokens],
     }
-
-
-def row_to_detection(row: dict) -> TurnDetection:
-    return TurnDetection(
-        token_starts=row["token_starts"],
-        token_flags=row["token_flags"],
-        triggers=[Trigger(t["tok_idx"], t["start"], t["end"], t["surface"],
-                          tuple(t["etypes"])) for t in row["triggers"]],
-        mentions=[Mention(m["start"], m["end"], m["text"], m["argtype"],
-                          m["entity_id"], next_noun_dataish=m["dataish"])
-                  for m in row["mentions"]],
-        cand_tokens=[(c["tok_idx"], c["start"], c["end"], c["surface"],
-                      c["cap"]) for c in row.get("cand_tokens") or []],
-    )
 
 
 def event_to_row(e: Event, ts, modal: bool, generic: bool) -> dict:

@@ -2,8 +2,7 @@
 (T1/T2, nug_arg_detection.py:111-208). The catalog (broadcast via
 ``ray.put``, the small side of the linker J5/T7) and the compiled lexicon
 tables are built ONCE per worker process, as the per-process cached
-extractor of the Ray-task bodies :func:`extract_shard_files` (the fused
-layout) and :func:`detect_batch` (the general layout).
+extractor of the fused stage-A task body :func:`extract_shard_files`.
 :meth:`DetectTagger.tag_batch` processes one Arrow batch of transcript
 turns and appends the detection columns (schema.DETECTION_*).
 """
@@ -202,15 +201,14 @@ class DetectTagger:
 
 
 class ShardExtractor(DetectTagger):
-    """Zero-shuffle extraction for conv-partitioned input (the corpus
-    layout guarantee: conversations never span shards — see
-    state/manifest.py): detection + doc logic + role/realis run per
-    conversation inside one whole-shard table, then event coreference
-    runs ONCE over every conversation of the shard (one
-    ``semantics.coref_many`` numpy pass, via
-    ``doclogic.coref_event_rows``), emitting event rows directly. The
-    groupby(conv_id) shuffle path (extract_events_group) remains the
-    fallback for inputs with arbitrary row layout.
+    """Zero-shuffle extraction for conv-partitioned input (every
+    conversation whole in one shard — see state/manifest.py; the
+    pipeline's staging pre-pass makes any input so, and stage B checks
+    it): detection + doc logic + role/realis run per conversation
+    inside one whole-shard table, then event coreference runs ONCE over
+    every conversation of the shard (one ``semantics.coref_many`` numpy
+    pass, via ``doclogic.coref_event_rows``), emitting event rows
+    directly.
 
     Turn-sparse: only the turns the vectorized :meth:`interesting_mask`
     passes (about 13% at sf0.01) leave Arrow, so per-row Python is paid
@@ -272,11 +270,6 @@ class ShardExtractor(DetectTagger):
             if out_rows else EVENT_SCHEMA.empty_table()
         return tbl, [e for evs, _, _ in convs for e in evs]
 
-    def extract_turns(self, batch: pa.Table) -> pa.Table:
-        return self.extract_turns_with_events(batch)[0]
-
-    __call__ = extract_turns
-
 
 class ShardFileExtractor(ShardExtractor):
     """File-granular zero-shuffle extraction: each call gets a batch of
@@ -294,11 +287,14 @@ class ShardFileExtractor(ShardExtractor):
     never leaves the task). File names derive from the input shard, so
     a task retry overwrites its own output (idempotent). ``sink`` is a
     dict: ``{"gids": {shard basename: gid}, "ev_root": dir | None,
-    "raw_root": dir, "surf_root": dir | None, "suffix": tmp-dir
-    suffix}``. ``surf_root`` additionally side-writes the shard's
-    distinct (surface node, entity block) rows, so canonicalization
-    later reads only the tiny surf tables instead of re-scanning the
-    whole raw-triples output."""
+    "raw_root": dir, "surf_root": dir | None, "convs_root": dir | None,
+    "suffix": tmp-dir suffix}``. ``surf_root`` additionally side-writes
+    the shard's distinct (surface node, entity block) rows, so
+    canonicalization later reads only the tiny surf tables instead of
+    re-scanning the whole raw-triples output; ``convs_root`` writes the
+    shard's distinct conv_ids (exact strings, with the shard path and
+    gid), which stage B reads to find a conversation split across
+    shards."""
 
     COLUMNS = ["conv_id", "turn_idx", "text", "ts"]
     STATS_SCHEMA = pa.schema([
@@ -338,6 +334,12 @@ class ShardFileExtractor(ShardExtractor):
             if sink.get("ev_root"):
                 pq.write_table(events.drop_columns(["args"]),
                                os.path.join(sink["ev_root"], gdir, base))
+            if sink.get("convs_root"):
+                convs = pc.unique(tbl.column("conv_id"))
+                pq.write_table(pa.table({
+                    "conv_id": convs, "shard": [path] * len(convs),
+                    "gid": pa.array([gid] * len(convs), pa.int32())}),
+                    os.path.join(sink["convs_root"], gdir, base))
             stats.append({"shard": base, "gid": gid,
                           "n_events": events.num_rows,
                           "n_triples": trip.num_rows,
@@ -393,15 +395,3 @@ def extract_shard_files(batch: pa.Table, state_box: list,
     broadcast object is lost."""
     return _cached_extractor(state_box, entities_path, kb_whitelist,
                              kb_blacklist)(batch, sink)
-
-
-def detect_batch(batch: pa.Table, state_box: list,
-                 entities_path: str | None = None,
-                 kb_whitelist=None, kb_blacklist=None) -> pa.Table:
-    """General-layout detection task body: the detection columns of a
-    batch of transcript turns (:meth:`DetectTagger.tag_batch`). Called
-    like :func:`extract_shard_files` (boxed state ref, same rebuild
-    arguments) and sharing its per-process extractor, so detection runs
-    as plain Ray tasks and holds no CPU between batches."""
-    return _cached_extractor(state_box, entities_path, kb_whitelist,
-                             kb_blacklist).tag_batch(batch)

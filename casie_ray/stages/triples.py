@@ -19,7 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..ops.bucketing import fnv1a_hashes, string_buffers
-from ..schema import TRIPLE_SCHEMA, row_to_event
+from ..schema import TRIPLE_SCHEMA
 from ..semantics import emit_triples
 
 N_BUCKETS = 4096
@@ -89,12 +89,6 @@ def triples_from_events(events: list) -> pa.Table:
         "count": pa.array(np.ones(len(trips), np.int64)),
         "bucket": pa.array(triple_buckets(subj, pred, obj), pa.int32()),
     }).cast(RAW_TRIPLE_SCHEMA)
-
-
-def emit_triples_batch(batch: pa.Table) -> pa.Table:
-    """Event ROWS -> raw triple rows (flat_map-style expansion); the
-    general-layout fallback — the fused path uses triples_from_events."""
-    return triples_from_events([row_to_event(r) for r in batch.to_pylist()])
 
 
 _AGG = [("count", "sum"), ("prov", "min"), ("subj_type", "min"),

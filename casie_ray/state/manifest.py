@@ -1,12 +1,17 @@
 """Per-partition checkpoint manifests for resumable runs (SURVEY §4.2).
 
-Each extraction *group* (a set of input transcript shards; conversations
-never span shards — the corpus layout is conv-partitioned, which is the
-documented partitioning assumption) writes its raw-triples output to a
-temp dir, renames it into place atomically, then commits a manifest
-recording lineage and counters. On resume, groups whose manifest exists
-and whose config hash matches are skipped by filtering the *input file
-list* before any Dataset is built (driver-side, no wasted read).
+Each extraction *group* (a set of input transcript shards) writes its
+raw-triples output and side tables to temp dirs, renames them into
+place atomically, then commits a manifest recording lineage and
+counters. Stage A reads each conversation whole from one shard: the
+default layout takes the input shards as they are, and
+``conv_partitioned=False`` first re-partitions a group's turns by
+conv_id. The layout is checked, not assumed: every group also writes
+its shards' distinct conv_ids (the ``convs/`` side tables), and stage B
+raises if one conversation appears in two shards. On resume, groups
+whose manifest exists and whose config hash matches are skipped by
+filtering the *input file list* before any Dataset is built
+(driver-side, no wasted read).
 
 A config-hash change invalidates all previous manifests (stale partial
 output is not reused across semantics changes).
@@ -28,7 +33,7 @@ def _embed_dim() -> int:
 # bump whenever the on-disk output layout changes (e.g. the prov
 # encoding, or the surf/ side tables) so resume never mixes formats
 # across code versions
-FORMAT_VERSION = 6  # v6: every complete group has surf side tables
+FORMAT_VERSION = 7  # v7: every complete group has surf + convs tables
 
 
 def config_hash() -> str:

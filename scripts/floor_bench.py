@@ -2,7 +2,8 @@
 """Hardware/workload scaling floor for the extraction kernel (no Ray).
 
 Runs the EXACT per-shard extraction work (column-pruned parquet read ->
-ShardExtractor.extract_turns -> events parquet write) under plain
+ShardExtractor.extract_turns_with_events -> triple emission + partial
+dedup -> events / triples / surf parquet writes) under plain
 ``multiprocessing`` at two worker counts, with Arrow/OMP thread pools
 pinned to 1 per worker (matching Ray's worker configuration). The
 resulting N->4N ratio is the ceiling ANY engine can reach for this

@@ -51,26 +51,30 @@ def test_engine_matches_oracle_exactly(kg_out, oracle_triples):
 
 def test_engine_invariant_under_grouping(ray_session, smoke_corpus, kg_out,
                                          tmp_path):
-    """Triple set identical when the resumable-group partitioning and
-    batch size change (SURVEY §5.2 invariant 3)."""
+    """Triple set identical when the resumable-group partitioning
+    changes (SURVEY §5.2 invariant 3)."""
     from casie_ray.pipelines.kg import run_kg_pipeline
     out2 = str(tmp_path / "kg2")
-    run_kg_pipeline(smoke_corpus, out2, resume=False, n_groups=1,
-                    batch_size=64)
+    run_kg_pipeline(smoke_corpus, out2, resume=False, n_groups=1)
     pd.testing.assert_frame_equal(_norm(_triples(kg_out)),
                                   _norm(_triples(out2)))
 
 
 def test_shuffle_fallback_path_matches(ray_session, smoke_corpus, kg_out,
                                        tmp_path):
-    """The general-layout groupby(conv_id) shuffle path produces the
-    same triples as the zero-shuffle conv-partitioned hot path."""
+    """The general layout (a conv_id staging exchange, then the fused
+    kernel) produces the same triples as the zero-shuffle
+    conv-partitioned hot path, and its manifests count the same
+    turns."""
     from casie_ray.pipelines.kg import run_kg_pipeline
+    from casie_ray.state import manifest
     out2 = str(tmp_path / "kg_shuffle")
-    run_kg_pipeline(smoke_corpus, out2, resume=False, n_groups=2,
-                    conv_partitioned=False)
+    info = run_kg_pipeline(smoke_corpus, out2, resume=False, n_groups=2,
+                           conv_partitioned=False)
     pd.testing.assert_frame_equal(_norm(_triples(kg_out)),
                                   _norm(_triples(out2)))
+    assert info["turns"] == manifest.total_counter(kg_out, "turns") > 0
+    assert not os.path.exists(os.path.join(out2, "_staging"))
 
 
 def test_resume_skips_completed_groups_and_matches(ray_session, smoke_corpus,
@@ -237,10 +241,10 @@ def test_incremental_update_extracts_only_new_shards(smoke_corpus,
 
 
 def _stage_a_copy(kg_out, dest):
-    """Copy a build's stage-A output (raw triples + surf side tables)
-    into ``dest``, the layout ``_finalize`` reads; returns the
+    """Copy a build's stage-A output (raw triples + surf and convs side
+    tables) into ``dest``, the layout ``_finalize`` reads; returns the
     raw-triples root."""
-    for sub in ("raw_triples", "surf"):
+    for sub in ("raw_triples", "surf", "convs"):
         shutil.copytree(os.path.join(kg_out, sub), os.path.join(dest, sub))
     return os.path.join(dest, "raw_triples")
 
@@ -248,7 +252,7 @@ def _stage_a_copy(kg_out, dest):
 def _finalize_files(root):
     return [sorted(glob.glob(os.path.join(root, sub, "group-*",
                                           "*.parquet")))
-            for sub in ("raw_triples", "surf")]
+            for sub in ("raw_triples", "surf", "convs")]
 
 
 def test_local_and_distributed_finalize_identical(kg_out, tmp_path):
@@ -259,12 +263,13 @@ def test_local_and_distributed_finalize_identical(kg_out, tmp_path):
 
     from casie_ray.pipelines import kg as kgmod
 
-    raw_files, surf_files = _finalize_files(kg_out)
-    assert raw_files and surf_files
+    raw_files, surf_files, conv_files = _finalize_files(kg_out)
+    assert raw_files and surf_files and conv_files
     la = str(tmp_path / "local")
     da = str(tmp_path / "dist")
     os.makedirs(la), os.makedirs(da)
-    kgmod._finalize_local(la, raw_files, surf_files, [[]], 0, {}, 0.0)
+    kgmod._finalize_local(la, raw_files, surf_files, conv_files,
+                           [[]], 0, {}, 0.0)
     # force the distributed path regardless of input size
     orig = kgmod.SMALL_FINALIZE_BYTES
     kgmod.SMALL_FINALIZE_BYTES = -1
@@ -297,12 +302,13 @@ def test_join_rewrite_path_identical_to_broadcast(kg_out, tmp_path):
 
     from casie_ray.pipelines import kg as kgmod
 
-    raw_files, surf_files = _finalize_files(kg_out)
-    assert raw_files and surf_files
+    raw_files, surf_files, conv_files = _finalize_files(kg_out)
+    assert raw_files and surf_files and conv_files
     la = str(tmp_path / "local")
     da = str(tmp_path / "dist")
     os.makedirs(la), os.makedirs(da)
-    kgmod._finalize_local(la, raw_files, surf_files, [[]], 0, {}, 0.0)
+    kgmod._finalize_local(la, raw_files, surf_files, conv_files,
+                           [[]], 0, {}, 0.0)
     saved = {k: getattr(kgmod, k) for k in
              ("SMALL_FINALIZE_BYTES", "SMALL_CANON_BYTES",
               "DRIVER_UNIONFIND_MAX", "CANON_BROADCAST_MAX")}
@@ -354,15 +360,18 @@ def test_mixed_layout_resume_matches_cold_build(ray_session, smoke_corpus,
                                   _norm(_triples(out)))
 
 
-def test_finalize_names_group_without_surf_tables(kg_out, tmp_path):
-    """Stage B canonicalizes from the surf side tables only, so a
-    raw-triples group without them fails loudly, naming the group."""
+@pytest.mark.parametrize("side", ["surf", "convs"])
+def test_finalize_names_group_without_surf_tables(kg_out, tmp_path, side):
+    """Stage B canonicalizes from the surf side tables only and checks
+    the layout from the convs side tables only, so a raw-triples group
+    without either fails loudly, naming the group and the table."""
     from casie_ray.pipelines import kg as kgmod
 
     out = str(tmp_path / "kg")
     raw_root = _stage_a_copy(kg_out, out)
-    shutil.rmtree(os.path.join(out, "surf", "group-00001"))
-    with pytest.raises(FileNotFoundError, match="group-00001"):
+    shutil.rmtree(os.path.join(out, side, "group-00001"))
+    with pytest.raises(FileNotFoundError,
+                       match=f"no {side} side tables.*group-00001"):
         kgmod._finalize(out, raw_root, [[]], 0, {}, 0.0)
 
 
@@ -514,22 +523,25 @@ def test_lost_tagger_state_is_rebuilt(ray_session, smoke_corpus, tmp_path):
 
 
 def test_general_layout_survives_lost_tagger_state(ray_session,
-                                                  smoke_corpus):
-    """The general-layout DetectTagger pool rebuilds a freed tagger-state
-    object from the entities table: its events equal a live-ref run."""
+                                                  smoke_corpus, tmp_path):
+    """The general layout's fused tasks, run on the staging pre-pass's
+    shards, rebuild a freed tagger-state object from the entities
+    table: their events equal a live-ref run."""
     import pyarrow as pa
     import ray
     from ray._private.internal_api import free
 
-    from casie_ray.pipelines.kg import extract_group_ds, list_transcript_files
+    from casie_ray.pipelines.kg import (_stage_group, extract_group_ds,
+                                        list_transcript_files)
     from casie_ray.stages.detect import load_tagger_state
 
-    files = list_transcript_files(smoke_corpus)[:2]
+    staged = _stage_group(str(tmp_path / "staging"), 0,
+                          list_transcript_files(smoke_corpus)[:2])
+    assert len(staged) == 2
     ents = os.path.join(smoke_corpus, "entities.parquet")
 
     def events(ref, **kw):
-        ds = extract_group_ds(files, ref, detect_concurrency=1,
-                              conv_partitioned=False, **kw)
+        ds = extract_group_ds(staged, ref, detect_concurrency=1, **kw)
         return pa.concat_tables(ds.iter_batches(
             batch_format="pyarrow", batch_size=None)).sort_by("event_id")
 
@@ -540,6 +552,102 @@ def test_general_layout_survives_lost_tagger_state(ray_session,
     with pytest.raises(ray.exceptions.ObjectLostError):
         ray.get(lost_ref, timeout=60)
     assert events(lost_ref, entities_path=ents).equals(live)
+
+
+# ---- conversations split across shards ----
+
+@pytest.fixture(scope="session")
+def split_corpus(smoke_corpus, oracle_triples, tmp_path_factory):
+    """The smoke corpus with every shard split at each conversation's
+    midpoint turn into ``<shard>-a`` / ``<shard>-b``, plus one repeated
+    (conv_id, turn_idx): a triple-free turn of a conversation of
+    part-00001 is copied into part-00003-b with the text of a
+    triple-producing turn, so the later shard's row changes the
+    oracle's triples."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from casie_ray.pipelines.kg import list_transcript_files
+
+    out = str(tmp_path_factory.mktemp("split") / "corpus")
+    os.makedirs(os.path.join(out, "transcripts"))
+    shutil.copy(os.path.join(smoke_corpus, "entities.parquet"), out)
+    halves = {}
+    for f in list_transcript_files(smoke_corpus):
+        t = pq.read_table(f)
+        last = t.group_by("conv_id").aggregate([("turn_idx", "max")])
+        mid = dict(zip(last["conv_id"].to_pylist(),
+                       [(m + 1) // 2 for m in
+                        last["turn_idx_max"].to_pylist()]))
+        lo = pa.array([ti < mid[c] for c, ti in zip(
+            t["conv_id"].to_pylist(), t["turn_idx"].to_pylist())])
+        stem = os.path.basename(f)[:-len(".parquet")]
+        halves[stem + "-a"] = t.filter(lo)
+        halves[stem + "-b"] = t.filter(pc.invert(lo))
+    producing = set(zip(oracle_triples["conv_id"],
+                        oracle_triples["turn_idx"].astype(int)))
+    donor = halves["part-00000-a"].to_pylist()
+    donor_text = next(r["text"] for r in donor
+                      if (r["conv_id"], r["turn_idx"]) in producing)
+    target = next(r for r in halves["part-00001-a"].to_pylist()
+                  if (r["conv_id"], r["turn_idx"]) not in producing)
+    dup = pa.Table.from_pylist([{**target, "text": donor_text}],
+                               schema=halves["part-00003-b"].schema)
+    halves["part-00003-b"] = pa.concat_tables([halves["part-00003-b"],
+                                               dup])
+    for stem, t in halves.items():
+        pq.write_table(t, os.path.join(out, "transcripts",
+                                       stem + ".parquet"))
+    return out
+
+
+@pytest.mark.parametrize("tier", ["local", "distributed"])
+def test_split_conversation_default_layout_raises(ray_session, split_corpus,
+                                                  tmp_path, monkeypatch,
+                                                  tier):
+    """The default layout reads each conversation whole from one shard;
+    on a corpus whose conversations span shards, stage B (either tier)
+    raises, naming both halves of a source shard and the fix."""
+    from casie_ray.pipelines import kg as kgmod
+
+    if tier == "distributed":
+        monkeypatch.setattr(kgmod, "SMALL_FINALIZE_BYTES", 0)
+    with pytest.raises(ValueError, match=r"\d+ conversation\(s\) .*"
+                       r"part-00000-a\.parquet and \S*part-00000-b\.parquet"
+                       r".*conv_partitioned=False"):
+        kgmod.run_kg_pipeline(split_corpus, str(tmp_path / "kg"),
+                              resume=False)
+
+
+def test_split_conversation_staged_one_group_matches_oracle(
+        ray_session, split_corpus, oracle_triples, tmp_path):
+    """conv_partitioned=False with one group re-partitions the split
+    turns by conv_id and matches the oracle exactly, including the
+    repeated turn whose later-shard copy wins."""
+    from casie_ray.oracle import extract_triples
+    from casie_ray.pipelines.kg import run_kg_pipeline
+
+    want = extract_triples(split_corpus)
+    # the repeated turn's later copy changes the oracle's output
+    assert not _norm(want).equals(_norm(oracle_triples))
+    out = str(tmp_path / "kg")
+    run_kg_pipeline(split_corpus, out, resume=False, n_groups=1,
+                    conv_partitioned=False)
+    pd.testing.assert_frame_equal(_norm(want), _norm(_triples(out)))
+
+
+def test_split_conversation_across_groups_raises(ray_session, split_corpus,
+                                                 tmp_path):
+    """conv_partitioned=False stages within a group only: with the two
+    halves of every shard in different groups, stage B raises and names
+    the group settings."""
+    from casie_ray.pipelines.kg import run_kg_pipeline
+
+    with pytest.raises(ValueError, match=r"conv_partitioned=False.*"
+                                         r"n_groups.*group_size"):
+        run_kg_pipeline(split_corpus, str(tmp_path / "kg"), resume=False,
+                        n_groups=2, conv_partitioned=False)
 
 
 # ---- turn-sparse stage A: planted shards, no Ray ----
