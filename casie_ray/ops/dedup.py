@@ -640,11 +640,6 @@ def simhash64_batch(texts: list[str]) -> np.ndarray:
     return out.astype(np.uint64)
 
 
-def simhash64(text: str) -> int:
-    """Scalar convenience wrapper over :func:`simhash64_batch`."""
-    return int(simhash64_batch([text])[0])
-
-
 _SIM_ROW_SCHEMA = pa.schema([
     ("band", pa.int32()), ("key", pa.uint64()), ("doc_id", pa.int64()),
     ("sig", pa.uint64()), ("bucket", pa.int32()),

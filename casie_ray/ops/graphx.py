@@ -41,10 +41,15 @@ DAMP_NUM, DAMP_DEN = 85, 100
 PR_BASE = PR_SCALE * (DAMP_DEN - DAMP_NUM) // DAMP_DEN  # 150000
 
 
+def _str_hashes(col) -> np.ndarray:
+    """FNV-1a of a string column's values, a null hashing as ''."""
+    return fnv1a_hashes(pc.fill_null(col.cast(pa.string()), ""))
+
+
 def _str_bucket(col, n_buckets: int = N_GRAPH_BUCKETS) -> pa.Array:
     """Vectorized FNV-1a hash bucket for a string column."""
-    h = fnv1a_hashes([s if s is not None else "" for s in col.to_pylist()])
-    return pa.array((h % np.uint64(n_buckets)).astype(np.int32))
+    return pa.array((_str_hashes(col) % np.uint64(n_buckets))
+                    .astype(np.int32))
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +556,8 @@ def ppr_sql(triples_glob: str, iters: int = 3,
 
 def _pair_bucket(a, b) -> pa.Array:
     from .bucketing import hash_bucket
-    ha = fnv1a_hashes([s if s is not None else "" for s in a.to_pylist()])
-    hb = fnv1a_hashes([s if s is not None else "" for s in b.to_pylist()])
-    return pa.array(hash_bucket([ha, hb], N_GRAPH_BUCKETS))
+    return pa.array(hash_bucket([_str_hashes(a), _str_hashes(b)],
+                                N_GRAPH_BUCKETS))
 
 
 def _tri_canon_partial(batch: pa.Table) -> pa.Table:
@@ -1761,10 +1765,8 @@ def _pb_distinct_partial(batch: pa.Table) -> pa.Table:
     # order-sensitive mixer, NOT xor: xor would collapse symmetric
     # triples (a,p,b)/(b,p,a) into one bucket and cancel self-loops
     # down to hash(pred), defeating the 64-way skew spread
-    b = hash_bucket([fnv1a_hashes(g.column("subj").to_pylist()),
-                     fnv1a_hashes(g.column("pred").to_pylist()),
-                     fnv1a_hashes(g.column("obj").to_pylist())],
-                    N_GRAPH_BUCKETS)
+    b = hash_bucket([_str_hashes(g.column(c))
+                     for c in ("subj", "pred", "obj")], N_GRAPH_BUCKETS)
     return g.append_column("bucket", pa.array(b))
 
 

@@ -151,7 +151,7 @@ def _key_hashes(col: pa.ChunkedArray) -> np.ndarray:
     # exact per-bucket Arrow join applies SQL semantics (nulls never
     # match; left-outer keeps the unmatched left rows).
     if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-        return fnv1a_hashes(pc.fill_null(col, "").to_pylist())
+        return fnv1a_hashes(pc.fill_null(col, ""))
     return pc.fill_null(col.cast(pa.int64()), 0) \
         .to_numpy(zero_copy_only=False).astype(np.int64)
 

@@ -31,9 +31,10 @@ Physical plan (SURVEY §4.3), all Ray Data, streaming executor:
       -> rewrite to canonical nodes
       -> (subj,pred,obj) hash exchange -> sort-fused exact dedup (one
          sort, run reductions, output already in key order)
-      -> edges (unique triples), nodes (degree-aggregated)
-    Below SMALL_FINALIZE_BYTES of raw triples the same kernels run
-    once in the driver (_finalize_local).
+      -> edges (unique triples), nodes (node_degrees + bucket exchange)
+    Below SMALL_FINALIZE_BYTES of raw triples the driver runs each step
+    once (_finalize_local): one merge_edges_multi call for all blocks,
+    one dedup, one node_degrees sorted by node_id, no bucket.
 
 The driver owns no Ray session: callers (tests / bench / CLI) init Ray.
 """
@@ -57,7 +58,7 @@ from ..stages.detect import (
 from ..stages.triples import (
     N_BUCKETS, RAW_TRIPLE_SCHEMA, emit_nodes_batch,
     final_dedup_group, final_nodes_group, merge_edges_multi,
-    rewrite_triples,
+    node_degrees, rewrite_triples,
 )
 from ..state import manifest
 
@@ -370,6 +371,12 @@ SMALL_FINALIZE_BYTES = 32 * 1024 * 1024
 SMALL_CANON_BYTES = 64 * 1024 * 1024
 
 
+def _read_local(files: list[str]) -> "pa.Table":
+    """Small parquet files as one table; ParquetFile.read skips
+    read_table's dataset set-up, most of a small file's read cost."""
+    return pa.concat_tables([pq.ParquetFile(f).read() for f in files])
+
+
 def _canonical_mapping_local(surf_files: list[str]) -> dict[str, str]:
     """Variant -> canonical node mapping from the surf side tables, in
     this process: the shared merge-edge kernel, then the sequential
@@ -378,8 +385,7 @@ def _canonical_mapping_local(surf_files: list[str]) -> dict[str, str]:
 
     if not surf_files:
         return {}
-    medges = merge_edges_multi(
-        pa.concat_tables([pq.read_table(f) for f in surf_files]))
+    medges = merge_edges_multi(_read_local(surf_files))
     comp = components_local(list(zip(medges.column("src").to_pylist(),
                                      medges.column("dst").to_pylist())))
     return {n: r for n, r in comp.items() if n != r}
@@ -389,14 +395,15 @@ def split_conversations(t: "pa.Table") -> "pa.Table":
     """Layout check over convs side-table rows (conv_id, shard, gid; a
     shard's conv_ids are distinct, so a conv_id on two rows is in two
     shards): ONE summary row with the number of split conversations, the
-    smallest one with two of its shards, and whether a split crosses
-    groups. Bucket-agnostic: it serves the in-process check and each
-    group of a bucketed exchange."""
+    smallest one with two of its shards, whether a split crosses groups
+    and the ids of the groups that hold a split. Bucket-agnostic: it
+    serves the in-process check and each group of a bucketed exchange."""
     g = t.group_by("conv_id").aggregate([("gid", "count")])
-    hit = g.filter(pc.greater(g["gid_count"], 1))["conv_id"]
-    split = t.filter(pc.is_in(t["conv_id"], hit)).group_by("conv_id") \
-        .aggregate([("shard", "min"), ("shard", "max"),
-                    ("gid", "count_distinct")]).sort_by("conv_id")
+    hit = t.filter(pc.is_in(t["conv_id"], g.filter(
+        pc.greater(g["gid_count"], 1))["conv_id"]))
+    split = hit.group_by("conv_id").aggregate([
+        ("shard", "min"), ("shard", "max"),
+        ("gid", "count_distinct")]).sort_by("conv_id")
     first = (split.slice(0, 1).to_pylist() or [{}])[0]
     return pa.table({
         "n_split": [split.num_rows],
@@ -405,23 +412,43 @@ def split_conversations(t: "pa.Table") -> "pa.Table":
         "shard_b": pa.array([first.get("shard_max")], pa.string()),
         "cross_group": [bool(pc.any(pc.greater(
             split["gid_count_distinct"], 1)).as_py())],
+        "gids": pa.array([sorted(pc.unique(hit["gid"]).to_pylist())],
+                         pa.list_(pa.int32())),
     })
 
 
-def _raise_on_split(rows: list[dict]) -> None:
+def _shard_name(shard: str, groups: list[list[str]]) -> str:
+    """A stage-A shard for an error message: a staging shard (deleted
+    once its wave commits) by its group id and that group's inputs."""
+    stage_dir, base = os.path.split(shard)
+    if os.path.basename(stage_dir) != "_staging":
+        return shard
+    gid = int(base[1:].split("-")[0])
+    return f"group {gid} (input shards {', '.join(groups[gid][:3])}" \
+        + (" and more)" if len(groups[gid]) > 3 else ")")
+
+
+def _raise_on_split(out_dir: str, rows: list[dict],
+                    groups: list[list[str]]) -> None:
     """Raise if the :func:`split_conversations` summary rows count a
     conversation stage A saw in two shards: its doc logic, realis windows
-    and coreference ran on each part alone, so its triples are wrong."""
+    and coreference ran on each part alone, so its triples are wrong and
+    the manifests of the groups holding a split are removed (a rerun
+    re-extracts them). ``groups`` names staging shards' inputs."""
     n = sum(r["n_split"] for r in rows)
     if not n:
         return
+    for gid in {g for r in rows for g in r["gids"]}:
+        if os.path.exists(manifest.manifest_path(out_dir, gid)):
+            os.remove(manifest.manifest_path(out_dir, gid))
     hit = min((r for r in rows if r["n_split"]), key=lambda r: r["conv_id"])
     raise ValueError(
         f"{n} conversation(s) appear in more than one stage-A shard, e.g. "
-        f"{hit['conv_id']!r} in {hit['shard_a']} and {hit['shard_b']}; "
-        f"stage A needs each conversation whole in one shard: re-extract "
-        f"(resume=False) with conv_partitioned=False, which re-partitions "
-        f"each group's turns by conv_id"
+        f"{hit['conv_id']!r} in {_shard_name(hit['shard_a'], groups)} and "
+        f"{_shard_name(hit['shard_b'], groups)}; stage A needs each "
+        f"conversation whole in one shard: re-extract with "
+        f"conv_partitioned=False, which re-partitions each group's turns "
+        f"by conv_id"
         + (", and with every shard of a conversation in one group (fewer "
            "n_groups, or a larger group_size)"
            if any(r["cross_group"] for r in rows) else ""))
@@ -430,47 +457,46 @@ def _raise_on_split(rows: list[dict]) -> None:
 def _finalize_local(out_dir, raw_files, surf_files, conv_files, groups,
                     skipped, timings, t0) -> dict:
     """Small-input finalize: the SAME shared kernels as the distributed
-    path, applied once in-process. Below the byte cutoff the three
+    path, each applied once in-process. Below the byte cutoff the three
     distributed executions cost more in orchestration than the data
     (the same size-aware escape hatch as the 200k-merge-edge driver
     union-find); output is tested identical to the distributed path.
-    The layout check reads the convs side tables once; canonicalization
-    reads the surf side tables that stage A wrote with each group
-    (distinct surface nodes), never the raw triples; the dedup is one
-    sort-fused :func:`final_dedup_group` over every raw triple."""
+    Canonicalization reads the surf side tables (distinct surface
+    nodes), never the raw triples, with one :func:`merge_edges_multi`
+    call; the dedup is one sort-fused :func:`final_dedup_group` and the
+    nodes one :func:`node_degrees` (no exchange, so no bucket)."""
     t1 = time.time()
     if conv_files:
-        # ParquetFile.read skips read_table's dataset set-up, which is
-        # most of the cost of reading these small files
-        _raise_on_split(split_conversations(pa.concat_tables(
-            [pq.ParquetFile(f).read() for f in conv_files])).to_pylist())
+        _raise_on_split(out_dir, split_conversations(
+            _read_local(conv_files)).to_pylist(), groups)
     mapping = _canonical_mapping_local(surf_files)
     timings["canonicalize"] = round(time.time() - t1, 2)
     t1 = time.time()
-    tbl = pa.concat_tables([pq.read_table(f) for f in raw_files]) \
-        if raw_files else RAW_TRIPLE_SCHEMA.empty_table()
+    tbl = _read_local(raw_files) if raw_files \
+        else RAW_TRIPLE_SCHEMA.empty_table()
     if mapping:
         tbl = rewrite_triples(mapping)(tbl)
     edges_tbl = final_dedup_group(tbl)
-    edges_dir = os.path.join(out_dir, "edges")
-    tmp = edges_dir + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp, exist_ok=True)
-    pq.write_table(edges_tbl, os.path.join(tmp, "part-00000.parquet"))
-    manifest.atomic_dir_swap(tmp, edges_dir)
-    nodes_tbl = final_nodes_group(emit_nodes_batch(edges_tbl)) \
-        .drop_columns(["bucket"])
-    nodes_dir = os.path.join(out_dir, "nodes")
-    tmp = nodes_dir + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp, exist_ok=True)
-    pq.write_table(nodes_tbl, os.path.join(tmp, "part-00000.parquet"))
-    manifest.atomic_dir_swap(tmp, nodes_dir)
+    for name, t in (("edges", edges_tbl),
+                    ("nodes", node_degrees(edges_tbl).sort_by("node_id"))):
+        shutil.rmtree(os.path.join(out_dir, name + ".tmp"),
+                      ignore_errors=True)
+        _publish(out_dir, name, t)
     timings["dedup_materialize"] = round(time.time() - t1, 2)
     return {"groups": len(groups), "groups_skipped": skipped,
             "edges": edges_tbl.num_rows, "canon_merged": len(mapping),
             "out_dir": out_dir, "timings": timings,
             "wall_sec": round(time.time() - t0, 2)}
+
+
+def _publish(out_dir: str, name: str, tbl: "pa.Table") -> None:
+    """Swap ``out_dir/name.tmp`` into ``out_dir/name``, first writing
+    ``tbl`` as its one part if it holds no parquet part."""
+    tmp = os.path.join(out_dir, name + ".tmp")
+    if not glob.glob(os.path.join(tmp, "*.parquet")):
+        os.makedirs(tmp, exist_ok=True)
+        pq.write_table(tbl, os.path.join(tmp, "part-00000.parquet"))
+    manifest.atomic_dir_swap(tmp, os.path.join(out_dir, name))
 
 
 def _read_path_chunks(rd, files: list[str], n_blocks: int,
@@ -560,9 +586,9 @@ def _finalize(out_dir, raw_root, groups, skipped, timings, t0) -> dict:
                 (fnv1a_hashes(t.column("conv_id"))
                  % np.uint64(N_BUCKETS)).astype(np.int32)))
 
-        _raise_on_split(bucket_groupby(
+        _raise_on_split(out_dir, bucket_groupby(
             _read_path_chunks(rd, conv_files, ncpu, per_file=conv_bucket),
-            split_conversations, coarse_per_cpu=4).take_all())
+            split_conversations, coarse_per_cpu=4).take_all(), groups)
     if sum(os.path.getsize(f) for f in surf_files) <= SMALL_CANON_BYTES:
         # size-aware escape hatch (same pattern as the 200k-merge-edge
         # driver union-find and the small finalize): below the cutoff
@@ -607,8 +633,7 @@ def _finalize(out_dir, raw_root, groups, skipped, timings, t0) -> dict:
     # dataset executions with their fixed orchestration cost. Hot keys
     # only grow one group's O(rows) Arrow aggregate, never a per-key
     # Python loop.
-    edges_dir = os.path.join(out_dir, "edges")
-    tmp = edges_dir + ".tmp"
+    tmp = os.path.join(out_dir, "edges.tmp")
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp, exist_ok=True)
     m = max(1, ncpu * 4)
@@ -635,14 +660,15 @@ def _finalize(out_dir, raw_root, groups, skipped, timings, t0) -> dict:
     nodes = bucket_groupby(nodes, final_nodes_group, coarse_per_cpu=4,
                            pre_repartition=False) \
         .drop_columns(["bucket"])
-    nodes_dir = os.path.join(out_dir, "nodes")
-    ntmp = nodes_dir + ".tmp"
+    ntmp = os.path.join(out_dir, "nodes.tmp")
     shutil.rmtree(ntmp, ignore_errors=True)
     nodes.write_parquet(ntmp)
-    manifest.atomic_dir_swap(tmp, edges_dir)
-    manifest.atomic_dir_swap(ntmp, nodes_dir)
-    edge_files = sorted(glob.glob(os.path.join(edges_dir, "*.parquet")))
-    n_edges = sum(pq.ParquetFile(f).metadata.num_rows for f in edge_files)
+    # an edge-free build writes no part: each table gets one empty part
+    empty = final_dedup_group(RAW_TRIPLE_SCHEMA.empty_table())
+    _publish(out_dir, "edges", empty)
+    _publish(out_dir, "nodes", node_degrees(empty))
+    n_edges = sum(pq.ParquetFile(f).metadata.num_rows for f in
+                  glob.glob(os.path.join(out_dir, "edges", "*.parquet")))
 
     timings["dedup_materialize"] = round(time.time() - t1, 2)
     return {"groups": len(groups), "groups_skipped": skipped,
@@ -670,8 +696,6 @@ def compute_canonical_mapping(surf_ds) -> "dict[str, str] | object":
     CANON_BROADCAST_MAX rows; above that returns the (node, label)
     mapping as a materialized Ray Dataset for the join-based rewrite —
     driver memory stays bounded at any entity cardinality."""
-    import pyarrow.compute as _pc
-
     from ..ops.graph import connected_components
 
     # the input rows are per-shard distinct and the per-block merge
@@ -694,8 +718,7 @@ def compute_canonical_mapping(surf_ds) -> "dict[str, str] | object":
     labels = connected_components(medges)
 
     def variants_only(t: "pa.Table") -> "pa.Table":
-        return t.filter(_pc.not_equal(t.column("node"),
-                                      t.column("label")))
+        return t.filter(pc.not_equal(t.column("node"), t.column("label")))
 
     mapping_ds = labels.map_batches(variants_only, batch_format="pyarrow",
                                     batch_size=None).materialize()
@@ -734,7 +757,6 @@ def main():
     """
     import argparse
     import json
-    import os
 
     import ray
     ap = argparse.ArgumentParser()

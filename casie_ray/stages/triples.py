@@ -20,7 +20,8 @@ import pyarrow.compute as pc
 
 from ..ops.bucketing import fnv1a_hashes, string_buffers
 from ..schema import TRIPLE_SCHEMA
-from ..semantics import emit_triples
+from ..semantics import (canon_block_key, canon_merge_edges, emit_triples,
+                         parse_surface_node)
 
 N_BUCKETS = 4096
 
@@ -212,29 +213,28 @@ NODE_SCHEMA = pa.schema([
 ])
 
 
+def node_degrees(edges: pa.Table) -> pa.Table:
+    """Unique-triple rows -> (node_id, type, degree) per endpoint node,
+    unsorted: ONE ``group_by`` over the subj+obj / subj_type+obj_type
+    chunks, so degree counts endpoints (a self-loop twice) and type is
+    the minimal non-null one. The node kernel of both finalize tiers."""
+    ids = pa.chunked_array(edges.column("subj").chunks
+                           + edges.column("obj").chunks, pa.string())
+    types = pa.chunked_array(edges.column("subj_type").chunks
+                             + edges.column("obj_type").chunks, pa.string())
+    g = pa.table({"node_id": ids, "type": types}).group_by("node_id") \
+        .aggregate([([], "count_all"), ("type", "min")])
+    return g.select(["node_id", "type_min", "count_all"]) \
+        .rename_columns(NODE_SCHEMA.names[:3])
+
+
 def emit_nodes_batch(batch: pa.Table) -> pa.Table:
-    """Unique-triple rows -> (node_id, type, degree=1) rows for both
-    endpoints, pre-aggregated within the batch."""
-    if batch.num_rows == 0:
-        return NODE_SCHEMA.empty_table()
-    ones = pa.array([1] * batch.num_rows, pa.int64())
-    subj = pa.table({"node_id": batch.column("subj"),
-                     "type": batch.column("subj_type"), "degree": ones})
-    obj = pa.table({"node_id": batch.column("obj"),
-                    "type": batch.column("obj_type"), "degree": ones})
-    t = pa.concat_tables([subj, obj])
-    g = t.group_by(["node_id"]).aggregate([("degree", "sum"),
-                                           ("type", "min")])
-    g = g.rename_columns(["node_id", "degree", "type"])
-    # vectorized FNV bucket (pure function of node_id, so equal nodes
-    # co-locate; the bucket column is dropped from the final output)
-    h = fnv1a_hashes(g.column("node_id"))
-    bucket = pa.array((h % np.uint64(N_BUCKETS)).astype(np.int32),
-                      pa.int32())
-    return pa.table({"node_id": g.column("node_id"),
-                     "type": g.column("type"),
-                     "degree": g.column("degree"),
-                     "bucket": bucket}).cast(NODE_SCHEMA)
+    """:func:`node_degrees` plus the FNV bucket of node_id that the
+    distributed node exchange groups by."""
+    g = node_degrees(batch)
+    bucket = (fnv1a_hashes(g.column("node_id"))
+              % np.uint64(N_BUCKETS)).astype(np.int32)
+    return g.append_column(NODE_SCHEMA.field("bucket"), pa.array(bucket))
 
 
 def final_nodes_group(group: pa.Table) -> pa.Table:
@@ -264,7 +264,6 @@ def extract_surface_nodes(batch: pa.Table) -> pa.Table:
     bucketed by block hash for the canonicalization exchange. Arrow
     ``unique`` collapses repeats before the per-value parse, so the
     Python loop runs over distinct node ids only."""
-    from ..semantics import canon_block_key, parse_surface_node
     uniq = pc.unique(pa.chunked_array([
         batch.column("subj").combine_chunks(),
         batch.column("obj").combine_chunks()]))
@@ -281,16 +280,6 @@ def extract_surface_nodes(batch: pa.Table) -> pa.Table:
         "block": blocks,
         "bucket": pa.array(bucket, pa.int32()),
     })
-
-
-def merge_edges_group(group: pa.Table) -> pa.Table:
-    """One entity block -> pairwise cosine merge edges."""
-    from ..semantics import canon_merge_edges
-    edges = canon_merge_edges(group.column("node").to_pylist())
-    if not edges:
-        return CC_EDGE_SCHEMA.empty_table()
-    return pa.table({"src": pa.array([a for a, _ in edges], pa.string()),
-                     "dst": pa.array([b for _, b in edges], pa.string())})
 
 
 def rewrite_triples(mapping_ref):
@@ -424,20 +413,15 @@ def rewrite_triples_ds(raw_ds, mapping_ds):
 
 
 def merge_edges_multi(batch: pa.Table) -> pa.Table:
-    """Whole hash-partitioned block -> merge edges for every complete
-    entity block it contains (vectorized per block)."""
-    if batch.num_rows == 0:
-        return CC_EDGE_SCHEMA.empty_table()
-    out = [CC_EDGE_SCHEMA.empty_table()]
-    blocks = batch.column("block").to_pylist()
-    nodes = batch.column("node").to_pylist()
+    """(node, block) rows holding whole entity blocks -> every block's
+    merge edges: ``canon_merge_edges`` per block node list in sorted
+    block order, with the src/dst columns built once for all blocks."""
     by_block: dict[str, list[str]] = {}
-    for b, n in zip(blocks, nodes):
+    for b, n in zip(batch.column("block").to_pylist(),
+                    batch.column("node").to_pylist()):
         by_block.setdefault(b, []).append(n)
-    for b in sorted(by_block):
-        t = merge_edges_group(pa.table({
-            "node": pa.array(by_block[b], pa.string()),
-            "block": pa.array([b] * len(by_block[b]), pa.string())}))
-        if t.num_rows:
-            out.append(t)
-    return pa.concat_tables(out)
+    edges = [e for b in sorted(by_block)
+             for e in canon_merge_edges(by_block[b])]
+    return pa.table([pa.array([a for a, _ in edges], pa.string()),
+                     pa.array([b for _, b in edges], pa.string())],
+                    schema=CC_EDGE_SCHEMA)

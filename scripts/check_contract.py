@@ -4,11 +4,16 @@
 $GRAFT_SF_DIR) and value-compare after sorting columns by name and rows
 by all columns — the same normalization the driver hashes under.
 
+Prints one JSON line per entry: name, status (ok / rows / schema /
+values / engine_error / oracle_error / rows_only), the engine's rows,
+wall_s and, on a failure, a detail; exits 1 if any entry fails.
+
 Usage: python scripts/check_contract.py [query ...]   (default: all)
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import time
@@ -32,18 +37,44 @@ def _norm(df):
 
 def _to_pandas(obj):
     import pandas as pd
-    import pyarrow as pa
 
-    if isinstance(obj, pd.DataFrame):
-        return obj
-    if isinstance(obj, pa.Table):
-        return obj.to_pandas()
-    return obj.to_pandas()  # ray Dataset
+    # an Arrow table or a Ray Dataset
+    return obj if isinstance(obj, pd.DataFrame) else obj.to_pandas()
+
+
+def check(name, qs, oracles, con, sf_dir) -> dict:
+    """One entry's result record (see the module docstring)."""
+    import pandas as pd
+
+    rec = {"name": name, "status": "engine_error", "rows": None}
+    t0 = time.time()
+    try:
+        got = _norm(_to_pandas(qs[name](sf_dir)))
+    except Exception as e:  # noqa: BLE001  (a KeyError: no such query)
+        return {**rec, "wall_s": round(time.time() - t0, 2),
+                "detail": f"{type(e).__name__}: {e}"}
+    rec.update(status="oracle_error", rows=len(got),
+               wall_s=round(time.time() - t0, 2))
+    if name not in oracles:
+        return {**rec, "status": "rows_only"}
+    try:
+        want = _norm(con.execute(oracles[name]).fetchdf())
+    except Exception as e:  # noqa: BLE001
+        return {**rec, "detail": f"{type(e).__name__}: {e}"}
+    if len(got) != len(want):
+        return {**rec, "status": "rows", "detail": f"{len(want)} expected"}
+    if list(got.columns) != list(want.columns):
+        return {**rec, "status": "schema", "detail": str(list(want.columns))}
+    try:
+        pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                      check_exact=False, rtol=0, atol=1e-9)
+    except AssertionError as e:
+        return {**rec, "status": "values", "detail": str(e).split("\n")[0]}
+    return {**rec, "status": "ok"}
 
 
 def main() -> int:
     import duckdb
-    import pandas as pd
     import ray
 
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.01")
@@ -71,43 +102,9 @@ def main() -> int:
 
     failures = 0
     for name in names:
-        if name not in qs:
-            print(f"{name}: NO SUCH QUERY")
-            failures += 1
-            continue
-        t0 = time.time()
-        try:
-            got = _norm(_to_pandas(qs[name](sf_dir)))
-        except Exception as e:  # noqa: BLE001
-            print(f"{name}: ENGINE ERROR {type(e).__name__}: {e}")
-            failures += 1
-            continue
-        wall = time.time() - t0
-        if name not in oracles:
-            print(f"{name}: rows={len(got)} ({wall:.1f}s) [rows-only, "
-                  "no oracle]")
-            continue
-        try:
-            want = _norm(con.execute(oracles[name]).fetchdf())
-        except Exception as e:  # noqa: BLE001
-            print(f"{name}: ORACLE ERROR {type(e).__name__}: {e}")
-            failures += 1
-            continue
-        status = "OK"
-        if len(got) != len(want):
-            status = f"ROWS {len(got)} != {len(want)}"
-        elif list(got.columns) != list(want.columns):
-            status = f"SCHEMA {list(got.columns)} != {list(want.columns)}"
-        else:
-            try:
-                pd.testing.assert_frame_equal(
-                    got, want, check_dtype=False, check_exact=False,
-                    rtol=0, atol=1e-9)
-            except AssertionError as e:
-                status = "VALUES DIFFER: " + str(e).split("\n")[0]
-        print(f"{name}: {status} rows={len(got)} ({wall:.1f}s)")
-        if status != "OK":
-            failures += 1
+        rec = check(name, qs, oracles, con, sf_dir)
+        print(json.dumps(rec), flush=True)
+        failures += rec["status"] not in ("ok", "rows_only")
     return 1 if failures else 0
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import glob
 import os
+import re
 import shutil
 
 import pandas as pd
@@ -645,9 +646,75 @@ def test_split_conversation_across_groups_raises(ray_session, split_corpus,
     from casie_ray.pipelines.kg import run_kg_pipeline
 
     with pytest.raises(ValueError, match=r"conv_partitioned=False.*"
-                                         r"n_groups.*group_size"):
+                                         r"n_groups.*group_size") as err:
         run_kg_pipeline(split_corpus, str(tmp_path / "kg"), resume=False,
                         n_groups=2, conv_partitioned=False)
+    # the staging shards are gone by now: the message names the groups'
+    # input shards instead
+    msg = str(err.value)
+    assert "_staging" not in msg
+    assert re.search(r"group \d+ \(input shards \S*part-\d+-[ab]\.parquet",
+                     msg), msg
+
+
+@pytest.mark.parametrize("tier", ["local", "distributed"])
+def test_split_conversation_rerun_staged_after_error_matches_oracle(
+        ray_session, split_corpus, tmp_path, monkeypatch, tier):
+    """After the default layout raises on split conversations, the
+    advised rerun (conv_partitioned=False, default resume=True) into the
+    same out dir re-extracts the split groups, whose manifests the check
+    removed, and matches the oracle."""
+    from casie_ray.oracle import extract_triples
+    from casie_ray.pipelines import kg as kgmod
+
+    if tier == "distributed":
+        monkeypatch.setattr(kgmod, "SMALL_FINALIZE_BYTES", -1)
+    out = str(tmp_path / "kg")
+    with pytest.raises(ValueError, match="conv_partitioned=False"):
+        kgmod.run_kg_pipeline(split_corpus, out)
+    info = kgmod.run_kg_pipeline(split_corpus, out, conv_partitioned=False)
+    assert info["groups_skipped"] == 0
+    pd.testing.assert_frame_equal(_norm(extract_triples(split_corpus)),
+                                  _norm(_triples(out)))
+
+
+@pytest.mark.parametrize("tier", ["local", "distributed"])
+def test_no_turn_passes_mask_writes_empty_tables(ray_session, smoke_corpus,
+                                                 tmp_path, monkeypatch,
+                                                 tier):
+    """A corpus whose every turn fails the pre-pass mask: both finalize
+    tiers write empty edges with exactly TRIPLE_SCHEMA and empty nodes
+    with NODE_SCHEMA minus the bucket."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from casie_ray.pipelines import kg as kgmod
+    from casie_ray.schema import TRIPLE_SCHEMA
+    from casie_ray.stages.triples import NODE_SCHEMA
+
+    text = "ok thanks"
+    assert not _shard_extractor(smoke_corpus).interesting_mask(
+        pa.array([text])).any()
+    corpus = tmp_path / "corpus"
+    os.makedirs(corpus / "transcripts")
+    shutil.copy(os.path.join(smoke_corpus, "entities.parquet"), corpus)
+    for f in kgmod.list_transcript_files(smoke_corpus)[:2]:
+        t = pq.read_table(f)
+        t = t.set_column(t.schema.get_field_index("text"), "text",
+                         pa.array([text] * t.num_rows))
+        pq.write_table(t, corpus / "transcripts" / os.path.basename(f))
+    if tier == "distributed":
+        monkeypatch.setattr(kgmod, "SMALL_FINALIZE_BYTES", -1)
+    out = str(tmp_path / "kg")
+    info = kgmod.run_kg_pipeline(str(corpus), out, resume=False)
+    assert info["edges"] == 0 and info["turns"] > 0
+    node_schema = pa.schema([f for f in NODE_SCHEMA if f.name != "bucket"])
+    for sub, schema in (("edges", TRIPLE_SCHEMA), ("nodes", node_schema)):
+        files = sorted(glob.glob(os.path.join(out, sub, "*.parquet")))
+        assert files, sub
+        for f in files:
+            t = pq.read_table(f)
+            assert t.num_rows == 0 and t.schema.equals(schema), (sub, t)
 
 
 # ---- turn-sparse stage A: planted shards, no Ray ----

@@ -201,6 +201,84 @@ def test_final_dedup_group_matches_dict_reference(rows, skip, cut):
         assert final_dedup_group(inp).to_pylist() == want
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["a", "b", "\u6f22"]), st.sampled_from(["a", "b", "c"]),
+    st.sampled_from(_TYPES), st.sampled_from(_TYPES)), max_size=16),
+    st.integers(0, 16))
+@example(rows=[], cut=0)
+@example(rows=[("a", "a", "X", None)], cut=1)
+def test_node_degrees_matches_dict_reference(rows, cut):
+    """The shared node kernel against a dict reference: degree counts
+    endpoints (a self-loop counts twice) and type is the minimal non-null
+    endpoint type. The input comes whole and as two chunks, and the
+    distributed pair final_nodes_group(emit_nodes_batch(x)) agrees."""
+    import pyarrow as pa
+
+    from casie_ray.stages.triples import (
+        NODE_SCHEMA, emit_nodes_batch, final_nodes_group, node_degrees,
+    )
+
+    cols = list(zip(*rows)) or [[]] * 4
+    t = pa.table({name: pa.array(c, pa.string()) for name, c in zip(
+        ("subj", "obj", "subj_type", "obj_type"), cols)})
+    cut = min(cut, len(rows))
+    chunked = pa.concat_tables([t.slice(0, cut), t.slice(cut)])
+    degree: dict = {}
+    types: dict = {}
+    for subj, obj, st_, ot in rows:
+        for node, typ in ((subj, st_), (obj, ot)):
+            degree[node] = degree.get(node, 0) + 1
+            if typ is not None:
+                types[node] = min(typ, types.get(node, typ))
+    want = [{"node_id": n, "type": types.get(n), "degree": degree[n]}
+            for n in sorted(degree)]
+    schema = pa.schema([f for f in NODE_SCHEMA if f.name != "bucket"])
+    for inp in (t, chunked):
+        got = node_degrees(inp).sort_by("node_id")
+        assert got.schema.equals(schema)
+        assert got.to_pylist() == want
+        assert final_nodes_group(emit_nodes_batch(inp)) \
+            .drop_columns(["bucket"]).equals(got)
+
+
+_SURFACES = ["person:acme corp", "person:acme corp.", "person:acme",
+             "organization:acme corp", "organization:acme corps",
+             "person:bob", "person:bobby"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_SURFACES),
+                          st.sampled_from(["b1", "b0", "b2"])),
+                max_size=14))
+@example(rows=[])
+@example(rows=[("person:bob", "b1"), ("person:acme", "b0")])
+@example(rows=[("person:acme corp", "b1"), ("person:acme corp.", "b1"),
+               ("person:acme corp", "b1"), ("person:bob", "b0")])
+def test_merge_edges_multi_matches_per_block_reference(rows):
+    """merge_edges_multi equals canon_merge_edges concatenated over the
+    blocks in sorted order, for unsorted rows, singleton blocks and
+    duplicate nodes; no edges give an empty CC_EDGE_SCHEMA table."""
+    import pyarrow as pa
+
+    from casie_ray.semantics import canon_merge_edges
+    from casie_ray.stages.triples import (
+        CC_EDGE_SCHEMA, SURFACE_SCHEMA, merge_edges_multi,
+    )
+
+    cols = list(zip(*rows)) or [[]] * 2
+    got = merge_edges_multi(pa.table(
+        {"node": pa.array(cols[0], pa.string()),
+         "block": pa.array(cols[1], pa.string())}, schema=SURFACE_SCHEMA))
+    want = [{"src": a, "dst": b} for blk in sorted(set(cols[1]))
+            for a, b in canon_merge_edges(
+                [n for n, bb in rows if bb == blk])]
+    assert got.schema.equals(CC_EDGE_SCHEMA)
+    assert got.to_pylist() == want
+    if not want:
+        assert got.equals(CC_EDGE_SCHEMA.empty_table())
+
+
 _COREF_TS = [None, dt.datetime(2018, 3, 1), dt.datetime(2019, 7, 4, 12)]
 _COREF_ARG = st.tuples(
     st.sampled_from(["Time", "Organization", "Person", "Money"]),
