@@ -39,9 +39,34 @@ import re
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 
 from .bucketing import bucket_groupby, fnv1a_hashes, hash_bucket
+
+
+def _resolve(path: str) -> tuple[pafs.FileSystem, str]:
+    """(filesystem, path inside it) for a local path or a URI."""
+    return pafs.FileSystem.from_uri(
+        path if "://" in path else os.path.abspath(path))
+
+
+def read_parquet(path: str, columns: list[str] | None = None) -> pa.Table:
+    """One parquet file (a local path or a URI such as ``file://`` or
+    ``s3://``) as a table, read with ``pq.ParquetFile``: it skips
+    ``pq.read_table``'s dataset set-up, most of a small file's read
+    cost. The one reader of the stage-A shards and the stage-B side
+    tables."""
+    fs, p = _resolve(path)
+    with fs.open_input_file(p) as f:
+        return pq.ParquetFile(f).read(columns=columns)
+
+
+def file_size(path: str) -> int:
+    """Byte size of a local path or URI, statted through its filesystem."""
+    fs, p = _resolve(path)
+    return fs.get_file_info(p).size
+
 
 _SUMMARY_SCHEMA = pa.schema([
     ("partition", pa.string()), ("n_rows", pa.int64()),

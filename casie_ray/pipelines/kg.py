@@ -52,6 +52,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..ops.bucketing import bucket_groupby, fnv1a_hashes
+from ..ops.sink import file_size, read_parquet
 from ..stages.detect import (
     ShardFileExtractor, extract_shard_files, load_tagger_state,
 )
@@ -372,9 +373,8 @@ SMALL_CANON_BYTES = 64 * 1024 * 1024
 
 
 def _read_local(files: list[str]) -> "pa.Table":
-    """Small parquet files as one table; ParquetFile.read skips
-    read_table's dataset set-up, most of a small file's read cost."""
-    return pa.concat_tables([pq.ParquetFile(f).read() for f in files])
+    """Small parquet files as one table, read in this process."""
+    return pa.concat_tables([read_parquet(f) for f in files])
 
 
 def _canonical_mapping_local(surf_files: list[str]) -> dict[str, str]:
@@ -505,21 +505,23 @@ def _read_path_chunks(rd, files: list[str], n_blocks: int,
     blocks WITHOUT ParquetDatasource's driver-side per-file metadata
     prefetch: chunk the path list by cumulative byte size on the driver
     (stat only — no parquet footer reads), then each task reads its
-    chunk with ``pq.read_table``. O(1) driver work per file instead of
-    a serial footer fetch; the actual reads happen in parallel tasks.
-    ``per_file(table, path)``, when given, maps each file's table in the
-    reading task (e.g. to append columns that depend on the path).
+    chunk with ``ops.sink.read_parquet``. O(1) driver work per file
+    instead of a serial footer fetch; the actual reads happen in
+    parallel tasks. ``per_file(table, path)``, when given, maps each
+    file's table in the reading task (e.g. to append columns that
+    depend on the path).
 
     DEPLOYMENT REQUIREMENT: paths are opened from inside worker tasks,
     so on a multi-node cluster they MUST live on storage every node
-    sees — a shared filesystem (NFS/Lustre) or an fsspec URI (s3://,
-    gs://); pq.read_table handles either. Node-local paths only work
-    on the single-node test rig. The same holds for the fused
+    sees — a shared filesystem (NFS/Lustre) or a URI that pyarrow's
+    ``FileSystem.from_uri`` resolves (s3://, gs://); the sizing stat and
+    the reads both go through the resolved filesystem. Node-local paths
+    only work on the single-node test rig. The same holds for the fused
     per-group edge writes in ``_finalize`` and the shard sink writes
     in ``ShardFileExtractor`` (stages/detect.py): the whole
     checkpoint/manifest layout assumes one namespace shared by driver
     and workers, exactly as a 100 TB deployment's object store is."""
-    sizes = [os.path.getsize(f) for f in files]
+    sizes = [file_size(f) for f in files]
     target = max(1, sum(sizes) // max(1, n_blocks))
     chunks: list[list[str]] = []
     cur: list[str] = []
@@ -536,8 +538,8 @@ def _read_path_chunks(rd, files: list[str], n_blocks: int,
     def load(batch: "pa.Table") -> "pa.Table":
         paths = [p for chunk in batch.column("paths").to_pylist()
                  for p in chunk]
-        tbls = [pq.read_table(p, columns=columns) for p in paths] or \
-            [pq.read_table(files[0], columns=columns).slice(0, 0)]
+        tbls = [read_parquet(p, columns=columns) for p in paths] or \
+            [read_parquet(files[0], columns=columns).slice(0, 0)]
         if per_file is not None:
             tbls = [per_file(t, p)
                     for t, p in zip(tbls, paths or files[:1])]

@@ -52,6 +52,9 @@ EVENT_FIELDS = [
     ("args", pa.list_(ARG_T)),
 ]
 EVENT_SCHEMA = pa.schema(EVENT_FIELDS)
+# the events files stage A's sink writes: no ``args`` (the argument
+# spans reach the graph through the raw triples)
+SINK_EVENT_SCHEMA = pa.schema(EVENT_FIELDS[:-1])
 
 TRIPLE_SCHEMA = pa.schema([
     ("subj", pa.string()), ("pred", pa.string()), ("obj", pa.string()),
@@ -79,18 +82,21 @@ def detection_to_row(det: TurnDetection) -> dict:
     }
 
 
-def event_to_row(e: Event, ts, modal: bool, generic: bool) -> dict:
-    return {
+def event_to_row(e: Event, ts, modal: bool, generic: bool,
+                 with_args: bool = True) -> dict:
+    row = {
         "conv_id": e.conv_id, "turn_idx": e.turn_idx,
         "event_id": e.event_id, "etype": e.etype,
         "nugget_start": e.nugget_start, "nugget_end": e.nugget_end,
         "nugget_text": e.nugget_text, "realis": e.realis,
         "cluster": e.cluster, "ts": ts, "modal": modal, "generic": generic,
-        "args": [{"start": m.start, "end": m.end, "text": m.text,
-                  "argtype": m.argtype, "entity_id": m.entity_id,
-                  "dataish": m.next_noun_dataish, "role": m.role}
-                 for m in e.args],
     }
+    if with_args:
+        row["args"] = [{"start": m.start, "end": m.end, "text": m.text,
+                        "argtype": m.argtype, "entity_id": m.entity_id,
+                        "dataish": m.next_noun_dataish, "role": m.role}
+                       for m in e.args]
+    return row
 
 
 def row_to_event(row: dict) -> Event:

@@ -1056,37 +1056,66 @@ def canon_merge_edges(nodes: list[str]) -> list[tuple[str, str]]:
     return [(uniq[a], uniq[b]) for a, b in zip(ii.tolist(), jj.tolist())]
 
 
-def emit_triples(events: list[Event]) -> list[dict]:
-    """Events -> (subj, pred, obj) assertions (the engine's equivalent of
-    the brat frame emitters, report.py:260-481)."""
-    out = []
+TRIPLE_COLUMNS = ("subj", "pred", "obj", "subj_type", "obj_type")
 
-    def triple(e, subj, pred, obj, st, ot, weight=1.0):
-        out.append({
-            "subj": subj, "pred": pred, "obj": obj,
-            "subj_type": st, "obj_type": ot, "conv_id": e.conv_id,
-            "turn_idx": e.turn_idx, "ev_start": e.nugget_start,
-            "ev_end": e.nugget_end, "weight": weight,
-        })
+
+def emit_triple_columns(events: list[Event]) \
+        -> tuple[tuple[list, ...], list[int]]:
+    """The triple rules (the engine's equivalent of the brat frame
+    emitters, report.py:260-481): Events -> one list per TRIPLE_COLUMNS
+    column of (subj, pred, obj) assertions, plus each event's triple
+    count, so per-event fields (provenance) are repeated by event
+    index. The one emitter: :func:`emit_triples` (the oracle's dict
+    form) and ``stages.triples.triples_from_events`` build on it."""
+    subj, pred, obj, subj_type, obj_type = cols = ([], [], [], [], [])
+    counts = []
+
+    def add(s, p, o, st, ot):
+        subj.append(s)
+        pred.append(p)
+        obj.append(o)
+        subj_type.append(st)
+        obj_type.append(ot)
 
     for e in events:
-        triple(e, e.event_id, "event-type", e.etype, "Event", "EventType")
-        triple(e, e.event_id, "has-realis", e.realis or "Actual",
-               "Event", "Realis")
-        role_members: dict[str, list[Mention]] = {}
+        n0 = len(subj)
+        add(e.event_id, "event-type", e.etype, "Event", "EventType")
+        add(e.event_id, "has-realis", e.realis or "Actual", "Event",
+            "Realis")
+        role_members: dict[str, list[tuple[Mention, str]]] = {}
         for m in e.args:
-            triple(e, e.event_id, m.role, canonical_obj(m), "Event",
-                   m.argtype)
-            role_members.setdefault(m.role, []).append(m)
-        for pred, (subj_role, obj_role) in lx.DERIVED_PREDS.items():
-            for ms in sorted(role_members.get(subj_role, []),
-                             key=lambda m: m.start):
-                for mo in sorted(role_members.get(obj_role, []),
-                                 key=lambda m: m.start):
-                    triple(e, canonical_obj(ms), pred, canonical_obj(mo),
-                           ms.argtype, mo.argtype)
+            node = canonical_obj(m)
+            add(e.event_id, m.role, node, "Event", m.argtype)
+            role_members.setdefault(m.role, []).append((m, node))
+        for pred_name, (subj_role, obj_role) in lx.DERIVED_PREDS.items():
+            if subj_role not in role_members \
+                    or obj_role not in role_members:
+                continue
+            for ms, s in sorted(role_members[subj_role],
+                                key=lambda mn: mn[0].start):
+                for mo, o in sorted(role_members[obj_role],
+                                    key=lambda mn: mn[0].start):
+                    add(s, pred_name, o, ms.argtype, mo.argtype)
         if e.cluster and e.cluster != e.event_id:
-            triple(e, e.event_id, "same-as", e.cluster, "Event", "Event")
+            add(e.event_id, "same-as", e.cluster, "Event", "Event")
+        counts.append(len(subj) - n0)
+    return cols, counts
+
+
+def emit_triples(events: list[Event]) -> list[dict]:
+    """Events -> one dict per triple: the :func:`emit_triple_columns`
+    columns plus the event's provenance and a unit weight (the
+    oracle's form)."""
+    cols, counts = emit_triple_columns(events)
+    rows = zip(*cols)
+    out = []
+    for e, k in zip(events, counts):
+        per_event = {"conv_id": e.conv_id, "turn_idx": e.turn_idx,
+                     "ev_start": e.nugget_start, "ev_end": e.nugget_end,
+                     "weight": 1.0}
+        for _ in range(k):
+            out.append({**dict(zip(TRIPLE_COLUMNS, next(rows))),
+                        **per_event})
     return out
 
 

@@ -17,7 +17,8 @@ import pyarrow.compute as pc
 
 from .. import lexicons as lx
 from ..schema import (
-    CAND_T, DETECTION_FIELDS, MENTION_T, TRIGGER_T, detection_to_row,
+    CAND_T, DETECTION_FIELDS, EVENT_SCHEMA, MENTION_T, SINK_EVENT_SCHEMA,
+    TRIGGER_T, detection_to_row,
 )
 from ..semantics import (
     TurnDetection, build_catalog_matcher, build_fuzzy_index, detect_turn,
@@ -145,27 +146,29 @@ class DetectTagger:
         """Vectorized pre-pass over a whole text column: False rows are
         PROVEN to produce an empty TurnDetection (no trigger, mention or
         imputation candidate consumer), so detect_turn is skipped for
-        them. One Arrow regex pass + one hashed set-membership pass —
-        no per-row Python."""
+        them. The column is dictionary-encoded once and the test runs
+        over its DISTINCT texts only (system prompts and filler repeat:
+        sf0.01's 48,927 turns hold about 6,200 distinct texts): one Arrow
+        regex pass plus one split + hashed set-membership pass, mapped
+        back to the rows through the indices; a null text is False. No
+        per-row Python."""
         if isinstance(texts, pa.ChunkedArray):
             texts = texts.combine_chunks()
-        n = len(texts)
+        enc = pc.dictionary_encode(texts)
+        uniq = enc.dictionary
+        n = len(uniq)
         if n == 0:
-            return np.zeros(0, dtype=bool)
-        plain = pc.fill_null(pc.match_substring_regex(texts, _PLAIN_RE),
-                             True)
-        nonplain = pc.invert(plain).to_numpy(zero_copy_only=False)
-        pieces = pc.split_pattern_regex(
-            pc.fill_null(pc.utf8_lower(texts), ""), "[^a-z0-9]+")
-        flat = pieces.combine_chunks() if isinstance(pieces, pa.ChunkedArray) \
-            else pieces
-        member = pc.is_in(flat.values, value_set=self.hot_vocab) \
+            return np.zeros(len(texts), dtype=bool)
+        plain = pc.match_substring_regex(uniq, _PLAIN_RE) \
+            .to_numpy(zero_copy_only=False)
+        pieces = pc.split_pattern_regex(pc.utf8_lower(uniq), "[^a-z0-9]+")
+        member = pc.is_in(pieces.values, value_set=self.hot_vocab) \
             .to_numpy(zero_copy_only=False).astype(bool)
-        offs = flat.offsets.to_numpy()
-        counts = np.diff(offs)
-        row_of = np.repeat(np.arange(n), counts)
+        row_of = np.repeat(np.arange(n), np.diff(pieces.offsets.to_numpy()))
         vocab_hit = np.bincount(row_of[member], minlength=n) > 0
-        return nonplain | vocab_hit
+        hit = np.append(~plain | vocab_hit, False)   # index n: null text
+        return hit[pc.fill_null(enc.indices, n)
+                   .to_numpy(zero_copy_only=False)]
 
     def detect_or_skip(self, text: str | None, interesting: bool) \
             -> TurnDetection:
@@ -228,8 +231,12 @@ class ShardExtractor(DetectTagger):
         emits triples from the objects, skipping a rows->objects
         round-trip). A repeated (conv_id, turn_idx) keeps its LAST row,
         as the oracle does; a null key raises ValueError."""
-        from ..schema import EVENT_SCHEMA
+        return self._shard_events(batch, EVENT_SCHEMA)
 
+    def _shard_events(self, batch: pa.Table, schema: pa.Schema) \
+            -> tuple[pa.Table, list]:
+        """:meth:`extract_turns_with_events` with the event table built
+        in ``schema`` (EVENT_SCHEMA or SINK_EVENT_SCHEMA)."""
         for key in self.KEYS:
             if batch.column(key).null_count:
                 raise ValueError(
@@ -265,10 +272,8 @@ class ShardExtractor(DetectTagger):
                                                               detections)
             if evs:
                 convs.append((evs, flags, ts_of))
-        out_rows = doclogic.coref_event_rows(convs)
-        tbl = pa.Table.from_pylist(out_rows, schema=EVENT_SCHEMA) \
-            if out_rows else EVENT_SCHEMA.empty_table()
-        return tbl, [e for evs, _, _ in convs for e in evs]
+        return doclogic.coref_event_table(convs, schema), \
+            [e for evs, _, _ in convs for e in evs]
 
 
 class ShardFileExtractor(ShardExtractor):
@@ -279,16 +284,17 @@ class ShardFileExtractor(ShardExtractor):
     engine's hot path; the fused stage-A task :func:`extract_shard_files`
     keeps one instance per worker process.
 
-    Without ``sink`` a call returns the shards' event rows. With ``sink``
-    the call is FULLY fused: it writes each shard's events AND its
-    partially-deduped raw triples itself (into the per-group temp dirs
-    ``sink`` names) and returns only a one-row stats table per shard —
-    no downstream stage, no object-store traffic (the extraction output
-    never leaves the task). File names derive from the input shard, so
-    a task retry overwrites its own output (idempotent). ``sink`` is a
-    dict: ``{"gids": {shard basename: gid}, "ev_root": dir | None,
-    "raw_root": dir, "surf_root": dir | None, "convs_root": dir | None,
-    "suffix": tmp-dir suffix}``. ``surf_root`` additionally side-writes
+    Without ``sink`` a call returns the shards' event rows
+    (EVENT_SCHEMA). With ``sink`` the call is FULLY fused: it writes
+    each shard's events (SINK_EVENT_SCHEMA: the ``args`` column is never
+    built) AND its partially-deduped raw triples itself (into the
+    per-group temp dirs ``sink`` names) and returns only a one-row stats
+    table per shard — no downstream stage, no object-store traffic (the
+    extraction output never leaves the task). File names derive from the
+    input shard, so a task retry overwrites its own output (idempotent).
+    ``sink`` is a dict: ``{"gids": {shard basename: gid}, "ev_root": dir
+    | None, "raw_root": dir, "surf_root": dir | None, "convs_root": dir
+    | None, "suffix": tmp-dir suffix}``. ``surf_root`` additionally side-writes
     the shard's distinct (surface node, entity block) rows, so
     canonicalization later reads only the tiny surf tables instead of
     re-scanning the whole raw-triples output; ``convs_root`` writes the
@@ -307,17 +313,18 @@ class ShardFileExtractor(ShardExtractor):
                  sink: dict | None = None) -> pa.Table:
         import os
         import pyarrow.parquet as pq
-        from ..schema import EVENT_SCHEMA
+        from ..ops.sink import read_parquet
         from ..stages.triples import (
             extract_surface_nodes, partial_dedup, triples_from_events,
         )
 
         out = [EVENT_SCHEMA.empty_table()]
         stats: list[dict] = []
+        schema = EVENT_SCHEMA if sink is None else SINK_EVENT_SCHEMA
         for path in batch.column("item").to_pylist():
-            tbl = pq.read_table(path, columns=self.COLUMNS)
+            tbl = read_parquet(path, columns=self.COLUMNS)
             try:
-                events, event_objs = self.extract_turns_with_events(tbl)
+                events, event_objs = self._shard_events(tbl, schema)
             except ValueError as e:
                 raise ValueError(f"shard {path}: {e}") from e
             if sink is None:
@@ -332,7 +339,7 @@ class ShardFileExtractor(ShardExtractor):
                 pq.write_table(extract_surface_nodes(trip),
                                os.path.join(sink["surf_root"], gdir, base))
             if sink.get("ev_root"):
-                pq.write_table(events.drop_columns(["args"]),
+                pq.write_table(events,
                                os.path.join(sink["ev_root"], gdir, base))
             if sink.get("convs_root"):
                 convs = pc.unique(tbl.column("conv_id"))

@@ -20,8 +20,8 @@ import pyarrow.compute as pc
 
 from ..ops.bucketing import fnv1a_hashes, string_buffers
 from ..schema import TRIPLE_SCHEMA
-from ..semantics import (canon_block_key, canon_merge_edges, emit_triples,
-                         parse_surface_node)
+from ..semantics import (canon_block_key, canon_merge_edges,
+                         emit_triple_columns, parse_surface_node)
 
 N_BUCKETS = 4096
 
@@ -68,26 +68,28 @@ def _prov(conv_id: pa.Array, turn_idx: pa.Array, start: pa.Array,
 
 
 def triples_from_events(events: list) -> pa.Table:
-    """Event OBJECTS -> raw triple table, built columnar: one pa.array
-    per column, then Arrow kernels for the provenance strings and the
-    FNV buckets — the fused extraction path calls this directly on the
-    Events it already holds, so the hot path never round-trips through
-    event rows and formats no per-row strings in Python."""
-    trips = emit_triples(events)
-    if not trips:
+    """Event OBJECTS -> raw triple table, built columnar: the
+    :func:`semantics.emit_triple_columns` lists become one pa.array per
+    column, the provenance strings are built once per event by Arrow
+    kernels and taken by the repeated event index, and the FNV buckets
+    are one Arrow pass — the fused extraction path calls this directly
+    on the Events it already holds, so the hot path never round-trips
+    through event rows and formats no per-row strings in Python."""
+    cols, counts = emit_triple_columns(events)
+    if not cols[0]:
         return RAW_TRIPLE_SCHEMA.empty_table()
-
-    def col(name, typ=pa.string()):
-        return pa.array([t[name] for t in trips], typ)
-
-    subj, pred, obj = col("subj"), col("pred"), col("obj")
+    subj, pred, obj, subj_type, obj_type = (pa.array(c, pa.string())
+                                            for c in cols)
+    prov = _prov(pa.array([e.conv_id for e in events], pa.string()),
+                 pa.array([e.turn_idx for e in events], pa.int64()),
+                 pa.array([e.nugget_start for e in events], pa.int64()),
+                 pa.array([e.nugget_end for e in events], pa.int64()))
     return pa.table({
         "subj": subj, "pred": pred, "obj": obj,
-        "subj_type": col("subj_type"), "obj_type": col("obj_type"),
-        "prov": _prov(col("conv_id"), col("turn_idx", pa.int64()),
-                      col("ev_start", pa.int64()),
-                      col("ev_end", pa.int64())),
-        "count": pa.array(np.ones(len(trips), np.int64)),
+        "subj_type": subj_type, "obj_type": obj_type,
+        "prov": prov.take(pa.array(np.repeat(np.arange(len(events)),
+                                             counts))),
+        "count": pa.array(np.ones(len(subj), np.int64)),
         "bucket": pa.array(triple_buckets(subj, pred, obj), pa.int32()),
     }).cast(RAW_TRIPLE_SCHEMA)
 

@@ -1,16 +1,16 @@
 #!/usr/bin/env python
 """Hardware/workload scaling floor for the extraction kernel (no Ray).
 
-Runs the EXACT per-shard extraction work (column-pruned parquet read ->
-ShardExtractor.extract_turns_with_events -> triple emission + partial
-dedup -> events / triples / surf parquet writes) under plain
-``multiprocessing`` at two worker counts, with Arrow/OMP thread pools
-pinned to 1 per worker (matching Ray's worker configuration). The
-resulting N->4N ratio is the ceiling ANY engine can reach for this
-workload on this host — the controlled companion to ``bench.py
---scaling`` (same kernels, same input, no distributed framework), used
-in BASELINE.md to separate hardware frequency/bandwidth droop from
-engine-attributable scaling loss.
+Runs the EXACT per-shard extraction work (``ShardFileExtractor``'s fused
+sink: column-pruned parquet read -> detection and doc logic -> triple
+emission + partial dedup -> events / triples / surf / convs parquet
+writes) under plain ``multiprocessing`` at two worker counts, with
+Arrow/OMP thread pools pinned to 1 per worker (matching Ray's worker
+configuration). The resulting N->4N ratio is the ceiling ANY engine can
+reach for this workload on this host — the controlled companion to
+``bench.py --scaling`` (same kernels, same input, no distributed
+framework), used in BASELINE.md to separate hardware frequency/bandwidth
+droop from engine-attributable scaling loss.
 
 Usage: python scripts/floor_bench.py [lo_workers hi_workers] [sf]
        python scripts/floor_bench.py --single N [sf]
@@ -42,35 +42,27 @@ def _worker(files, barrier, out, wid):
 
     import pyarrow.parquet as pq
 
-    from casie_ray.stages.detect import ShardExtractor
-    from casie_ray.stages.triples import (
-        extract_surface_nodes, partial_dedup, triples_from_events,
-    )
+    from casie_ray.stages.detect import ShardFileExtractor
 
     entities = pq.read_table(
         os.path.join(CORPUS, "entities.parquet")).to_pylist()
-    ex = ShardExtractor(entities)
-    outdir = f"/tmp/floor_ev/{wid}"
-    os.makedirs(outdir, exist_ok=True)
+    ex = ShardFileExtractor(entities)
+    roots = {r: f"/tmp/floor_ev/{wid}/{r}"
+             for r in ("raw", "surf", "events", "convs")}
+    for root in roots.values():
+        os.makedirs(os.path.join(root, f".group-{wid:05d}"), exist_ok=True)
+    # the engine's fused sink itself: shard read -> detect -> events,
+    # raw-triple, surf and convs writes (events without the args column)
+    sink = {"gids": {os.path.basename(p): wid for p in files},
+            "raw_root": roots["raw"], "surf_root": roots["surf"],
+            "ev_root": roots["events"], "convs_root": roots["convs"],
+            "suffix": ""}
     barrier.wait()
     t0 = time.time()
     nrows = 0
     for p in files:
-        # full parity with ShardFileExtractor's fused sink: detect ->
-        # events write + triple emission + partial dedup + triple and
-        # surf writes (earlier versions omitted the triple half, which
-        # understated the floor walls)
-        tbl = pq.read_table(p, columns=["conv_id", "turn_idx", "text",
-                                        "ts"])
-        ev, ev_objs = ex.extract_turns_with_events(tbl)
-        trip = partial_dedup(triples_from_events(ev_objs))
-        base = os.path.basename(p)
-        pq.write_table(trip, os.path.join(outdir, "t_" + base))
-        pq.write_table(extract_surface_nodes(trip),
-                       os.path.join(outdir, "s_" + base))
-        pq.write_table(ev.drop_columns(["args"]),
-                       os.path.join(outdir, base))
-        nrows += ev.num_rows
+        stats = ex(pa.table({"item": [p]}), sink)
+        nrows += sum(stats.column("n_events").to_pylist())
     out.put((wid, time.time() - t0, nrows))
 
 

@@ -760,6 +760,58 @@ def _assert_matches_reference(ext, tbl):
     return events
 
 
+def test_sink_events_omit_args_and_plain_call_keeps_them(smoke_corpus,
+                                                        tmp_path):
+    """With a sink, ShardFileExtractor writes each shard's events in
+    EVENT_SCHEMA without ``args`` and with the plain call's rows; the
+    plain call (``extract_group_ds`` without a sink) still returns
+    EVENT_SCHEMA with the argument spans."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from casie_ray.pipelines.kg import list_transcript_files
+    from casie_ray.schema import EVENT_SCHEMA
+
+    ext = _shard_extractor(smoke_corpus)
+    files = list_transcript_files(smoke_corpus)[:2]
+    item = pa.table({"item": files})
+    plain = ext(item)
+    assert plain.schema.equals(EVENT_SCHEMA) and plain.num_rows > 0
+    assert any(plain.column("args").to_pylist())
+    roots = {r: str(tmp_path / r) for r in ("raw", "events")}
+    for root in roots.values():
+        os.makedirs(os.path.join(root, ".group-00000.tmp"))
+    stats = ext(item, {"gids": {os.path.basename(f): 0 for f in files},
+                       "raw_root": roots["raw"], "ev_root": roots["events"],
+                       "suffix": ".tmp"})
+    written = pa.concat_tables([pq.read_table(os.path.join(
+        roots["events"], ".group-00000.tmp", os.path.basename(f)))
+        for f in files])
+    assert written.schema.equals(pa.schema(
+        [f for f in EVENT_SCHEMA if f.name != "args"]))
+    assert written.equals(plain.drop_columns(["args"]))
+    assert sum(stats.column("n_events").to_pylist()) == plain.num_rows
+
+
+def test_read_parquet_resolves_paths_and_uris(tmp_path, monkeypatch):
+    """The one parquet reader of the stage-A shards and the stage-B side
+    tables opens an absolute path, a relative path and a file:// URI
+    alike, column-pruned, and sizes each through its filesystem."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from casie_ray.ops.sink import file_size, read_parquet
+
+    t = pa.table({"a": [1, 2, 3], "b": ["x", None, "z"]})
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(t, path)
+    monkeypatch.chdir(tmp_path)
+    for p in (path, "t.parquet", "file://" + path):
+        assert read_parquet(p).equals(t)
+        assert read_parquet(p, columns=["b"]).equals(t.select(["b"]))
+        assert file_size(p) == os.path.getsize(path)
+
+
 def _plain_turns(tbl, conv_id, texts):
     """Rows for ``conv_id`` with the given texts, typed like ``tbl``."""
     import pyarrow as pa

@@ -6,6 +6,7 @@ regex engine. No Ray session needed — pure kernels only."""
 from __future__ import annotations
 
 import datetime as dt
+import os
 
 import numpy as np
 import pytest
@@ -277,6 +278,167 @@ def test_merge_edges_multi_matches_per_block_reference(rows):
     assert got.to_pylist() == want
     if not want:
         assert got.equals(CC_EDGE_SCHEMA.empty_table())
+
+
+# repeated texts: plain prose, vocabulary hits, non-plain characters,
+# case and newline variants, the empty string
+_MASK_POOL = ["", "the quick brown fox .", "we talked about lunch",
+              "an attack on them", "Attack", "a breach (again)", "patch it",
+              "three million", "CVE-2021-1234", "hello\n", "naïve café",
+              "line one\nline two", "  ", "İstanbul"]
+_MASK_TEXTS = st.lists(st.one_of(st.none(), st.sampled_from(_MASK_POOL),
+                                 st.text(max_size=20)), max_size=30)
+
+
+def _mask_twin(tagger, texts: list) -> list[bool]:
+    """The pre-pass mask row by row, as the column-at-once formulation
+    computed it: a null text is plain and empty; a row passes when it
+    is not plain lowercase prose or one of its lowercased
+    ``[^a-z0-9]+``-split pieces is in the hot vocabulary."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from casie_ray.stages.detect import _PLAIN_RE
+
+    vocab = set(tagger.hot_vocab.to_pylist())
+    out = []
+    for t in texts:
+        one = pa.array([t], pa.string())
+        plain = pc.fill_null(pc.match_substring_regex(one, _PLAIN_RE),
+                             True)[0].as_py()
+        pieces = pc.split_pattern_regex(
+            pc.fill_null(pc.utf8_lower(one), ""), "[^a-z0-9]+")[0].as_py()
+        out.append(not plain or any(p in vocab for p in pieces))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MASK_TEXTS, st.lists(st.integers(0, 30), max_size=3),
+       st.integers(0, 3), st.integers(0, 3))
+@example(texts=[], cuts=[], lo=0, hi=0)
+@example(texts=[None, None], cuts=[], lo=0, hi=0)
+@example(texts=["", None, "the quick brown fox .", "an attack on them",
+                "", "an attack on them", None, "Attack"],
+         cuts=[3], lo=1, hi=1)
+def test_interesting_mask_matches_row_by_row_twin(texts, cuts, lo, hi):
+    """The mask over distinct texts (dictionary-encoded) equals the
+    row-by-row twin on repeated texts, nulls and "", for a plain array,
+    a slice of a padded array and a ChunkedArray cut at ``cuts``."""
+    import pyarrow as pa
+
+    from casie_ray.stages.detect import DetectTagger, build_hot_vocab
+
+    tagger = DetectTagger({"catalog": {}, "fuzzy": None, "hot_vocab":
+                           sorted(build_hot_vocab({"acme": None}))})
+    want = _mask_twin(tagger, texts)
+    arr = pa.array(texts, pa.string())
+    padded = pa.array(["an attack"] * lo + texts + ["fox"] * hi,
+                      pa.string()).slice(lo, len(texts))
+    bounds = sorted({0, len(texts), *(c for c in cuts if c < len(texts))})
+    chunked = pa.chunked_array(
+        [arr.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+        or [arr], pa.string())
+    for col in (arr, padded, chunked):
+        got = tagger.interesting_mask(col)
+        assert got.dtype == bool and got.tolist() == want
+
+
+_ROLES = ["Attacker", "Victim", "Patch", "Vulnerability", "Discoverer",
+          "Time"]
+_EMIT_ARG = st.tuples(
+    st.sampled_from(_ROLES),
+    st.sampled_from(["Organization", "Person", "CVE", "Number", "Money",
+                     "Software"]),
+    st.sampled_from(["Acme Corp", "cve-2020-0001", "three million",
+                     "1,200", "Bob", "$5"]),
+    st.sampled_from([None, "E1"]), st.integers(0, 5))
+_EMIT_EVENT = st.tuples(
+    st.sampled_from([None, "Actual", "Other"]),
+    st.sampled_from([None, "self", "c0:e00", "c9:e99"]),
+    st.integers(0, 7), st.lists(_EMIT_ARG, max_size=5))
+
+
+def _emit_events(spec):
+    """Fresh Event objects for a drawn emission spec: (realis, cluster,
+    turn, [(role, argtype, text, entity_id, start)]); cluster "self" is
+    the event's own id."""
+    from casie_ray.semantics import Event, Mention
+
+    events = []
+    for k, (realis, cluster, ti, args) in enumerate(spec):
+        e = Event(f"c{k % 2}:e{k:02d}", f"c{k % 2}", ti, "Databreach",
+                  k, k + 2, "hack", realis=realis,
+                  args=[Mention(st_, st_ + 3, text, at, eid, role=role)
+                        for role, at, text, eid, st_ in args])
+        e.cluster = e.event_id if cluster == "self" else cluster
+        events.append(e)
+    return events
+
+
+def _dict_emitter_table(events):
+    """The raw triple table rebuilt from the oracle's dict form of the
+    emitter: per-row provenance f-strings, unit counts, shared buckets."""
+    import pyarrow as pa
+
+    from casie_ray.semantics import emit_triples
+    from casie_ray.stages.triples import RAW_TRIPLE_SCHEMA, triple_buckets
+
+    rows = emit_triples(events)
+    assert all(r["weight"] == 1.0 for r in rows)
+    if not rows:
+        return RAW_TRIPLE_SCHEMA.empty_table()
+    cols = {c: pa.array([r[c] for r in rows], pa.string())
+            for c in ("subj", "pred", "obj", "subj_type", "obj_type")}
+    return pa.table({
+        **cols,
+        "prov": [f"{r['conv_id']}\x00{r['turn_idx']:08d}"
+                 f"\x00{r['ev_start']:08d}\x00{r['ev_end']:08d}"
+                 for r in rows],
+        "count": pa.array([1] * len(rows), pa.int64()),
+        "bucket": triple_buckets(cols["subj"], cols["pred"], cols["obj"]),
+    }).cast(RAW_TRIPLE_SCHEMA)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_EMIT_EVENT, max_size=6))
+@example(spec=[])
+# an argument-less event; a same-as cluster; derived predicates over
+# several Attacker x Victim mentions listed out of start order
+@example(spec=[(None, None, 0, []), ("Other", "c0:e00", 1, []),
+               ("Actual", "self", 2,
+                [("Victim", "Organization", "Bob", None, 4),
+                 ("Attacker", "Person", "Acme Corp", "E1", 3),
+                 ("Attacker", "Person", "$5", None, 1),
+                 ("Victim", "Number", "three million", None, 0),
+                 ("Patch", "Software", "Bob", None, 2),
+                 ("Vulnerability", "CVE", "cve-2020-0001", None, 5)])])
+def test_triples_from_events_matches_dict_emitter(spec):
+    """The columnar emitter equals the table built from the oracle's
+    dict form of the same rules."""
+    from casie_ray.stages.triples import triples_from_events
+
+    events = _emit_events(spec)
+    assert triples_from_events(events).equals(_dict_emitter_table(events))
+
+
+def test_triples_from_events_matches_dict_emitter_on_smoke_corpus(
+        smoke_corpus):
+    """The same equality over every event of the smoke corpus."""
+    import pyarrow.parquet as pq
+
+    from casie_ray.pipelines.kg import list_transcript_files
+    from casie_ray.stages.detect import ShardExtractor, load_tagger_state
+    from casie_ray.stages.triples import triples_from_events
+
+    ext = ShardExtractor(load_tagger_state(
+        os.path.join(smoke_corpus, "entities.parquet")))
+    events = [e for f in list_transcript_files(smoke_corpus)
+              for e in ext.extract_turns_with_events(pq.read_table(
+                  f, columns=["conv_id", "turn_idx", "text", "ts"]))[1]]
+    assert any(e.cluster and e.cluster != e.event_id for e in events)
+    got = triples_from_events(events)
+    assert got.num_rows > 2 * len(events)
+    assert got.equals(_dict_emitter_table(events))
 
 
 _COREF_TS = [None, dt.datetime(2018, 3, 1), dt.datetime(2019, 7, 4, 12)]
