@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 N_OPS_BUCKETS = 256
 
@@ -211,6 +212,142 @@ def fnv1a_hashes(words) -> np.ndarray:
         pos[:k] += 1
     out[order] = h
     return out
+
+
+# ---- keyed joins over string keys (the graph ops' exchange seam) ----
+
+N_GRAPH_BUCKETS = 64
+
+
+def _str_hashes(col) -> np.ndarray:
+    """FNV-1a of a string column's values, a null hashing as ''."""
+    return fnv1a_hashes(pc.fill_null(col.cast(pa.string()), ""))
+
+
+def _str_bucket(col, n_buckets: int = N_GRAPH_BUCKETS) -> pa.Array:
+    """Vectorized FNV-1a hash bucket (int32) for a string column."""
+    return pa.array((_str_hashes(col) % np.uint64(n_buckets))
+                    .astype(np.int32))
+
+
+def key_bucket(t: pa.Table, on) -> pa.Array:
+    """Bucket of each row's key: the FNV-1a bucket of one column, or the
+    splitmix mix of several columns' FNV-1a hashes, in ``on`` order.
+    Every key column is hashed as a string, a null as ''."""
+    on = [on] if isinstance(on, str) else list(on)
+    if len(on) == 1:
+        return _str_bucket(t.column(on[0]))
+    return pa.array(hash_bucket([_str_hashes(t.column(c)) for c in on],
+                                N_GRAPH_BUCKETS))
+
+
+def with_bucket(t: pa.Table, on) -> pa.Table:
+    """``t`` plus the ``bucket`` column of its ``on`` key."""
+    return t.append_column("bucket", key_bucket(t, on))
+
+
+def _side_fields(ds, schema) -> tuple:
+    """(Dataset, fields) of one join side. The fields come from
+    ``schema`` if given, else from the Dataset, which is materialized
+    first when its schema is not known yet (padding needs both sides'
+    types before the exchange starts). None: the side has no rows and
+    no schema."""
+    if schema is None:
+        s = ds.schema(fetch_if_missing=False)
+        if s is None:
+            ds = ds.materialize()
+            s = ds.schema(fetch_if_missing=False)
+        if s is None:
+            return ds, None
+        schema = pa.schema(list(zip(s.names, s.types)))
+    return ds, [f for f in schema if f.name not in ("bucket", "_side")]
+
+
+def bucket_join(left, right, fn, *, on, right_on=None,
+                left_schema=None, right_schema=None):
+    """Co-locate two keyed Datasets in ONE :func:`bucket_groupby`
+    exchange and call ``fn(left_rows, right_rows)`` once per bucket
+    group. Each argument is a table of that side's own columns (a
+    ``bucket`` column of an input is dropped) holding the side's rows
+    whose key fell in the group's bucket; either may have no rows.
+
+    ``left`` is keyed by the column(s) ``on``, ``right`` by
+    ``right_on`` (default ``on``): rows with equal keys always meet in
+    one group. A null key hashes like '' and reaches ``fn``, so an
+    Arrow join inside ``fn`` never matches it. Both sides are padded
+    here to one union schema (a shared column name must have one type)
+    plus an int8 ``_side`` tag, so every exchanged block has the same
+    schema and a null value never decides a row's side.
+
+    ``left_schema`` / ``right_schema`` give a side's schema explicitly.
+    Pass one for a lazy input (else it is materialized here to learn
+    its schema) and for an input that may have no rows: Ray keeps no
+    schema for an exchange or a map over no rows, and ``fn`` then could
+    not be given that side. Without one, a side with no rows and no
+    schema raises ValueError as soon as the other side's rows reach
+    ``fn``."""
+    left, lf = _side_fields(left, left_schema)
+    right, rf = _side_fields(right, right_schema)
+    right_on = on if right_on is None else right_on
+    by_name = {f.name: f for f in (lf or [])}
+    for f in rf or []:
+        if by_name.setdefault(f.name, f).type != f.type:
+            raise TypeError(f"bucket_join: column {f.name!r} is "
+                            f"{by_name[f.name].type} on the left and "
+                            f"{f.type} on the right")
+    fields = list(by_name.values())
+    schema = pa.schema(fields + [("_side", pa.int8()),
+                                 ("bucket", pa.int32())])
+
+    def pad(side: int, key):
+        def padded(t: pa.Table) -> pa.Table:
+            n = t.num_rows
+            cols = [t.column(f.name).cast(f.type)
+                    if f.name in t.column_names else pa.nulls(n, f.type)
+                    for f in fields]
+            return pa.Table.from_arrays(
+                cols + [pa.array(np.full(n, side, np.int8)),
+                        key_bucket(t, key)], schema=schema)
+        return padded
+
+    lnames, rnames = ([f.name for f in fs] if fs is not None else None
+                      for fs in (lf, rf))
+
+    def kernel(group: pa.Table) -> pa.Table:
+        for names, which in ((lnames, "left"), (rnames, "right")):
+            if names is None:
+                raise ValueError(
+                    f"bucket_join: the {which} input has no rows and no "
+                    f"schema; pass {which}_schema")
+        is_r = pc.equal(group.column("_side"), pa.scalar(1, pa.int8()))
+        return fn(group.filter(pc.invert(is_r)).select(lnames),
+                  group.filter(is_r).select(rnames))
+
+    parts = [ds.map_batches(pad(side, key), batch_format="pyarrow")
+             for side, ds, f, key in ((0, left, lf, on),
+                                      (1, right, rf, right_on))
+             if f is not None]
+    mixed = parts[0].union(parts[1]) if len(parts) == 2 \
+        else (parts or [left])[0]
+    return bucket_groupby(mixed, kernel)
+
+
+def superstep(state, edges, message, combine, *, edge_on: str = "src"):
+    """One round of a vertex program: :func:`bucket_join` the node
+    ``state`` (keyed by its ``node`` column) with ``edges`` (keyed by
+    ``edge_on``), where ``message(state_rows, edge_rows)`` emits
+    messages addressed by their ``node`` column; then exchange the
+    messages by ``node`` and reduce each bucket group with
+    ``combine(messages)`` into the next state. Two exchanges; the new
+    state is returned materialized."""
+    def send(s: pa.Table, e: pa.Table) -> pa.Table:
+        return with_bucket(message(s, e), "node")
+
+    def reduce_(group: pa.Table) -> pa.Table:
+        return combine(group.drop_columns(["bucket"]))
+
+    msgs = bucket_join(state, edges, send, on="node", right_on=edge_on)
+    return bucket_groupby(msgs, reduce_).materialize()
 
 
 def register_reduce(ds, merge_fn, *, batch_format="pyarrow"):

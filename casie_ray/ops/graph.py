@@ -31,22 +31,13 @@ unique fixpoint (label constant = component min).
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .bucketing import bucket_groupby
+from .bucketing import N_GRAPH_BUCKETS as N_BUCKETS
+from .bucketing import _str_bucket, bucket_groupby
 
 LABEL_SCHEMA = pa.schema([("node", pa.string()), ("label", pa.string())])
-N_BUCKETS = 64
-
-
-def _bucket_of(arr, n: int) -> pa.Array:
-    from .bucketing import fnv1a_hashes
-    if isinstance(arr, (pa.ChunkedArray, pa.Array)):
-        arr = arr.to_pylist()
-    h = fnv1a_hashes(arr)
-    return pa.array((h % np.uint64(n)).astype(np.int32), pa.int32())
 
 
 def _fused_round_bucket(n_buckets: int):
@@ -105,7 +96,7 @@ def _fused_round_bucket(n_buckets: int):
         return pa.table({
             "node": out_node, "dst": out_dst, "label": out_label,
             "is_old": out_old, "changed": out_changed,
-            "bucket": _bucket_of(out_node, n_buckets),
+            "bucket": _str_bucket(out_node, n_buckets),
         })
     return kernel
 
@@ -116,6 +107,8 @@ def connected_components(edges_ds, max_rounds: int = 64,
     the minimum node id of the component. Requires an active Ray
     session. Undirectedness is handled by symmetrizing the edges."""
     def sym(batch: pa.Table) -> pa.Table:
+        if batch.column("src").null_count or batch.column("dst").null_count:
+            raise ValueError("connected_components: null src or dst")
         fwd = pa.table({"src": batch.column("src").cast(pa.string()),
                         "dst": batch.column("dst").cast(pa.string())})
         rev = pa.table({"src": batch.column("dst").cast(pa.string()),
@@ -129,7 +122,7 @@ def connected_components(edges_ds, max_rounds: int = 64,
             "label": pa.nulls(t.num_rows, pa.string()),
             "is_old": pa.nulls(t.num_rows, pa.string()),
             "changed": pa.nulls(t.num_rows, pa.int64()),
-            "bucket": _bucket_of(t.column("src"), n_buckets),
+            "bucket": _str_bucket(t.column("src"), n_buckets),
         })
 
     edges = edges_ds.map_batches(sym, batch_format="pyarrow").materialize()
@@ -145,7 +138,7 @@ def connected_components(edges_ds, max_rounds: int = 64,
             # per-batch duplicates
             "label": u, "is_old": pa.nulls(len(u), pa.string()),
             "changed": pa.nulls(len(u), pa.int64()),
-            "bucket": _bucket_of(u, n_buckets),
+            "bucket": _str_bucket(u, n_buckets),
         })
 
     msgs = edges.map_batches(init_msgs, batch_format="pyarrow")

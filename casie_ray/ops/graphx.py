@@ -2,27 +2,38 @@
 
 The KG pipeline ends at node/edge parquet (stages/triples.py); a real
 knowledge-graph deployment then ASKS things of that graph. This module
-is the analytics surface: degree distribution, co-mention pairs
-(subjects sharing objects — the classic entity-affinity signal), and
-PageRank — each expressed in the engine's standard bucketed-exchange
-shape (ops/bucketing.py): derive a bounded ``bucket`` column from the
-key hash, exchange once, process each bucket group with vectorized
-Arrow/numpy kernels over all its keys at once. No per-node Python
-calls, no driver-side graph materialization; per-round state is the
-node-sized rank table, exactly like ops/graph.py's union-find labels.
+is that query surface: degree and co-mention statistics, (personalized)
+PageRank, HITS, hop and weighted distances, label-propagation
+communities, triangles / clustering / k-truss / k-core, neighbor
+Jaccard, predicate bigrams, event transitions, assortativity registers
+and random walks. Each op has a sequential or DuckDB twin that it
+matches exactly.
 
-PageRank is computed in FIXED-POINT integer arithmetic (rank scaled by
-1e6, damping 85/100 as integer multiply-divide): integer sums are
-associative, so distributed reduction order can never change the
-result, and the whole iteration unrolls into plain (non-recursive)
-DuckDB SQL for exact value checking. Dangling-node mass is dropped
-(the standard simplification) identically in both dataflows.
+Every op is a chain of bucketed exchanges (ops/bucketing.py): derive a
+bounded ``bucket`` column from the key hash, exchange once, process
+each bucket group with vectorized Arrow/numpy kernels over all its keys
+at once. No per-node Python calls, no driver-side graph. Two shapes
+cover the joins:
 
-At 100 TB: degree/co-mention are one exchange each (plus the tiny
-final); PageRank is two exchanges per iteration over edge mass with
-node-sized materialized state between rounds. The ``obj_cap`` guard in
-co-mention bounds the pair explosion of boilerplate objects the same
-way the Jaccard df_cap does (ops/dedup.py).
+- ``bucket_join(left, right, fn)``: both keyed sides in ONE exchange,
+  ``fn(left_rows, right_rows)`` per bucket group (an Arrow join on the
+  real keys) — edge/degree attachment, wedge closing, the clustering
+  and Jaccard degree joins, a random-walk hop.
+- ``superstep(state, edges, message, combine)``: a ``bucket_join`` of
+  the node-sized state with the edges, then a reduce keyed by each
+  message's destination — one round of PageRank/PPR, HITS, SSSP/BFS
+  and label propagation, with the materialized state between rounds.
+
+Iterative ops use integer arithmetic (PageRank ranks scaled by 1e6,
+damping 85/100; HITS renormalized by floor division), so a distributed
+sum can never change with reduction order and each iteration unrolls
+into plain DuckDB SQL for exact checking. ``obj_cap`` / ``hub_cap``
+bound the pair explosion of hub nodes identically in the engine and the
+twins; degree orientation bounds triangle wedges at O(m^1.5).
+
+Connected components (ops/graph.py) and k-core keep their own round
+kernel: their one exchange per round carries edge rows in the state
+stream, which is not a state/edge join.
 """
 
 from __future__ import annotations
@@ -31,9 +42,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .bucketing import bucket_groupby, fnv1a_hashes
-
-N_GRAPH_BUCKETS = 64
+from .bucketing import (N_GRAPH_BUCKETS, _str_bucket, bucket_groupby,
+                        bucket_join, fnv1a_hashes, superstep, with_bucket)
 
 # PageRank fixed-point: ranks scaled by SCALE; damping d = DAMP_NUM/DAMP_DEN
 PR_SCALE = 1_000_000
@@ -41,24 +51,66 @@ DAMP_NUM, DAMP_DEN = 85, 100
 PR_BASE = PR_SCALE * (DAMP_DEN - DAMP_NUM) // DAMP_DEN  # 150000
 
 
-def _str_hashes(col) -> np.ndarray:
-    """FNV-1a of a string column's values, a null hashing as ''."""
-    return fnv1a_hashes(pc.fill_null(col.cast(pa.string()), ""))
+def _check_params(op: str, least: int = 0, **params) -> None:
+    """ValueError unless every integer parameter is >= ``least``; the
+    engine ops and their SQL twins share it."""
+    bad = {k: v for k, v in params.items() if v < least}
+    if bad:
+        raise ValueError(f"{op} needs {', '.join(params)} >= {least}, "
+                         f"got {bad}")
 
 
-def _str_bucket(col, n_buckets: int = N_GRAPH_BUCKETS) -> pa.Array:
-    """Vectorized FNV-1a hash bucket for a string column."""
-    return pa.array((_str_hashes(col) % np.uint64(n_buckets))
-                    .astype(np.int32))
+def _edge_pairs(t: pa.Table, weight: bool) -> pa.Table:
+    """Distinct (src, dst[, min wt]) rows of ``t`` plus a src bucket."""
+    g = t.group_by(["src", "dst"]).aggregate(
+        [("wt", "min")] if weight else [])
+    return with_bucket(g.rename_columns(
+        ["src", "dst"] + (["wt"] if weight else [])), "src")
+
+
+def _edge_partial(symmetric: bool = False, weight=None):
+    """Per-block combiner over (subj, obj) edge rows: the block's
+    distinct (src, dst) pairs bucketed by src. ``symmetric`` adds every
+    reversed pair; ``weight(batch)`` -> int64 per-row weights adds a
+    ``wt`` column holding the pair's minimum weight."""
+    def part(batch: pa.Table) -> pa.Table:
+        s = batch.column("subj").cast(pa.string()).combine_chunks()
+        o = batch.column("obj").cast(pa.string()).combine_chunks()
+        cols = {"src": pa.concat_arrays([s, o]) if symmetric else s,
+                "dst": pa.concat_arrays([o, s]) if symmetric else o}
+        if weight:
+            w = weight(batch)
+            cols["wt"] = pa.concat_arrays([w, w]) if symmetric else w
+        return _edge_pairs(pa.table(cols), bool(weight))
+    return part
+
+
+def _distinct_edges(edges_ds, *, symmetric: bool = False, weight=None):
+    """The globally distinct pairs of :func:`_edge_partial`: one
+    src-keyed exchange, materialized (src, dst[, wt], bucket). Distinct
+    is bucket-agnostic, so any bucketing gives the same rows."""
+    def dedup(group: pa.Table) -> pa.Table:
+        return _edge_pairs(group.drop_columns(["bucket"]), bool(weight))
+
+    return bucket_groupby(edges_ds.map_batches(
+        _edge_partial(symmetric, weight), batch_format="pyarrow",
+        batch_size=None), dedup).materialize()
+
+
+_NODE_SCHEMA = pa.schema([("node", pa.string())])
+
+
+def _endpoints(batch: pa.Table) -> pa.Table:
+    """Per-block combiner over (src, dst) edges: the block's distinct
+    endpoints as (node, bucket)."""
+    return with_bucket(pa.table({"node": pc.unique(pa.concat_arrays([
+        batch.column("src").combine_chunks(),
+        batch.column("dst").combine_chunks()]))}), "node")
 
 
 # ---------------------------------------------------------------------------
 # Degree histogram
 # ---------------------------------------------------------------------------
-
-_DEG_PART_SCHEMA = pa.schema([
-    ("node", pa.string()), ("deg", pa.int64()), ("bucket", pa.int32()),
-])
 
 
 def _degree_partial(batch: pa.Table) -> pa.Table:
@@ -112,10 +164,6 @@ def degree_hist(edges_ds):
 # Co-mention pairs (subjects sharing objects)
 # ---------------------------------------------------------------------------
 
-_SO_SCHEMA = pa.schema([
-    ("subj", pa.string()), ("obj", pa.string()), ("bucket", pa.int32()),
-])
-
 _CO_PART_SCHEMA = pa.schema([
     ("subj_a", pa.string()), ("subj_b", pa.string()),
     ("n", pa.int64()), ("bucket", pa.int32()),
@@ -137,25 +185,20 @@ def _co_pairs_bucket(obj_cap: int):
         # distinct across blocks, drop boilerplate objects, expand pairs
         g = group.group_by(["subj", "obj"]).aggregate([])
         g = g.sort_by([("obj", "ascending"), ("subj", "ascending")])
-        obj = np.asarray(g.column("obj").to_pylist(), dtype=object)
-        subj = np.asarray(g.column("subj").to_pylist(), dtype=object)
-        # object run sizes (rows are distinct (subj,obj): size = #subjects)
-        if len(obj) == 0:
-            return _CO_PART_SCHEMA.empty_table()
-        change = np.concatenate([[True], obj[1:] != obj[:-1]])
-        seg_id = np.cumsum(change) - 1
-        sizes = np.bincount(seg_id)
-        keep = sizes[seg_id] <= obj_cap
-        obj, subj = obj[keep], subj[keep]
+        # sorted, so equal objects are one run of equal dictionary codes;
+        # run size = #subjects (rows are distinct (subj, obj))
+        obj = g.column("obj").combine_chunks().dictionary_encode() \
+            .indices.to_numpy(zero_copy_only=False)
+        keep = np.bincount(obj)[obj] <= obj_cap
         from .bucketing import segment_pair_indices
-        ia, ib = segment_pair_indices([obj])
+        ia, ib = segment_pair_indices([obj[keep]])
         if len(ia) == 0:
             return _CO_PART_SCHEMA.empty_table()
-        a, b = subj[ia], subj[ib]       # sorted by subj within obj: a < b
-        h = (fnv1a_hashes(list(a)) ^ fnv1a_hashes(list(b)))
+        subj = g.column("subj").combine_chunks().filter(pa.array(keep))
+        a, b = subj.take(ia), subj.take(ib)  # subj-sorted in obj: a < b
+        h = fnv1a_hashes(a) ^ fnv1a_hashes(b)
         return pa.table({
-            "subj_a": pa.array(list(a), pa.string()),
-            "subj_b": pa.array(list(b), pa.string()),
+            "subj_a": a, "subj_b": b,
             "n": pa.array(np.ones(len(a), np.int64)),
             "bucket": pa.array(
                 (h % np.uint64(N_GRAPH_BUCKETS)).astype(np.int32)),
@@ -188,188 +231,29 @@ def co_mention_pairs(edges_ds, obj_cap: int = 32, min_shared: int = 2):
 
 
 # ---------------------------------------------------------------------------
-# PageRank (fixed-point integer, exact)
-# ---------------------------------------------------------------------------
-
-
-def _pr_edges_partial(batch: pa.Table) -> pa.Table:
-    t = pa.table({"src": batch.column("subj").cast(pa.string()),
-                  "dst": batch.column("obj").cast(pa.string())})
-    g = t.group_by(["src", "dst"]).aggregate([])
-    return pa.table({
-        "src": g.column("src"), "dst": g.column("dst"),
-        "bucket": _str_bucket(g.column("src")),
-    })
-
-
-def _pr_edges_bucket(group: pa.Table) -> pa.Table:
-    g = group.group_by(["src", "dst"]).aggregate([])
-    return pa.table({
-        "src": g.column("src"), "dst": g.column("dst"),
-        "bucket": _str_bucket(g.column("src")),
-    })
-
-
-def _pr_nodes_partial(batch: pa.Table) -> pa.Table:
-    u = pc.unique(pa.concat_arrays([
-        batch.column("src").combine_chunks(),
-        batch.column("dst").combine_chunks()]))
-    return pa.table({"node": u, "bucket": _str_bucket(u)})
-
-
-def _pr_outdeg_bucket(group: pa.Table) -> pa.Table:
-    """One src bucket of distinct edges: (node=src, outdeg)."""
-    g = group.group_by(["src"]).aggregate([([], "count_all")])
-    g = g.rename_columns(["node", "outdeg"])
-    return pa.table({
-        "node": g.column("node"),
-        "outdeg": g.column("outdeg").cast(pa.int64()),
-        "bucket": _str_bucket(g.column("node")),
-    })
-
-
-def _pr_init_bucket(group: pa.Table) -> pa.Table:
-    """One node bucket of node rows (outdeg null) + outdeg rows:
-    (node, rank=SCALE, outdeg)."""
-    g = group.group_by(["node"]).aggregate([("outdeg", "max")])
-    g = g.rename_columns(["node", "outdeg"])
-    n = g.num_rows
-    return pa.table({
-        "node": g.column("node"),
-        "rank": pa.array(np.full(n, PR_SCALE, np.int64)),
-        "outdeg": pc.fill_null(g.column("outdeg"), 0),
-        "bucket": _str_bucket(g.column("node")),
-    })
-
-
-def _pr_contrib_bucket(group: pa.Table) -> pa.Table:
-    """One hash bucket keyed by src: rank rows (dst null) + edge rows.
-    Vectorized join; each rank row also emits its (node, 0, outdeg)
-    seed so every node survives the reduce with its outdeg intact."""
-    is_rank = pc.is_valid(group.column("rank"))
-    ranks = group.filter(is_rank)
-    edges = group.filter(pc.invert(is_rank)).select(["src", "dst"])
-    rt = pa.table({"src": ranks.column("src"),
-                   "rank": ranks.column("rank"),
-                   "outdeg": ranks.column("outdeg")})
-    fwd = edges.join(rt, keys="src", join_type="inner")
-    r = fwd.column("rank").to_numpy()
-    od = fwd.column("outdeg").to_numpy()
-    od = np.where(od > 0, od, 1)          # src of an edge always has outdeg>0
-    contrib = (r * DAMP_NUM // DAMP_DEN) // od
-    return pa.table({
-        "node": pa.concat_arrays([
-            fwd.column("dst").combine_chunks(),
-            rt.column("src").combine_chunks()]),
-        "contrib": pa.array(np.concatenate(
-            [contrib, np.zeros(rt.num_rows, np.int64)]), pa.int64()),
-        "outdeg": pa.concat_arrays([
-            pa.nulls(fwd.num_rows, pa.int64()),
-            rt.column("outdeg").combine_chunks()]),
-    })
-
-
-def _pr_reduce_bucket(group: pa.Table) -> pa.Table:
-    g = group.group_by(["node"]).aggregate([("contrib", "sum"),
-                                            ("outdeg", "max")])
-    g = g.rename_columns(["node", "c", "outdeg"])
-    return pa.table({
-        "node": g.column("node"),
-        "rank": pc.add(pa.scalar(PR_BASE, pa.int64()),
-                       g.column("c").cast(pa.int64())),
-        "outdeg": g.column("outdeg"),
-        "bucket": _str_bucket(g.column("node")),
-    })
-
-
-def pagerank(edges_ds, iters: int = 3):
-    """Fixed-point integer PageRank over distinct (subj -> obj) edges:
-    (node, pr) with pr = rank * 1e6 after ``iters`` iterations,
-    damping 0.85, dangling mass dropped.
-
-    rank'(n) = 150000 + sum over in-edges (m,n) of
-               (rank(m) * 85 // 100) // outdeg(m)
-
-    All-integer, so the distributed sum is order-independent and the
-    unrolled DuckDB oracle matches bit-for-bit. Two bucketed exchanges
-    per iteration; inter-round state is the node-sized rank table.
-    """
-    ep = edges_ds.map_batches(_pr_edges_partial, batch_format="pyarrow",
-                              batch_size=None)
-    edges = bucket_groupby(ep, _pr_edges_bucket).materialize()
-
-    outdeg = bucket_groupby(edges, _pr_outdeg_bucket)
-    node_rows = edges.map_batches(_pr_nodes_partial,
-                                  batch_format="pyarrow", batch_size=None)
-
-    def as_node_row(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch.column("node"),
-                         "outdeg": pa.nulls(batch.num_rows, pa.int64()),
-                         "bucket": batch.column("bucket")})
-
-    seed = node_rows.map_batches(as_node_row, batch_format="pyarrow") \
-        .union(outdeg)
-    ranks = bucket_groupby(seed, _pr_init_bucket).materialize()
-
-    def as_rank_row(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "src": batch.column("node"),
-            "dst": pa.nulls(batch.num_rows, pa.string()),
-            "rank": batch.column("rank"),
-            "outdeg": batch.column("outdeg"),
-            "bucket": batch.column("bucket"),
-        })
-
-    def as_edge_row(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "src": batch.column("src"),
-            "dst": batch.column("dst"),
-            "rank": pa.nulls(n, pa.int64()),
-            "outdeg": pa.nulls(n, pa.int64()),
-            "bucket": batch.column("bucket"),
-        })
-
-    def rebucket_node(fn):
-        def wrapped(g: pa.Table) -> pa.Table:
-            t = fn(g)
-            if "bucket" in t.column_names:
-                return t
-            return t.append_column("bucket", _str_bucket(t.column("node")))
-        return wrapped
-
-    for _ in range(iters):
-        mixed = ranks.map_batches(as_rank_row, batch_format="pyarrow") \
-            .union(edges.map_batches(as_edge_row, batch_format="pyarrow"))
-        contribs = bucket_groupby(mixed, rebucket_node(_pr_contrib_bucket))
-        ranks = bucket_groupby(contribs, _pr_reduce_bucket).materialize()
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch.column("node"),
-                         "pr": batch.column("rank")})
-
-    return ranks.map_batches(finish, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# Personalized PageRank (seed-restart variant of the pagerank fixed point)
+# PageRank and personalized PageRank (fixed-point integer, exact)
 # ---------------------------------------------------------------------------
 #
-# Same all-integer fixed point as :func:`pagerank`, but the reset mass
-# returns only to a SEED set instead of uniformly: rank measures
-# proximity to the seeds (the standard PPR recommendation/expansion
-# primitive). Seeds are chosen deterministically as the ``n_seeds``
-# highest out-degree nodes (ties by node ascending) — derivable
-# identically in the engine (bounded partial top-k over the node-sized
-# out-degree table) and in the SQL twin (ORDER BY outdeg DESC, src).
+# One seed-restart fixed point over the distinct (subj -> obj) edges:
 #
 #   rank0(n)  = SCALE if n in seeds else 0
 #   rank'(n)  = (BASE if n in seeds else 0)
 #               + sum over in-edges (m, n) of (rank(m)*85//100)//outdeg(m)
 #
-# Dataflow is pagerank's: two bucketed exchanges per iteration,
-# inter-round state is the node-sized rank table. The seed set is tiny
-# (n_seeds strings) and rides into the reduce kernel by closure.
+# PageRank makes every node a seed (the uniform reset). PPR returns the
+# reset mass only to a SEED set, so rank measures proximity to the seeds
+# (the standard recommendation/expansion primitive). PPR's seeds are the
+# ``n_seeds`` highest out-degree nodes (ties by node ascending) —
+# derivable identically in the engine (bounded partial top-k over the
+# node-sized out-degree table) and in the SQL twin (ORDER BY outdeg
+# DESC, src). Dangling-node mass is dropped in both dataflows. All
+# integer, so the distributed sum is order-independent and the unrolled
+# DuckDB twins match bit-for-bit.
+#
+# Dataflow: distinct edges -> out-degrees -> one node/out-degree join
+# for the initial ranks -> one superstep per iteration (contributions
+# along src-keyed edges, summed at dst). Inter-round state is the
+# node-sized rank table; the seed set rides into the kernels by closure.
 
 PPR_SEEDS = 8
 
@@ -383,109 +267,99 @@ def _top_outdeg_partial(k: int):
     return kern
 
 
-def _ppr_reduce_bucket(seed_list: list[str]):
-    seeds_arr = pa.array(sorted(seed_list), pa.string())
+def _seeded_pagerank(edges_ds, iters: int, n_seeds: int | None):
+    """(node, pr) after ``iters`` iterations of the fixed point above;
+    every node is a seed when ``n_seeds`` is None."""
+    edges = _distinct_edges(edges_ds)
 
-    def kern(group: pa.Table) -> pa.Table:
-        g = group.group_by(["node"]).aggregate([("contrib", "sum"),
-                                                ("outdeg", "max")])
-        g = g.rename_columns(["node", "c", "outdeg"])
-        base = pc.if_else(
-            pc.is_in(g.column("node"), value_set=seeds_arr),
-            pa.scalar(PR_BASE, pa.int64()), pa.scalar(0, pa.int64()))
+    def count_out(group: pa.Table) -> pa.Table:
+        g = group.group_by(["src"]).aggregate([([], "count_all")])
+        return pa.table({"node": g.column("src"),
+                         "outdeg": g.column("count_all").cast(pa.int64())})
+
+    outdeg = bucket_groupby(edges, count_out).materialize()
+    seeds = None
+    if n_seeds is not None:
+        # bounded partial top-k per block, then a single tiny final
+        # merge — never the whole degree table
+        top = outdeg.map_batches(_top_outdeg_partial(n_seeds),
+                                 batch_format="pyarrow") \
+            .repartition(1).map_batches(
+                _top_outdeg_partial(n_seeds), batch_format="pyarrow",
+                batch_size=None).take_all()
+        seeds = pa.array(sorted(r["node"] for r in top), pa.string())
+
+    def restart(node, value: int):
+        """``value`` at the seed nodes, 0 elsewhere (int64)."""
+        if seeds is None:
+            return pa.array(np.full(len(node), value, np.int64))
+        return pc.if_else(pc.is_in(node, value_set=seeds),
+                          pa.scalar(value, pa.int64()),
+                          pa.scalar(0, pa.int64()))
+
+    def init(nodes: pa.Table, od: pa.Table) -> pa.Table:
+        g = pa.table({"node": pc.unique(nodes.column("node"))}) \
+            .join(od, keys="node", join_type="left outer")
+        return pa.table({"node": g.column("node"),
+                         "rank": restart(g.column("node"), PR_SCALE),
+                         "outdeg": pc.fill_null(g.column("outdeg"), 0)})
+
+    def contribute(r: pa.Table, e: pa.Table) -> pa.Table:
+        """Each edge carries its src's damped rank share to dst; each
+        rank row also sends (node, 0, outdeg), so every node survives
+        the reduce with its out-degree."""
+        j = e.join(r, keys="src", right_keys="node", join_type="inner")
+        od = j.column("outdeg").to_numpy()
+        share = (j.column("rank").to_numpy() * DAMP_NUM // DAMP_DEN) \
+            // np.where(od > 0, od, 1)   # the src of an edge has outdeg>0
+        return pa.table({
+            "node": pa.concat_arrays([j.column("dst").combine_chunks(),
+                                      r.column("node").combine_chunks()]),
+            "contrib": pa.array(np.concatenate(
+                [share, np.zeros(r.num_rows, np.int64)]), pa.int64()),
+            "outdeg": pa.concat_arrays([
+                pa.nulls(j.num_rows, pa.int64()),
+                r.column("outdeg").combine_chunks()]),
+        })
+
+    def reduce_(m: pa.Table) -> pa.Table:
+        g = m.group_by(["node"]).aggregate([("contrib", "sum"),
+                                            ("outdeg", "max")])
         return pa.table({
             "node": g.column("node"),
-            "rank": pc.add(base, g.column("c").cast(pa.int64())),
-            "outdeg": g.column("outdeg"),
-            "bucket": _str_bucket(g.column("node")),
-        })
-    return kern
+            "rank": pc.add(restart(g.column("node"), PR_BASE),
+                           g.column("contrib_sum").cast(pa.int64())),
+            "outdeg": g.column("outdeg_max")})
+
+    nodes = edges.map_batches(_endpoints, batch_format="pyarrow",
+                              batch_size=None)
+    ranks = bucket_join(nodes, outdeg, init, on="node",
+                        left_schema=_NODE_SCHEMA).materialize()
+    for _ in range(iters):
+        ranks = superstep(ranks, edges, contribute, reduce_)
+    return ranks.select_columns(["node", "rank"]) \
+        .rename_columns({"rank": "pr"})
+
+
+def pagerank(edges_ds, iters: int = 3):
+    """Fixed-point integer PageRank over distinct (subj -> obj) edges:
+    (node, pr) with pr = rank * 1e6 after ``iters`` iterations,
+    damping 0.85, dangling mass dropped — the fixed point above with
+    every node a seed:
+
+    rank'(n) = 150000 + sum over in-edges (m,n) of
+               (rank(m) * 85 // 100) // outdeg(m)
+    """
+    _check_params("pagerank", iters=iters)
+    return _seeded_pagerank(edges_ds, iters, None)
 
 
 def ppr(edges_ds, iters: int = 3, n_seeds: int = PPR_SEEDS):
     """Personalized PageRank: (node, pr) after ``iters`` iterations of
     the seed-restart fixed point above. All-integer, bit-exact vs the
     unrolled DuckDB twin (:func:`ppr_sql`)."""
-    ep = edges_ds.map_batches(_pr_edges_partial, batch_format="pyarrow",
-                              batch_size=None)
-    edges = bucket_groupby(ep, _pr_edges_bucket).materialize()
-
-    outdeg = bucket_groupby(edges, _pr_outdeg_bucket).materialize()
-
-    # deterministic seed set: bounded partial top-k per block, then a
-    # single tiny final merge — never the whole degree table
-    cand = outdeg.map_batches(_top_outdeg_partial(n_seeds),
-                              batch_format="pyarrow")
-    top = cand.repartition(1).map_batches(
-        _top_outdeg_partial(n_seeds), batch_format="pyarrow",
-        batch_size=None).take_all()
-    seed_list = [r["node"] for r in top]
-    seeds_arr = pa.array(sorted(seed_list), pa.string())
-
-    node_rows = edges.map_batches(_pr_nodes_partial,
-                                  batch_format="pyarrow", batch_size=None)
-
-    def as_node_row(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch.column("node"),
-                         "outdeg": pa.nulls(batch.num_rows, pa.int64()),
-                         "bucket": batch.column("bucket")})
-
-    def init_bucket(group: pa.Table) -> pa.Table:
-        g = group.group_by(["node"]).aggregate([("outdeg", "max")])
-        g = g.rename_columns(["node", "outdeg"])
-        rank = pc.if_else(
-            pc.is_in(g.column("node"), value_set=seeds_arr),
-            pa.scalar(PR_SCALE, pa.int64()), pa.scalar(0, pa.int64()))
-        return pa.table({
-            "node": g.column("node"),
-            "rank": rank,
-            "outdeg": pc.fill_null(g.column("outdeg"), 0),
-            "bucket": _str_bucket(g.column("node")),
-        })
-
-    seed = node_rows.map_batches(as_node_row, batch_format="pyarrow") \
-        .union(outdeg)
-    ranks = bucket_groupby(seed, init_bucket).materialize()
-
-    def as_rank_row(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "src": batch.column("node"),
-            "dst": pa.nulls(batch.num_rows, pa.string()),
-            "rank": batch.column("rank"),
-            "outdeg": batch.column("outdeg"),
-            "bucket": batch.column("bucket"),
-        })
-
-    def as_edge_row(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "src": batch.column("src"),
-            "dst": batch.column("dst"),
-            "rank": pa.nulls(n, pa.int64()),
-            "outdeg": pa.nulls(n, pa.int64()),
-            "bucket": batch.column("bucket"),
-        })
-
-    def rebucket_node(fn):
-        def wrapped(g: pa.Table) -> pa.Table:
-            t = fn(g)
-            if "bucket" in t.column_names:
-                return t
-            return t.append_column("bucket", _str_bucket(t.column("node")))
-        return wrapped
-
-    reduce_kern = _ppr_reduce_bucket(seed_list)
-    for _ in range(iters):
-        mixed = ranks.map_batches(as_rank_row, batch_format="pyarrow") \
-            .union(edges.map_batches(as_edge_row, batch_format="pyarrow"))
-        contribs = bucket_groupby(mixed, rebucket_node(_pr_contrib_bucket))
-        ranks = bucket_groupby(contribs, reduce_kern).materialize()
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch.column("node"),
-                         "pr": batch.column("rank")})
-
-    return ranks.map_batches(finish, batch_format="pyarrow")
+    _check_params("ppr", iters=iters, n_seeds=n_seeds)
+    return _seeded_pagerank(edges_ds, iters, n_seeds)
 
 
 def ppr_local(edges: list[tuple[str, str]], iters: int = 3,
@@ -511,6 +385,7 @@ def ppr_sql(triples_glob: str, iters: int = 3,
             n_seeds: int = PPR_SEEDS) -> str:
     """Unrolled DuckDB oracle for :func:`ppr` — one CTE per iteration,
     all-integer arithmetic, bit-exact vs the engine."""
+    _check_params("ppr_sql", iters=iters, n_seeds=n_seeds)
     sql = [f"""WITH e AS (SELECT DISTINCT CAST(subj AS VARCHAR) AS src,
                    CAST(obj AS VARCHAR) AS dst
             FROM read_parquet('{triples_glob}')),
@@ -547,17 +422,11 @@ def ppr_sql(triples_glob: str, iters: int = 3,
 # triangle is discovered exactly once from its smallest corner and the
 # wedge mass is bounded by sum(out_deg^2) = O(m^1.5) regardless of hub
 # skew — no cap needed, unlike co_mention's obj_cap. Dataflow: distinct
-# canonical edges -> degree table -> two tagged-union bucket joins to
-# attach endpoint degrees -> orient -> per-src wedge emission -> wedge
-# vs edge bucket join -> per-corner count. Every stage is a bucketed
+# canonical edges -> degree table -> two bucket joins attach the
+# endpoint degrees -> orient -> per-src wedge emission -> one wedge vs
+# edge bucket join -> per-corner count. Every stage is a bucketed
 # exchange with vectorized Arrow/numpy kernels; inter-stage state is
 # edge- or wedge-mass Datasets, never driver memory.
-
-
-def _pair_bucket(a, b) -> pa.Array:
-    from .bucketing import hash_bucket
-    return pa.array(hash_bucket([_str_hashes(a), _str_hashes(b)],
-                                N_GRAPH_BUCKETS))
 
 
 def _tri_canon_partial(batch: pa.Table) -> pa.Table:
@@ -568,15 +437,11 @@ def _tri_canon_partial(batch: pa.Table) -> pa.Table:
     m = pc.less(s, o)
     t = pa.table({"a": pc.if_else(m, s, o), "b": pc.if_else(m, o, s)})
     t = t.filter(pc.not_equal(t.column("a"), t.column("b")))
-    g = t.group_by(["a", "b"]).aggregate([])
-    return g.append_column("bucket", _pair_bucket(g.column("a"),
-                                                  g.column("b")))
+    return with_bucket(t.group_by(["a", "b"]).aggregate([]), ["a", "b"])
 
 
 def _tri_distinct_bucket(group: pa.Table) -> pa.Table:
-    g = group.group_by(["a", "b"]).aggregate([])
-    return g.append_column("bucket", _pair_bucket(g.column("a"),
-                                                  g.column("b")))
+    return group.group_by(["a", "b"]).aggregate([])
 
 
 def _tri_deg_partial(batch: pa.Table) -> pa.Table:
@@ -594,37 +459,30 @@ def _tri_deg_partial(batch: pa.Table) -> pa.Table:
 
 def _tri_deg_bucket(group: pa.Table) -> pa.Table:
     g = group.group_by(["node"]).aggregate([("deg", "sum")])
-    g = g.rename_columns(["node", "deg"])
-    return g.append_column("bucket", _str_bucket(g.column("node")))
+    return g.rename_columns(["node", "deg"])
 
 
-def _tri_orient_bucket(group: pa.Table) -> pa.Table:
-    """Second degree join + orientation: src = (deg, node)-smaller
-    endpoint; carries dst_deg so wedge pairs can be ordered without a
-    third join. Re-buckets by hash(src)."""
-    is_deg = pc.is_valid(group.column("deg"))
-    degs = pa.table({"key": group.filter(is_deg).column("key"),
-                     "deg_b": group.filter(is_deg).column("deg")})
-    edges = group.filter(pc.invert(is_deg)).drop_columns(["deg", "bucket"])
-    j = edges.join(degs, keys="key", join_type="inner")
-    a, b = j.column("a").combine_chunks(), j.column("key").combine_chunks()
-    da = j.column("deg_a").combine_chunks()
-    db = j.column("deg_b").combine_chunks()
+def _attach_deg_a(e: pa.Table, deg: pa.Table) -> pa.Table:
+    """First degree join (keyed by endpoint a): (a, b, deg_a)."""
+    return e.select(["a", "b"]).join(deg, keys="a", right_keys="node",
+                                      join_type="inner") \
+        .rename_columns(["a", "b", "deg_a"])
+
+
+def _orient(e: pa.Table, deg: pa.Table) -> pa.Table:
+    """Second degree join (keyed by endpoint b) + orientation: src =
+    (deg, node)-smaller endpoint; carries dst_deg so wedge pairs can be
+    ordered without a third join. Bucketed by src for the wedges."""
+    j = e.join(deg, keys="b", right_keys="node", join_type="inner")
+    a, b = j.column("a"), j.column("b")
+    da, db = j.column("deg_a"), j.column("deg")
     fwd = pc.or_(pc.less(da, db),
                  pc.and_(pc.equal(da, db), pc.less(a, b)))
-    src = pc.if_else(fwd, a, b)
-    return pa.table({
-        "src": src,
+    return with_bucket(pa.table({
+        "src": pc.if_else(fwd, a, b),
         "dst": pc.if_else(fwd, b, a),
         "dst_deg": pc.if_else(fwd, db, da),
-        "bucket": _str_bucket(src),
-    })
-
-
-_WEDGE_SCHEMA = pa.schema([
-    ("v", pa.string()), ("w", pa.string()), ("u", pa.string()),
-    ("bucket", pa.int32()),
-])
+    }), "src")
 
 
 def _tri_wedge_bucket(group: pa.Table) -> pa.Table:
@@ -634,39 +492,42 @@ def _tri_wedge_bucket(group: pa.Table) -> pa.Table:
     from .bucketing import segment_pair_indices
     g = group.sort_by([("src", "ascending"), ("dst_deg", "ascending"),
                        ("dst", "ascending")])
-    src = np.asarray(g.column("src").to_pylist(), dtype=object)
-    dst = np.asarray(g.column("dst").to_pylist(), dtype=object)
-    ia, ib = segment_pair_indices([src])
-    if len(ia) == 0:
-        return _WEDGE_SCHEMA.empty_table()
-    v, w = dst[ia], dst[ib]
-    va = pa.array(list(v), pa.string())
-    wa = pa.array(list(w), pa.string())
-    return pa.table({
-        "v": va, "w": wa,
-        "u": pa.array(list(src[ia]), pa.string()),
-        "bucket": _pair_bucket(
-            pa.chunked_array([va]), pa.chunked_array([wa])),
-    })
+    src = g.column("src").combine_chunks()
+    dst = g.column("dst").combine_chunks()
+    ia, ib = segment_pair_indices([src.dictionary_encode().indices
+                                   .to_numpy(zero_copy_only=False)])
+    return pa.table({"v": dst.take(ia), "w": dst.take(ib),
+                     "u": src.take(ia)})
 
 
-def _tri_match_bucket(group: pa.Table) -> pa.Table:
-    """One (v, w) pair bucket of wedge rows (u set) + edge rows
-    (u null): wedges whose pair closes are triangles; emit one count
-    row per corner, bucketed by node for the final sum."""
-    is_edge = pc.invert(pc.is_valid(group.column("u")))
-    closers = group.filter(is_edge).select(["v", "w"]) \
-        .group_by(["v", "w"]).aggregate([])
-    wedges = group.filter(pc.invert(is_edge)).select(["v", "w", "u"])
-    tri = wedges.join(closers, keys=["v", "w"], join_type="inner")
-    node = pa.concat_arrays([tri.column("u").combine_chunks(),
-                             tri.column("v").combine_chunks(),
-                             tri.column("w").combine_chunks()])
-    return pa.table({
-        "node": node,
-        "n": pa.array(np.ones(len(node), np.int64)),
-        "bucket": _str_bucket(pa.chunked_array([node])),
-    })
+_WEDGE_SCHEMA = pa.schema([
+    ("v", pa.string()), ("w", pa.string()), ("u", pa.string()),
+])
+_DEG_A_SCHEMA = pa.schema([
+    ("a", pa.string()), ("b", pa.string()), ("deg_a", pa.int64()),
+])
+
+
+def _closed(fn):
+    """Wedge-closing join kernel: the wedges (v, w, u) whose pair is an
+    oriented edge (v -> w) are the triangles, each once from its
+    smallest corner u; ``fn(u, v, w)`` turns them into output rows.
+    Oriented edges are distinct, so each triangle matches once."""
+    def kern(wedges: pa.Table, edges: pa.Table) -> pa.Table:
+        tri = wedges.join(edges.select(["src", "dst"]),
+                          keys=["v", "w"], right_keys=["src", "dst"],
+                          join_type="inner")
+        return fn(*(tri.column(c).combine_chunks() for c in "uvw"))
+    return kern
+
+
+@_closed
+def _tri_corners(u, v, w) -> pa.Table:
+    """One count row per triangle corner, bucketed by node."""
+    node = pa.concat_arrays([u, v, w])
+    return with_bucket(pa.table({
+        "node": node, "n": pa.array(np.ones(len(node), np.int64))}),
+        "node")
 
 
 def _tri_final_bucket(group: pa.Table) -> pa.Table:
@@ -675,93 +536,40 @@ def _tri_final_bucket(group: pa.Table) -> pa.Table:
 
 
 def _simple_graph(edges_ds):
-    """Distinct canonical (a < b) edge set and its degree table, both
-    materialized with a consistent ``bucket`` column — the base every
-    undirected analytic (triangles, clustering, neighbor Jaccard)
-    shares."""
+    """Distinct canonical (a < b) edge set and its (node, deg) table,
+    both materialized — the base every undirected analytic (triangles,
+    clustering, neighbor Jaccard, k-truss, k-core) shares."""
     canon = edges_ds.map_batches(_tri_canon_partial,
                                  batch_format="pyarrow", batch_size=None)
     e = bucket_groupby(canon, _tri_distinct_bucket).materialize()
+    return e, _degrees(e)
+
+
+def _degrees(e):
+    """The materialized (node, deg) table of a canonical edge set."""
     dp = e.map_batches(_tri_deg_partial, batch_format="pyarrow",
                        batch_size=None)
-    deg = bucket_groupby(dp, _tri_deg_bucket).materialize()
-    return e, deg
+    return bucket_groupby(dp, _tri_deg_bucket).materialize()
 
 
-def _oriented_edges(e, deg):
-    """Degree-orient a materialized canonical edge set: two tagged-union
-    bucket joins attach endpoint degrees, then src = (deg, node)-smaller
-    endpoint. Returns the materialized oriented Dataset
-    (src, dst, dst_deg, bucket) — shared by triangle counting and the
-    k-truss support rounds."""
-
-    def deg_as_join_row(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "key": batch.column("node"),
-            "a": pa.nulls(n, pa.string()),
-            "deg_a": pa.nulls(n, pa.int64()),
-            "deg": batch.column("deg"),
-            "bucket": batch.column("bucket"),
-        })
-
-    def edge_keyed_a(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "key": batch.column("a"),
-            "a": batch.column("b"),          # the other endpoint rides
-            "deg_a": pa.nulls(n, pa.int64()),
-            "deg": pa.nulls(n, pa.int64()),
-            "bucket": _str_bucket(batch.column("a")),
-        })
-
-    mixed1 = e.map_batches(edge_keyed_a, batch_format="pyarrow") \
-        .union(deg.map_batches(deg_as_join_row, batch_format="pyarrow"))
-
-    def join_a_bucket(group: pa.Table) -> pa.Table:
-        """Attach deg of endpoint min -> rows keyed by the OTHER
-        endpoint for the second join."""
-        is_deg = pc.is_valid(group.column("deg"))
-        degs = pa.table({"key": group.filter(is_deg).column("key"),
-                         "dg": group.filter(is_deg).column("deg")})
-        edges = group.filter(pc.invert(is_deg)) \
-            .select(["key", "a"]).rename_columns(["key", "other"])
-        j = edges.join(degs, keys="key", join_type="inner")
-        return pa.table({
-            "key": j.column("other"),        # now keyed by endpoint b
-            "a": j.column("key"),            # original a rides along
-            "deg_a": j.column("dg"),
-            "deg": pa.nulls(j.num_rows, pa.int64()),
-            "bucket": _str_bucket(j.column("other")),
-        })
-
-    keyed_b = bucket_groupby(mixed1, join_a_bucket)
-    mixed2 = keyed_b.union(
-        deg.map_batches(deg_as_join_row, batch_format="pyarrow"))
-    return bucket_groupby(mixed2, _tri_orient_bucket).materialize()
+def _closed_wedges(e, deg, fn):
+    """Degree-orient a materialized canonical edge set (two bucket joins
+    attach the endpoint degrees), emit its wedges per src, and join them
+    against the oriented edges with the :func:`_closed` kernel ``fn`` —
+    shared by triangle counting and the k-truss support rounds."""
+    with_a = bucket_join(e, deg, _attach_deg_a, on="a", right_on="node")
+    oriented = bucket_join(with_a, deg, _orient, on="b", right_on="node",
+                           left_schema=_DEG_A_SCHEMA).materialize()
+    wedges = bucket_groupby(oriented, _tri_wedge_bucket)
+    return bucket_join(wedges, oriented, fn, on=["v", "w"],
+                       right_on=["src", "dst"], left_schema=_WEDGE_SCHEMA)
 
 
 def _triangle_core(edges_ds):
     """Shared pipeline: returns (deg_ds, tri_ds) — the simple-graph
-    degree table and the per-node triangle counts, both keyed by node
-    with a consistent ``bucket`` column for downstream joins."""
+    degree table and the per-node triangle counts."""
     e, deg = _simple_graph(edges_ds)
-    oriented = _oriented_edges(e, deg)
-
-    wedges = bucket_groupby(oriented, _tri_wedge_bucket)
-
-    def edge_as_pair_row(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "v": batch.column("src"),
-            "w": batch.column("dst"),
-            "u": pa.nulls(batch.num_rows, pa.string()),
-            "bucket": _pair_bucket(batch.column("src"),
-                                   batch.column("dst")),
-        })
-
-    mixed3 = wedges.union(
-        oriented.map_batches(edge_as_pair_row, batch_format="pyarrow"))
-    corners = bucket_groupby(mixed3, _tri_match_bucket)
+    corners = _closed_wedges(e, deg, _tri_corners)
     return deg, bucket_groupby(corners, _tri_final_bucket)
 
 
@@ -790,57 +598,28 @@ def triangle_counts(edges_ds):
 # Inter-round state is the surviving edge Dataset — never the driver.
 
 
-def _truss_match_bucket(group: pa.Table) -> pa.Table:
-    """One (v, w) pair bucket of wedge rows (u set) + edge rows
-    (u null): each closed wedge is a triangle; emit its 3 edges as
-    canonical (min, max) pairs for the per-edge support sum."""
-    is_edge = pc.invert(pc.is_valid(group.column("u")))
-    closers = group.filter(is_edge).select(["v", "w"]) \
-        .group_by(["v", "w"]).aggregate([])
-    wedges = group.filter(pc.invert(is_edge)).select(["v", "w", "u"])
-    tri = wedges.join(closers, keys=["v", "w"], join_type="inner")
-    u = tri.column("u").combine_chunks()
-    v = tri.column("v").combine_chunks()
-    w = tri.column("w").combine_chunks()
+@_closed
+def _truss_edges(u, v, w) -> pa.Table:
+    """The 3 edges of each triangle as canonical (min, max) pairs for
+    the per-edge support sum, bucketed by the pair."""
     x = pa.concat_arrays([u, u, v])
     y = pa.concat_arrays([v, w, w])
     lt = pc.less(x, y)
-    a = pc.if_else(lt, x, y)
-    b = pc.if_else(lt, y, x)
-    return pa.table({
-        "a": a, "b": b,
-        "n": pa.array(np.ones(len(a), np.int64)),
-        "bucket": _pair_bucket(pa.chunked_array([a]),
-                               pa.chunked_array([b])),
-    })
+    return with_bucket(pa.table({
+        "a": pc.if_else(lt, x, y), "b": pc.if_else(lt, y, x),
+        "n": pa.array(np.ones(len(x), np.int64))}), ["a", "b"])
 
 
 def _truss_reduce_bucket(group: pa.Table) -> pa.Table:
     g = group.group_by(["a", "b"]).aggregate([("n", "sum")])
-    g = g.rename_columns(["a", "b", "support"])
-    return g.append_column("bucket", _pair_bucket(g.column("a"),
-                                                  g.column("b")))
+    return g.rename_columns(["a", "b", "support"])
 
 
 def _edge_support(e, deg):
     """Per-edge triangle support over a materialized canonical edge set:
-    (a, b, support, bucket); zero-support edges are absent."""
-    oriented = _oriented_edges(e, deg)
-    wedges = bucket_groupby(oriented, _tri_wedge_bucket)
-
-    def edge_as_pair_row(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "v": batch.column("src"),
-            "w": batch.column("dst"),
-            "u": pa.nulls(batch.num_rows, pa.string()),
-            "bucket": _pair_bucket(batch.column("src"),
-                                   batch.column("dst")),
-        })
-
-    mixed = wedges.union(
-        oriented.map_batches(edge_as_pair_row, batch_format="pyarrow"))
-    sides = bucket_groupby(mixed, _truss_match_bucket)
-    return bucket_groupby(sides, _truss_reduce_bucket)
+    (a, b, support); zero-support edges are absent."""
+    return bucket_groupby(_closed_wedges(e, deg, _truss_edges),
+                          _truss_reduce_bucket)
 
 
 def ktruss(edges_ds, k: int = 4, rounds: int = 3):
@@ -855,7 +634,7 @@ def ktruss(edges_ds, k: int = 4, rounds: int = 3):
 
     def keep_edges(batch: pa.Table) -> pa.Table:
         kept = batch.filter(pc.greater_equal(batch.column("support"), thr))
-        return kept.select(["a", "b", "bucket"])
+        return kept.select(["a", "b"])
 
     e, deg = _simple_graph(edges_ds)
     sup = _edge_support(e, deg).materialize()
@@ -863,10 +642,7 @@ def ktruss(edges_ds, k: int = 4, rounds: int = 3):
         # the peeled edge set and its degrees feed only the next round
         e = sup.map_batches(keep_edges, batch_format="pyarrow") \
             .materialize()
-        dp = e.map_batches(_tri_deg_partial, batch_format="pyarrow",
-                           batch_size=None)
-        deg = bucket_groupby(dp, _tri_deg_bucket).materialize()
-        sup = _edge_support(e, deg).materialize()
+        sup = _edge_support(e, _degrees(e)).materialize()
 
     def finish(batch: pa.Table) -> pa.Table:
         kept = batch.filter(
@@ -931,15 +707,16 @@ def ktruss_sql(triples_glob: str, k: int = 4, rounds: int = 3) -> str:
 CC_SCALE = 1_000_000
 
 
-def _cc_join_bucket(group: pa.Table) -> pa.Table:
-    """One node bucket of degree rows (n_triangles null) + triangle
-    rows: left join (zero-triangle nodes kept), integer coefficient
+_TRI_SCHEMA = pa.schema([("node", pa.string()),
+                         ("n_triangles", pa.int64())])
+
+
+def _cc_join(degs: pa.Table, tris: pa.Table) -> pa.Table:
+    """One node bucket of degree rows + triangle rows: left join
+    (zero-triangle nodes kept), integer coefficient
     2 * tri * 1e6 // (deg * (deg - 1)) for deg >= 2."""
-    is_deg = pc.is_valid(group.column("deg"))
-    degs = group.filter(is_deg).select(["node", "deg"])
     degs = degs.filter(pc.greater_equal(degs.column("deg"),
                                         pa.scalar(2, pa.int64())))
-    tris = group.filter(pc.invert(is_deg)).select(["node", "n_triangles"])
     j = degs.join(tris, keys="node", join_type="left outer")
     d = j.column("deg").to_numpy(zero_copy_only=False).astype(np.int64)
     t = pc.fill_null(j.column("n_triangles"), 0) \
@@ -957,29 +734,12 @@ def clustering_coefficients(edges_ds):
     """Local clustering coefficient per node with degree >= 2:
     (node, degree, n_triangles, coeff_micro) where coeff_micro =
     floor(2 * triangles * 1e6 / (deg * (deg - 1))) — integer-exact, so
-    the oracle compares bit-for-bit. One node-keyed exchange on top of
-    the shared triangle pipeline."""
+    the oracle compares bit-for-bit. One node-keyed bucket join on top
+    of the shared triangle pipeline (a triangle-free graph's triangle
+    table has no rows and no schema, hence ``right_schema``)."""
     deg, tri = _triangle_core(edges_ds)
-
-    def deg_row(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": batch.column("node"),
-            "deg": batch.column("deg"),
-            "n_triangles": pa.nulls(batch.num_rows, pa.int64()),
-            "bucket": batch.column("bucket"),
-        })
-
-    def tri_row(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": batch.column("node"),
-            "deg": pa.nulls(batch.num_rows, pa.int64()),
-            "n_triangles": batch.column("n_triangles"),
-            "bucket": _str_bucket(batch.column("node")),
-        })
-
-    mixed = deg.map_batches(deg_row, batch_format="pyarrow") \
-        .union(tri.map_batches(tri_row, batch_format="pyarrow"))
-    return bucket_groupby(mixed, _cc_join_bucket)
+    return bucket_join(deg, tri, _cc_join, on="node",
+                       right_schema=_TRI_SCHEMA)
 
 
 def triangle_counts_local(edges: list[tuple[str, str]]) -> dict[str, int]:
@@ -1069,119 +829,30 @@ def clustering_sql(triples_glob: str) -> str:
 # ---------------------------------------------------------------------------
 # Bounded-depth BFS reach (multi-hop neighborhood)
 # ---------------------------------------------------------------------------
+# Unit-weight :func:`sssp`: round k of the shared Bellman-Ford relaxation
+# is the minimum over paths of at most k edges, so with weight 1 it is
+# exactly the shortest hop count within ``max_depth``.
 
 
-def _bfs_sym_partial(batch: pa.Table) -> pa.Table:
-    s = batch.column("subj").cast(pa.string()).combine_chunks()
-    o = batch.column("obj").cast(pa.string()).combine_chunks()
-    t = pa.table({"src": pa.concat_arrays([s, o]),
-                  "dst": pa.concat_arrays([o, s])})
-    g = t.group_by(["src", "dst"]).aggregate([])
-    return g.append_column("bucket", _str_bucket(g.column("src")))
-
-
-def _bfs_sym_bucket(group: pa.Table) -> pa.Table:
-    g = group.group_by(["src", "dst"]).aggregate([])
-    return g.append_column("bucket", _str_bucket(g.column("src")))
-
-
-def _bfs_expand_bucket(depth: int):
-    """One hash(src) bucket of visited rows (dst null) + edge rows:
-    frontier rows (dist == depth-1) join edges to reach neighbors at
-    ``depth``; visited rows pass through; bucketed min-dist reduce
-    follows."""
-    def fn(group: pa.Table) -> pa.Table:
-        is_vis = pc.is_valid(group.column("dist"))
-        vis = group.filter(is_vis)
-        edges = group.filter(pc.invert(is_vis)).select(["src", "dst"])
-        frontier = vis.filter(pc.equal(vis.column("dist"),
-                                       pa.scalar(depth - 1, pa.int64())))
-        ft = pa.table({"src": frontier.column("src")})
-        j = edges.join(ft, keys="src", join_type="inner")
-        node = pa.concat_arrays([vis.column("src").combine_chunks(),
-                                 j.column("dst").combine_chunks()])
-        dist = pa.concat_arrays([
-            vis.column("dist").combine_chunks(),
-            pa.array(np.full(j.num_rows, depth, np.int64))])
-        return pa.table({
-            "node": node, "dist": dist,
-            "bucket": _str_bucket(pa.chunked_array([node])),
-        })
-    return fn
-
-
-def _bfs_min_bucket(group: pa.Table) -> pa.Table:
-    g = group.group_by(["node"]).aggregate([("dist", "min")])
-    g = g.rename_columns(["node", "dist"])
-    return g.append_column("bucket", _str_bucket(g.column("node")))
+def _unit_weight(batch: pa.Table) -> pa.Array:
+    return pa.array(np.ones(batch.num_rows, np.int64))
 
 
 def bfs_reach(edges_ds, seed: str | None = None, max_depth: int = 3):
     """Shortest-hop distance (<= ``max_depth``) from ``seed`` over the
     UNDIRECTED edge set: (node, dist). Default seed = lexicographically
     smallest node, computed with a per-block combiner + one-task merge
-    (never a driver fold). One bucketed join + one bucketed min-reduce
-    per level; inter-level state is the visited-node table."""
-    sp = edges_ds.map_batches(_bfs_sym_partial, batch_format="pyarrow",
-                              batch_size=None)
-    edges = bucket_groupby(sp, _bfs_sym_bucket).materialize()
-
-    if seed is None:
-        def min_partial(batch: pa.Table) -> pa.Table:
-            m = pc.min(batch.column("src"))
-            return pa.table({"node": pa.array([m.as_py()], pa.string())})
-
-        def min_merge(batch: pa.Table) -> pa.Table:
-            return pa.table({"node": pa.array(
-                [pc.min(batch.column("node")).as_py()], pa.string())})
-
-        seed = edges.map_batches(min_partial, batch_format="pyarrow",
-                                 batch_size=None) \
-            .repartition(1) \
-            .map_batches(min_merge, batch_format="pyarrow",
-                         batch_size=None).take_all()[0]["node"]
-
-    import ray.data
-    visited = ray.data.from_arrow(pa.table({
-        "node": pa.array([seed], pa.string()),
-        "dist": pa.array([0], pa.int64()),
-        "bucket": _str_bucket(pa.chunked_array(
-            [pa.array([seed], pa.string())])),
-    }))
-
-    def vis_as_src_row(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "src": batch.column("node"),
-            "dst": pa.nulls(batch.num_rows, pa.string()),
-            "dist": batch.column("dist"),
-            "bucket": batch.column("bucket"),
-        })
-
-    def edge_row(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "src": batch.column("src"),
-            "dst": batch.column("dst"),
-            "dist": pa.nulls(batch.num_rows, pa.int64()),
-            "bucket": batch.column("bucket"),
-        })
-
-    for depth in range(1, max_depth + 1):
-        mixed = visited.map_batches(vis_as_src_row,
-                                    batch_format="pyarrow") \
-            .union(edges.map_batches(edge_row, batch_format="pyarrow"))
-        expanded = bucket_groupby(mixed, _bfs_expand_bucket(depth))
-        visited = bucket_groupby(expanded, _bfs_min_bucket).materialize()
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch.column("node"),
-                         "dist": batch.column("dist")})
-
-    return visited.map_batches(finish, batch_format="pyarrow")
+    (never a driver fold). One superstep per level; inter-level state
+    is the visited-node table."""
+    _check_params("bfs_reach", max_depth=max_depth)
+    return _shortest_paths(_distinct_edges(
+        edges_ds, symmetric=True, weight=_unit_weight), seed, max_depth)
 
 
 def bfs_reach_sql(triples_glob: str, max_depth: int = 3) -> str:
     """DuckDB twin: depth-bounded recursive CTE over the symmetric
     edge set, min-hop per node, seed = min endpoint."""
+    _check_params("bfs_reach_sql", max_depth=max_depth)
     return f"""
         WITH RECURSIVE e AS (
           SELECT DISTINCT CAST(subj AS VARCHAR) AS src,
@@ -1202,6 +873,7 @@ def bfs_reach_sql(triples_glob: str, max_depth: int = 3) -> str:
 def pagerank_sql(triples_glob: str, iters: int = 3) -> str:
     """Unrolled DuckDB oracle for :func:`pagerank` — one CTE per
     iteration, all-integer arithmetic, bit-exact vs the engine."""
+    _check_params("pagerank_sql", iters=iters)
     sql = [f"""WITH e AS (SELECT DISTINCT CAST(subj AS VARCHAR) AS src,
                    CAST(obj AS VARCHAR) AS dst
             FROM read_parquet('{triples_glob}')),
@@ -1228,29 +900,8 @@ def pagerank_sql(triples_glob: str, iters: int = 3) -> str:
 
 _RW_FRONTIER_SCHEMA = pa.schema([
     ("start_node", pa.string()), ("walk", pa.int64()),
-    ("node", pa.string()), ("bucket", pa.int32()),
+    ("node", pa.string()),
 ])
-
-_RW_MIX_SCHEMA = pa.schema([
-    ("src", pa.string()), ("dst", pa.string()),
-    ("start_node", pa.string()), ("walk", pa.int64()),
-    ("bucket", pa.int32()),
-])
-
-
-def _rw_edge_partial(batch: pa.Table) -> pa.Table:
-    """Per-block combiner: distinct directed (src, dst), bucketed by
-    src so each walk step is a src-keyed exchange."""
-    t = pa.table({"src": batch.column("subj"),
-                  "dst": batch.column("obj")})
-    t = t.group_by(["src", "dst"]).aggregate([])
-    t = t.rename_columns(["src", "dst"])
-    return t.append_column("bucket", _str_bucket(t.column("src")))
-
-
-def _rw_edge_dedup(group: pa.Table) -> pa.Table:
-    g = group.group_by(["src", "dst", "bucket"]).aggregate([])
-    return g.rename_columns(["src", "dst", "bucket"])
 
 
 def _rw_starts(n_walks: int):
@@ -1263,55 +914,29 @@ def _rw_starts(n_walks: int):
         rep = np.repeat(srcs, n_walks)
         walks = np.tile(np.arange(n_walks, dtype=np.int64), len(srcs))
         nodes = pa.array(rep, pa.string())
-        return pa.table({
-            "start_node": nodes, "walk": pa.array(walks),
-            "node": nodes,
-            "bucket": _str_bucket(pa.chunked_array([nodes])),
-        })
+        return pa.table({"start_node": nodes, "walk": pa.array(walks),
+                         "node": nodes})
 
     return kern
 
 
-def _rw_edge_row(batch: pa.Table) -> pa.Table:
-    return pa.table({
-        "src": batch.column("src"), "dst": batch.column("dst"),
-        "start_node": pa.nulls(batch.num_rows, pa.string()),
-        "walk": pa.nulls(batch.num_rows, pa.int64()),
-        "bucket": batch.column("bucket"),
-    })
-
-
-def _rw_frontier_row(batch: pa.Table) -> pa.Table:
-    return pa.table({
-        "src": batch.column("node"),
-        "dst": pa.nulls(batch.num_rows, pa.string()),
-        "start_node": batch.column("start_node"),
-        "walk": batch.column("walk"),
-        "bucket": batch.column("bucket"),
-    })
-
-
-def _rw_step_bucket(step: int):
-    """Bucket kernel for one walk step: per frontier row standing on
+def _rw_step(step: int):
+    """Bucket-join kernel for one walk step: per frontier row standing on
     node u, the next hop is u's sorted-neighbor list indexed by
     mix64([fnv1a(u), walk << 32 | step]) % outdeg(u) — the choice is a
     pure function of (node, walk, step), so any execution order (and
     the SQL twin) reproduces it bit-for-bit. Dead ends (outdeg 0)
     terminate the walk."""
-    from .bucketing import fnv1a_hashes as _fnv
     from .bucketing import mix64
 
-    def kern(group: pa.Table) -> pa.Table:
-        is_edge = pc.is_valid(group.column("dst"))
-        edges = group.filter(is_edge)
-        fr = group.filter(pc.invert(is_edge))
+    def kern(fr: pa.Table, edges: pa.Table) -> pa.Table:
         if fr.num_rows == 0 or edges.num_rows == 0:
             return _RW_FRONTIER_SCHEMA.empty_table()
         esrc = np.asarray(edges.column("src").to_pylist())
         edst = np.asarray(edges.column("dst").to_pylist())
         order = np.lexsort((edst, esrc))
         esrc, edst = esrc[order], edst[order]
-        fsrc = np.asarray(fr.column("src").to_pylist())
+        fsrc = np.asarray(fr.column("node").to_pylist())
         lo = np.searchsorted(esrc, fsrc, side="left")
         hi = np.searchsorted(esrc, fsrc, side="right")
         deg = (hi - lo).astype(np.uint64)
@@ -1324,14 +949,12 @@ def _rw_step_bucket(step: int):
             fr.column("start_node").to_pylist())[alive]
         a2 = (walks.astype(np.uint64) * np.uint64(1 << 32)
               + np.uint64(step))
-        r = mix64([_fnv(list(fsrc)), a2])
-        nxt = pa.array(edst[lo + (r % deg).astype(np.int64)],
-                       pa.string())
+        r = mix64([fnv1a_hashes(list(fsrc)), a2])
         return pa.table({
             "start_node": pa.array(starts, pa.string()),
             "walk": pa.array(walks.astype(np.int64)),
-            "node": nxt,
-            "bucket": _str_bucket(pa.chunked_array([nxt])),
+            "node": pa.array(edst[lo + (r % deg).astype(np.int64)],
+                             pa.string()),
         })
 
     return kern
@@ -1362,30 +985,20 @@ def random_walks(edges_ds, n_walks: int = 2, walk_len: int = 3):
     :func:`random_walks_sql` DuckDB twin.
 
     Shape: one src-keyed exchange to dedup/partition edges, then ONE
-    bucketed exchange per hop (the BFS/pagerank iteration class) whose
+    bucket join per hop (frontier keyed by node, edges by src) whose
     exchanged mass is the frontier (nodes x n_walks rows, shrinking
     with dead ends) plus the edge table; inter-level state is the
     frontier, never the walks-so-far (steps are emitted as they
     happen, so walk payload never crosses the wire twice)."""
-    sp = edges_ds.map_batches(_rw_edge_partial, batch_format="pyarrow",
-                              batch_size=None)
-    edges = bucket_groupby(sp, _rw_edge_dedup).materialize()
+    edges = _distinct_edges(edges_ds)
     frontier = bucket_groupby(
         edges, _rw_starts(n_walks), pre_repartition=False).materialize()
-    levels = [frontier.map_batches(_rw_stamp(0),
-                                   batch_format="pyarrow")]
+    out = frontier.map_batches(_rw_stamp(0), batch_format="pyarrow")
     for k in range(walk_len):
-        mixed = edges.map_batches(
-            _rw_edge_row, batch_format="pyarrow").union(
-            frontier.map_batches(_rw_frontier_row,
-                                 batch_format="pyarrow"))
-        frontier = bucket_groupby(
-            mixed, _rw_step_bucket(k)).materialize()
-        levels.append(frontier.map_batches(_rw_stamp(k + 1),
-                                           batch_format="pyarrow"))
-    out = levels[0]
-    for lv in levels[1:]:
-        out = out.union(lv)
+        frontier = bucket_join(frontier, edges, _rw_step(k), on="node",
+                               right_on="src").materialize()
+        out = out.union(frontier.map_batches(_rw_stamp(k + 1),
+                                             batch_format="pyarrow"))
     return out
 
 
@@ -1460,22 +1073,15 @@ w{k + 1} AS (
 # generation IN BOTH the engine and the SQL twin (the co_mention
 # obj_cap semantics — a hub's wedge mass is deg^2 and its shared-hub
 # signal is near-zero information) -> pair-keyed count exchange ->
-# two tagged-union node-keyed exchanges attach deg_a / deg_b (the
-# _triangle_core join idiom; no broadcast of the node-sized degree
-# table).
+# two node-keyed bucket joins attach deg_a / deg_b (no broadcast of the
+# node-sized degree table).
 
 NJ_HUB_CAP = 32
 NJ_MIN_COMMON = 2
 NJ_SCALE = 1_000_000
 
-_NJ_MIX_SCHEMA = pa.schema([
-    ("key", pa.string()), ("other", pa.string()),
-    ("n_common", pa.int64()), ("deg_a", pa.int64()),
-    ("deg", pa.int64()), ("bucket", pa.int32()),
-])
-
-_NJ_PAIR_SCHEMA = pa.schema([
-    ("na", pa.string()), ("nb", pa.string()), ("bucket", pa.int32()),
+_NJ_COMMON_SCHEMA = pa.schema([
+    ("na", pa.string()), ("nb", pa.string()), ("n_common", pa.int64()),
 ])
 
 
@@ -1483,107 +1089,51 @@ def _nj_center_partial(batch: pa.Table) -> pa.Table:
     """Route each distinct edge in both directions, keyed by center."""
     a = batch.column("a").combine_chunks()
     b = batch.column("b").combine_chunks()
-    c = pa.concat_arrays([a, b])
-    nbr = pa.concat_arrays([b, a])
-    return pa.table({"c": c, "nbr": nbr,
-                     "bucket": _str_bucket(pa.chunked_array([c]))})
+    return with_bucket(pa.table({"c": pa.concat_arrays([a, b]),
+                                 "nbr": pa.concat_arrays([b, a])}), "c")
 
 
 def _nj_wedges_bucket(hub_cap: int):
     def fn(group: pa.Table) -> pa.Table:
         from .bucketing import segment_pair_indices
         g = group.sort_by([("c", "ascending"), ("nbr", "ascending")])
-        c = np.asarray(g.column("c").to_pylist(), dtype=object)
-        if len(c) == 0:
-            return _NJ_PAIR_SCHEMA.empty_table()
-        # segment sizes = center degree (edges are globally distinct);
-        # drop hub centers BEFORE pair generation
-        change = np.concatenate([[True], c[1:] != c[:-1]])
-        starts = np.nonzero(change)[0]
-        sizes = np.diff(np.append(starts, len(c)))
-        keep = np.repeat(sizes <= hub_cap, sizes)
-        if not keep.any():
-            return _NJ_PAIR_SCHEMA.empty_table()
-        seg = np.cumsum(change).astype(np.int64)[keep]
-        nbr = np.asarray(g.column("nbr").to_pylist(), dtype=object)[keep]
-        ia, ib = segment_pair_indices([seg])
-        if len(ia) == 0:
-            return _NJ_PAIR_SCHEMA.empty_table()
-        na = pa.array(list(nbr[ia]), pa.string())   # nbr-sorted: na < nb
-        nb_ = pa.array(list(nbr[ib]), pa.string())
-        return pa.table({
-            "na": na, "nb": nb_,
-            "bucket": _pair_bucket(pa.chunked_array([na]),
-                                   pa.chunked_array([nb_])),
-        })
+        # sorted, so a center is one run of equal dictionary codes; run
+        # size = center degree (edges are globally distinct). Drop hub
+        # centers BEFORE pair generation
+        c = g.column("c").combine_chunks().dictionary_encode().indices \
+            .to_numpy(zero_copy_only=False)
+        keep = np.bincount(c)[c] <= hub_cap
+        ia, ib = segment_pair_indices([c[keep]])
+        nbr = g.column("nbr").combine_chunks().filter(pa.array(keep))
+        return with_bucket(pa.table({        # nbr-sorted: na < nb
+            "na": nbr.take(ia), "nb": nbr.take(ib)}), ["na", "nb"])
     return fn
 
 
 def _nj_common_bucket(min_common: int):
     def fn(group: pa.Table) -> pa.Table:
-        g = group.select(["na", "nb"]).group_by(["na", "nb"]) \
-            .aggregate([([], "count_all")]) \
+        g = group.group_by(["na", "nb"]).aggregate([([], "count_all")]) \
             .rename_columns(["na", "nb", "n_common"])
-        g = g.filter(pc.greater_equal(
-            g.column("n_common").cast(pa.int64()),
-            pa.scalar(min_common, pa.int64())))
-        n = g.num_rows
-        return pa.table({
-            "key": g.column("na"),
-            "other": g.column("nb"),
-            "n_common": g.column("n_common").cast(pa.int64()),
-            "deg_a": pa.nulls(n, pa.int64()),
-            "deg": pa.nulls(n, pa.int64()),
-            "bucket": _str_bucket(g.column("na")),
-        })
+        return g.filter(pc.greater_equal(g.column("n_common"),
+                                         pa.scalar(min_common, pa.int64())))
     return fn
 
 
-def _nj_deg_row(batch: pa.Table) -> pa.Table:
-    n = batch.num_rows
+def _nj_attach_a(pairs: pa.Table, deg: pa.Table) -> pa.Table:
+    """Attach deg of node_a (the join is keyed by na)."""
+    return pairs.join(deg, keys="na", right_keys="node",
+                      join_type="inner") \
+        .rename_columns(["na", "nb", "n_common", "deg_a"])
+
+
+def _nj_final(pairs: pa.Table, deg: pa.Table) -> pa.Table:
+    """Attach deg of node_b (keyed by nb); integer Jaccard."""
+    j = pairs.join(deg, keys="nb", right_keys="node", join_type="inner")
+    com, da, db = (j.column(c).to_numpy(zero_copy_only=False)
+                   .astype(np.int64) for c in ("n_common", "deg_a", "deg"))
     return pa.table({
-        "key": batch.column("node"),
-        "other": pa.nulls(n, pa.string()),
-        "n_common": pa.nulls(n, pa.int64()),
-        "deg_a": pa.nulls(n, pa.int64()),
-        "deg": batch.column("deg").cast(pa.int64()),
-        "bucket": batch.column("bucket"),
-    })
-
-
-def _nj_attach_a_bucket(group: pa.Table) -> pa.Table:
-    """Attach deg of node_a, rekey by node_b for the second join."""
-    is_deg = pc.is_valid(group.column("deg"))
-    degs = pa.table({"key": group.filter(is_deg).column("key"),
-                     "dg": group.filter(is_deg).column("deg")})
-    pairs = group.filter(pc.invert(is_deg)) \
-        .select(["key", "other", "n_common"])
-    j = pairs.join(degs, keys="key", join_type="inner")
-    return pa.table({
-        "key": j.column("other"),
-        "other": j.column("key"),
-        "n_common": j.column("n_common"),
-        "deg_a": j.column("dg"),
-        "deg": pa.nulls(j.num_rows, pa.int64()),
-        "bucket": _str_bucket(j.column("other")),
-    })
-
-
-def _nj_final_bucket(group: pa.Table) -> pa.Table:
-    is_deg = pc.is_valid(group.column("deg"))
-    degs = pa.table({"key": group.filter(is_deg).column("key"),
-                     "dg": group.filter(is_deg).column("deg")})
-    pairs = group.filter(pc.invert(is_deg)) \
-        .select(["key", "other", "n_common", "deg_a"])
-    j = pairs.join(degs, keys="key", join_type="inner")
-    com = j.column("n_common").to_numpy(zero_copy_only=False) \
-        .astype(np.int64)
-    da = j.column("deg_a").to_numpy(zero_copy_only=False) \
-        .astype(np.int64)
-    db = j.column("dg").to_numpy(zero_copy_only=False).astype(np.int64)
-    return pa.table({
-        "node_a": j.column("other"),
-        "node_b": j.column("key"),
+        "node_a": j.column("na"),
+        "node_b": j.column("nb"),
         "n_common": pa.array(com, pa.int64()),
         "jaccard_ppm": pa.array(NJ_SCALE * com // (da + db - com),
                                 pa.int64()),
@@ -1602,12 +1152,12 @@ def neighbor_jaccard(edges_ds, hub_cap: int = NJ_HUB_CAP,
     wedges = bucket_groupby(centers, _nj_wedges_bucket(hub_cap))
     common = bucket_groupby(wedges, _nj_common_bucket(min_common),
                             pre_repartition=False)
-    mixed1 = common.union(
-        deg.map_batches(_nj_deg_row, batch_format="pyarrow"))
-    keyed_b = bucket_groupby(mixed1, _nj_attach_a_bucket)
-    mixed2 = keyed_b.union(
-        deg.map_batches(_nj_deg_row, batch_format="pyarrow"))
-    return bucket_groupby(mixed2, _nj_final_bucket)
+    # with no common pair at all, ``common`` has no schema
+    with_a = bucket_join(common, deg, _nj_attach_a, on="na",
+                         right_on="node", left_schema=_NJ_COMMON_SCHEMA)
+    return bucket_join(with_a, deg, _nj_final, on="nb", right_on="node",
+                       left_schema=_NJ_COMMON_SCHEMA.append(
+                           pa.field("deg_a", pa.int64())))
 
 
 def neighbor_jaccard_sql(gold_path: str, hub_cap: int = NJ_HUB_CAP,
@@ -1663,11 +1213,6 @@ def neighbor_jaccard_sql(gold_path: str, hub_cap: int = NJ_HUB_CAP,
 # 10^6 in/out edges contributes the same handful of partial rows).
 # ONE node-keyed exchange over edge mass + one pred-pair-keyed exchange
 # over vocabulary-sized partials.
-
-_PB_PART_SCHEMA = pa.schema([
-    ("m", pa.string()), ("pred", pa.string()),
-    ("c_in", pa.int64()), ("c_out", pa.int64()), ("bucket", pa.int32()),
-])
 
 
 def _pb_partial(batch: pa.Table) -> pa.Table:
@@ -1731,8 +1276,7 @@ def _pb_paths_bucket(group: pa.Table) -> pa.Table:
                   "n": pa.array(n[live], pa.int64())}) \
         .group_by(["p1", "p2"]).aggregate([("n", "sum")]) \
         .rename_columns(["p1", "p2", "n"])
-    return t.append_column("bucket", _pair_bucket(t.column("p1"),
-                                                  t.column("p2")))
+    return with_bucket(t, ["p1", "p2"])
 
 
 def _pb_final_bucket(group: pa.Table) -> pa.Table:
@@ -1757,7 +1301,6 @@ def pred_bigrams(edges_ds):
 
 
 def _pb_distinct_partial(batch: pa.Table) -> pa.Table:
-    from .bucketing import hash_bucket
     t = pa.table({"subj": batch.column("subj").cast(pa.string()),
                   "pred": batch.column("pred").cast(pa.string()),
                   "obj": batch.column("obj").cast(pa.string())})
@@ -1765,9 +1308,7 @@ def _pb_distinct_partial(batch: pa.Table) -> pa.Table:
     # order-sensitive mixer, NOT xor: xor would collapse symmetric
     # triples (a,p,b)/(b,p,a) into one bucket and cancel self-loops
     # down to hash(pred), defeating the 64-way skew spread
-    b = hash_bucket([_str_hashes(g.column(c))
-                     for c in ("subj", "pred", "obj")], N_GRAPH_BUCKETS)
-    return g.append_column("bucket", pa.array(b))
+    return with_bucket(g, ["subj", "pred", "obj"])
 
 
 def _pb_distinct_bucket(group: pa.Table) -> pa.Table:
@@ -1953,9 +1494,9 @@ def kcore_sql(gold_kcore_path: str) -> str:
 # (val * HITS_SCALE // max(val)) replacing the float L2 norm — floor
 # division is deterministic and exactly expressible in DuckDB, so the
 # whole iteration unrolls into plain SQL like pagerank. Each half-step
-# is two bucketed exchanges (tagged-union join on the contributing
-# endpoint, then a reduce keyed by the receiving endpoint) with
-# node-sized inter-round state. Values are bounded by
+# is one superstep (a bucket join of the vector with the edges keyed by
+# the contributing endpoint, then a reduce keyed by the receiving
+# endpoint) with node-sized inter-round state. Values are bounded by
 # max_degree * HITS_SCALE (renorm pins the vector max to HITS_SCALE),
 # so the renorm multiply stays under 2^63 up to ~9e12-degree hubs;
 # guarded by an explicit overflow assert rather than silent wrap.
@@ -1964,69 +1505,21 @@ HITS_SCALE = 1_000_000
 HITS_ITERS = 2
 
 
-def _hits_distinct_edges(edges_ds):
-    def part(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "src": batch.column("subj").cast(pa.string()),
-            "dst": batch.column("obj").cast(pa.string()),
-        })
-        g = t.group_by(["src", "dst"]).aggregate([])
-        return g.append_column("bucket", _pair_bucket(
-            g.column("src"), g.column("dst")))
-
-    def distinct(group: pa.Table) -> pa.Table:
-        return group.group_by(["src", "dst"]).aggregate([])
-
-    return bucket_groupby(
-        edges_ds.map_batches(part, batch_format="pyarrow",
-                             batch_size=None), distinct).materialize()
-
-
 def _hits_half(vec, edges, key_col: str, other_col: str):
     """One half-step: contributions flow from ``key_col`` (where the
     current vector lives) to ``other_col``; returns the renormalized
     receiving vector, materialized."""
-    import ray
+    def contrib(v: pa.Table, e: pa.Table) -> pa.Table:
+        j = e.select([key_col, other_col]).join(
+            v, keys=key_col, right_keys="node", join_type="inner")
+        g = j.group_by([other_col]).aggregate([("val", "sum")])
+        return g.rename_columns(["node", "val"])
 
-    def vec_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "key": batch.column("node"), "other": pa.nulls(n, pa.string()),
-            "val": batch.column("val"),
-            "bucket": _str_bucket(batch.column("node")),
-        })
+    def total(m: pa.Table) -> pa.Table:
+        g = m.group_by(["node"]).aggregate([("val", "sum")])
+        return g.rename_columns(["node", "val"])
 
-    def edge_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "key": batch.column(key_col), "other": batch.column(other_col),
-            "val": pa.nulls(n, pa.int64()),
-            "bucket": _str_bucket(batch.column(key_col)),
-        })
-
-    def contrib(group: pa.Table) -> pa.Table:
-        has_val = pc.is_valid(group.column("val"))
-        v = group.filter(has_val)
-        e = group.filter(pc.invert(has_val))
-        j = e.select(["key", "other"]).join(
-            v.select(["key", "val"]), keys="key", join_type="inner")
-        g = j.group_by(["other"]).aggregate([("val", "sum")])
-        g = g.rename_columns(["node", "val"])
-        return pa.table({
-            "node": g.column("node"),
-            "val": g.column("val").cast(pa.int64()),
-            "bucket": _str_bucket(g.column("node")),
-        })
-
-    def reduce_(group: pa.Table) -> pa.Table:
-        g = group.group_by(["node"]).aggregate([("val", "sum")])
-        g = g.rename_columns(["node", "val"])
-        return g.append_column("bucket", _str_bucket(g.column("node")))
-
-    mixed = vec.map_batches(vec_rows, batch_format="pyarrow").union(
-        edges.map_batches(edge_rows, batch_format="pyarrow"))
-    red = bucket_groupby(bucket_groupby(mixed, contrib), reduce_) \
-        .materialize()
+    red = superstep(vec, edges, contrib, total, edge_on=key_col)
     mx = max(int(red.max("val") or 0), 1)
     if mx > (1 << 62) // HITS_SCALE:
         raise OverflowError("HITS renorm would overflow int64")
@@ -2037,77 +1530,45 @@ def _hits_half(vec, edges, key_col: str, other_col: str):
             "node": batch.column("node"),
             "val": pa.array(v * np.int64(HITS_SCALE) // np.int64(mx),
                             pa.int64()),
-            "bucket": batch.column("bucket"),
         })
 
     return red.map_batches(renorm, batch_format="pyarrow").materialize()
 
 
+def _hits_fold(hub: pa.Table, auth: pa.Table) -> pa.Table:
+    j = hub.rename_columns(["node", "hub"]).join(
+        auth.rename_columns(["node", "auth"]), keys="node",
+        join_type="full outer")
+    return pa.table({"node": j.column("node"),
+                     "hub": pc.fill_null(j.column("hub"), 0),
+                     "auth": pc.fill_null(j.column("auth"), 0)})
+
+
 def hits(edges_ds, iters: int = HITS_ITERS):
-    """(node, hub, auth) integer HITS scores after ``iters`` full
+    """(node, hub, auth) integer HITS scores after ``iters`` >= 1 full
     iterations (vector max pinned at HITS_SCALE; nodes receiving no
-    mass score 0). Requires an active Ray session."""
-    e = _hits_distinct_edges(edges_ds)
+    mass score 0). Every node is a src or a dst, so it has a hub or an
+    auth row and the final full outer join keeps it. Requires an active
+    Ray session."""
+    _check_params("hits", least=1, iters=iters)
+    e = _distinct_edges(edges_ds)
 
-    def node_part(batch: pa.Table) -> pa.Table:
-        u = pc.unique(pa.concat_arrays([
-            batch.column("src").combine_chunks(),
-            batch.column("dst").combine_chunks()]))
-        return pa.table({"node": u, "bucket": _str_bucket(
-            pa.chunked_array([u]))})
-
-    def node_distinct(group: pa.Table) -> pa.Table:
+    def ones(group: pa.Table) -> pa.Table:
         g = group.group_by(["node"]).aggregate([])
-        return g.append_column("bucket", _str_bucket(g.column("node")))
+        return g.append_column(
+            "val", pa.array(np.ones(g.num_rows, np.int64)))
 
-    nodes = bucket_groupby(
-        e.map_batches(node_part, batch_format="pyarrow",
-                      batch_size=None), node_distinct).materialize()
-
-    def ones(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": batch.column("node"),
-            "val": pa.array(np.ones(batch.num_rows, np.int64)),
-            "bucket": batch.column("bucket"),
-        })
-
-    h = nodes.map_batches(ones, batch_format="pyarrow")
-    a = None
+    h = bucket_groupby(e.map_batches(_endpoints, batch_format="pyarrow",
+                                     batch_size=None), ones).materialize()
     for _ in range(iters):
         a = _hits_half(h, e, "src", "dst")
         h = _hits_half(a, e, "dst", "src")
-
-    def tag(col: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            z = pa.array(np.zeros(n, np.int64))
-            return pa.table({
-                "node": batch.column("node"),
-                "hub": batch.column("val") if col == "hub" else z,
-                "auth": batch.column("val") if col == "auth" else z,
-                "bucket": batch.column("bucket"),
-            })
-        return fn
-
-    def zeros(batch: pa.Table) -> pa.Table:
-        z = pa.array(np.zeros(batch.num_rows, np.int64))
-        return pa.table({"node": batch.column("node"), "hub": z,
-                         "auth": z, "bucket": batch.column("bucket")})
-
-    mixed = h.map_batches(tag("hub"), batch_format="pyarrow") \
-        .union(a.map_batches(tag("auth"), batch_format="pyarrow")) \
-        .union(nodes.map_batches(zeros, batch_format="pyarrow"))
-
-    def fold(group: pa.Table) -> pa.Table:
-        g = group.group_by(["node"]).aggregate(
-            [("hub", "sum"), ("auth", "sum")])
-        return g.rename_columns(["node", "hub", "auth"])
-
-    return bucket_groupby(mixed, fold)
+    return bucket_join(h, a, _hits_fold, on="node")
 
 
 def hits_sql(triples_glob: str, iters: int = HITS_ITERS) -> str:
     """Unrolled DuckDB twin: identical integer renorm per half-step."""
+    _check_params("hits_sql", least=1, iters=iters)
     S = HITS_SCALE
     frags = ["""e AS (SELECT DISTINCT CAST(subj AS VARCHAR) AS src,
                             CAST(obj AS VARCHAR) AS dst
@@ -2160,67 +1621,70 @@ def hits_sql(triples_glob: str, iters: int = HITS_ITERS) -> str:
 # both dataflows derive identically, so the whole computation is
 # integer-exact against a depth-bounded recursive-CTE DuckDB twin.
 #
-# Shape: one symmetric min-weight edge exchange up front, then per
-# round ONE bucketed join (dist table + in-bucket edges -> relaxed
-# candidates) and ONE bucketed min-reduce — the same per-round cost
-# structure as pagerank/bfs_reach. Inter-round state is the node-sized
-# dist table; each round k yields exactly "min weight over <= k-edge
-# paths" (the Bellman-Ford DP), which is what the twin's `hops < H`
-# enumeration collapses to under min(). At 100 TB: rounds are fixed
-# (H), each round's join mass is the dist-adjacent edge set, and hot
-# seeds salt the same way the components labels do.
+# Shape: one symmetric min-weight edge exchange up front, then one
+# superstep per round (dist table + src-keyed edges -> relaxed
+# candidates, min-reduced per node) — the pagerank cost structure.
+# Inter-round state is the node-sized dist table; each round k yields
+# exactly "min weight over <= k-edge paths" (the Bellman-Ford DP), which
+# is what the twin's `hops < H` enumeration collapses to under min().
+# bfs_reach is the same relaxation with unit weights. At 100 TB: rounds
+# are fixed (H), each round's join mass is the dist-adjacent edge set,
+# and hot seeds salt the same way the components labels do.
 
 SSSP_MAX_HOPS = 4
 _SSSP_WT_MOD = 4
 
 
-def _sssp_edges_partial(batch: pa.Table) -> pa.Table:
-    s = batch.column("subj").cast(pa.string()).combine_chunks()
-    o = batch.column("obj").cast(pa.string()).combine_chunks()
-    p = batch.column("pred").cast(pa.string()).combine_chunks()
-    ln = pc.utf8_length(p).to_numpy(zero_copy_only=False).astype(np.int64)
-    wt = pa.array(ln % _SSSP_WT_MOD + 1, pa.int64())
-    t = pa.table({"src": pa.concat_arrays([s, o]),
-                  "dst": pa.concat_arrays([o, s]),
-                  "wt": pa.concat_arrays([wt, wt])})
-    g = t.group_by(["src", "dst"]).aggregate([("wt", "min")])
-    g = g.rename_columns(["src", "dst", "wt"])
-    return g.append_column("bucket", _str_bucket(g.column("src")))
+def _pred_weight(batch: pa.Table) -> pa.Array:
+    ln = pc.utf8_length(batch.column("pred").cast(pa.string())) \
+        .to_numpy(zero_copy_only=False).astype(np.int64)
+    return pa.array(ln % _SSSP_WT_MOD + 1, pa.int64())
 
 
-def _sssp_edge_bucket(group: pa.Table) -> pa.Table:
-    g = group.group_by(["src", "dst"]).aggregate([("wt", "min")])
-    g = g.rename_columns(["src", "dst", "wt"])
-    return g.append_column("bucket", _str_bucket(g.column("src")))
+def _min_src(edges) -> str:
+    """The lexicographically smallest src of an edge Dataset: a
+    per-block combiner + one-task merge (never a driver fold)."""
+    def smallest(batch: pa.Table) -> pa.Table:
+        return pa.table({"src": pa.array(
+            [pc.min(batch.column("src")).as_py()], pa.string())})
+
+    return edges.map_batches(smallest, batch_format="pyarrow",
+                             batch_size=None) \
+        .repartition(1) \
+        .map_batches(smallest, batch_format="pyarrow",
+                     batch_size=None).take_all()[0]["src"]
 
 
-def _sssp_expand_bucket(group: pa.Table) -> pa.Table:
-    """One hash(src) bucket of dist rows (dst null) + weighted edge
-    rows: every dist row relaxes its in-bucket out-edges (full
-    Bellman-Ford round); dist rows pass through for the min-reduce."""
-    is_d = pc.is_valid(group.column("val"))
-    d = group.filter(is_d)
-    e = group.filter(pc.invert(is_d))
-    j = e.select(["src", "dst", "wt"]).join(
-        pa.table({"src": d.column("src"), "val": d.column("val")}),
-        keys="src", join_type="inner")
-    node = pa.concat_arrays([
-        d.column("src").combine_chunks(),
-        j.column("dst").combine_chunks()])
-    dist = pa.concat_arrays([
-        d.column("val").combine_chunks(),
-        pc.add(j.column("val"), j.column("wt")).cast(pa.int64())
-        .combine_chunks()])
+def _relax(d: pa.Table, e: pa.Table) -> pa.Table:
+    """Every dist row relaxes its out-edges; dist rows pass through."""
+    j = e.join(d, keys="src", right_keys="node", join_type="inner")
     return pa.table({
-        "node": node, "dist": dist,
-        "bucket": _str_bucket(pa.chunked_array([node])),
+        "node": pa.concat_arrays([d.column("node").combine_chunks(),
+                                  j.column("dst").combine_chunks()]),
+        "dist": pa.concat_arrays([
+            d.column("dist").combine_chunks(),
+            pc.add(j.column("dist"), j.column("wt")).combine_chunks()]),
     })
 
 
-def _sssp_min_bucket(group: pa.Table) -> pa.Table:
-    g = group.group_by(["node"]).aggregate([("dist", "min")])
-    g = g.rename_columns(["node", "dist"])
-    return g.append_column("bucket", _str_bucket(g.column("node")))
+def _shortest(m: pa.Table) -> pa.Table:
+    g = m.group_by(["node"]).aggregate([("dist", "min")])
+    return g.rename_columns(["node", "dist"])
+
+
+def _shortest_paths(edges, seed: str | None, rounds: int):
+    """(node, dist) after ``rounds`` Bellman-Ford supersteps from
+    ``seed`` (default: the smallest src) over materialized weighted
+    (src, dst, wt) edges."""
+    import ray.data
+    if seed is None:
+        seed = _min_src(edges)
+    dist = ray.data.from_arrow(pa.table({
+        "node": pa.array([seed], pa.string()),
+        "dist": pa.array([0], pa.int64())}))
+    for _ in range(rounds):
+        dist = superstep(dist, edges, _relax, _shortest)
+    return dist
 
 
 def sssp(edges_ds, seed: str | None = None,
@@ -2230,65 +1694,9 @@ def sssp(edges_ds, seed: str | None = None,
     ``1 + len(pred) % 4``, min per pair). Default seed = lexicographic
     minimum endpoint, computed with a per-block combiner + one-task
     merge (never a driver fold). Requires an active Ray session."""
-    sp = edges_ds.map_batches(_sssp_edges_partial,
-                              batch_format="pyarrow", batch_size=None)
-    edges = bucket_groupby(sp, _sssp_edge_bucket).materialize()
-
-    if seed is None:
-        def min_partial(batch: pa.Table) -> pa.Table:
-            m = pc.min(batch.column("src"))
-            return pa.table({"node": pa.array([m.as_py()], pa.string())})
-
-        def min_merge(batch: pa.Table) -> pa.Table:
-            return pa.table({"node": pa.array(
-                [pc.min(batch.column("node")).as_py()], pa.string())})
-
-        seed = edges.map_batches(min_partial, batch_format="pyarrow",
-                                 batch_size=None) \
-            .repartition(1) \
-            .map_batches(min_merge, batch_format="pyarrow",
-                         batch_size=None).take_all()[0]["node"]
-
-    import ray.data
-    dist = ray.data.from_arrow(pa.table({
-        "node": pa.array([seed], pa.string()),
-        "dist": pa.array([0], pa.int64()),
-        "bucket": _str_bucket(pa.chunked_array(
-            [pa.array([seed], pa.string())])),
-    }))
-
-    def dist_as_src_row(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "src": batch.column("node"),
-            "dst": pa.nulls(n, pa.string()),
-            "wt": pa.nulls(n, pa.int64()),
-            "val": batch.column("dist"),
-            "bucket": batch.column("bucket"),
-        })
-
-    def edge_row(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "src": batch.column("src"),
-            "dst": batch.column("dst"),
-            "wt": batch.column("wt"),
-            "val": pa.nulls(n, pa.int64()),
-            "bucket": batch.column("bucket"),
-        })
-
-    for _ in range(max_hops):
-        mixed = dist.map_batches(dist_as_src_row,
-                                 batch_format="pyarrow") \
-            .union(edges.map_batches(edge_row, batch_format="pyarrow"))
-        expanded = bucket_groupby(mixed, _sssp_expand_bucket)
-        dist = bucket_groupby(expanded, _sssp_min_bucket).materialize()
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch.column("node"),
-                         "dist": batch.column("dist")})
-
-    return dist.map_batches(finish, batch_format="pyarrow")
+    _check_params("sssp", max_hops=max_hops)
+    return _shortest_paths(_distinct_edges(
+        edges_ds, symmetric=True, weight=_pred_weight), seed, max_hops)
 
 
 def sssp_local(edges: list[tuple[str, str, str]],
@@ -2320,6 +1728,7 @@ def sssp_sql(triples_glob: str, max_hops: int = SSSP_MAX_HOPS) -> str:
     """DuckDB twin: hop-bounded recursive CTE over the symmetric
     min-weight edge set; min accumulated weight per node collapses the
     path enumeration to the engine's Bellman-Ford DP."""
+    _check_params("sssp_sql", max_hops=max_hops)
     return f"""
         WITH RECURSIVE b AS (
           SELECT CAST(subj AS VARCHAR) AS s, CAST(obj AS VARCHAR) AS o,
@@ -2353,51 +1762,36 @@ def sssp_sql(triples_glob: str, max_hops: int = SSSP_MAX_HOPS) -> str:
 # tie-break make the result exactly reproducible at any parallelism,
 # so the whole iteration unrolls into plain windowed DuckDB SQL.
 #
-# Shape per round: ONE bucketed join (labels + dst-keyed edges -> per
-# (node, neighbor-label) partial counts) and ONE bucketed argmax
-# reduce — two exchanges per round over edge mass, node-sized
-# inter-round state, exactly the components/pagerank cost class.
+# Shape per round: one superstep — a bucket join of the labels with the
+# dst-keyed edges (-> per (node, neighbor-label) partial counts), then
+# the argmax reduce keyed by node — over edge mass, with node-sized
+# inter-round state: the components/pagerank cost class.
 
 LP_ROUNDS = 3
 
 
-def _lp_join_bucket(group: pa.Table) -> pa.Table:
-    """One hash(key) bucket of label rows (other null) + edge rows
-    keyed by dst: attach dst labels, emit per-(src, label) partial
-    counts bucketed by src."""
-    has_lab = pc.is_valid(group.column("lab"))
-    l = group.filter(has_lab)
-    e = group.filter(pc.invert(has_lab))
-    j = e.select(["key", "other"]).join(
-        l.select(["key", "lab"]), keys="key", join_type="inner")
-    g = j.group_by(["other", "lab"]).aggregate([([], "count_all")])
-    g = g.rename_columns(["node", "lab", "n"])
-    return pa.table({
-        "node": g.column("node"), "lab": g.column("lab"),
-        "n": g.column("n").cast(pa.int64()),
-        "bucket": _str_bucket(g.column("node")),
-    })
+def _lp_count(labels: pa.Table, e: pa.Table) -> pa.Table:
+    """Attach each edge's dst label; per-(src, label) partial counts,
+    addressed to src."""
+    j = e.select(["src", "dst"]).join(labels, keys="dst",
+                                      right_keys="node", join_type="inner")
+    g = j.group_by(["src", "label"]).aggregate([([], "count_all")])
+    return g.rename_columns(["node", "label", "n"])
 
 
-def _lp_argmax_bucket(group: pa.Table) -> pa.Table:
+def _lp_argmax(m: pa.Table) -> pa.Table:
     """Sum the per-(node, label) partials, then per node keep the
     (count desc, label asc) argmax — vectorized first-of-sorted-run."""
-    g = group.group_by(["node", "lab"]).aggregate([("n", "sum")])
-    g = g.rename_columns(["node", "lab", "n"])
-    idx = pc.sort_indices(g, sort_keys=[
+    g = m.group_by(["node", "label"]).aggregate([("n", "sum")])
+    g = g.rename_columns(["node", "label", "n"])
+    g = g.take(pc.sort_indices(g, sort_keys=[
         ("node", "ascending"), ("n", "descending"),
-        ("lab", "ascending")])
-    g = g.take(idx)
+        ("label", "ascending")]))
     codes = g.column("node").combine_chunks().dictionary_encode() \
         .indices.to_numpy(zero_copy_only=False)
     first = np.ones(len(codes), bool)
-    if len(codes) > 1:
-        first[1:] = codes[1:] != codes[:-1]
-    out = g.filter(pa.array(first))
-    return pa.table({
-        "node": out.column("node"), "label": out.column("lab"),
-        "bucket": _str_bucket(out.column("node")),
-    })
+    first[1:] = codes[1:] != codes[:-1]
+    return g.filter(pa.array(first)).select(["node", "label"])
 
 
 def lp_communities(edges_ds, rounds: int = LP_ROUNDS):
@@ -2405,52 +1799,20 @@ def lp_communities(edges_ds, rounds: int = LP_ROUNDS):
     rounds over the undirected distinct edge set (most-frequent
     neighbor label, ties -> smallest). Requires an active Ray
     session."""
-    sp = edges_ds.map_batches(_bfs_sym_partial, batch_format="pyarrow",
-                              batch_size=None)
-    sym = bucket_groupby(sp, _bfs_sym_bucket).materialize()
+    _check_params("lp_communities", rounds=rounds)
+    sym = _distinct_edges(edges_ds, symmetric=True)
 
-    def init_labels(batch: pa.Table) -> pa.Table:
-        u = pc.unique(batch.column("src").combine_chunks())
-        return pa.table({"node": u, "label": u, "bucket": _str_bucket(
-            pa.chunked_array([u]))})
+    def self_label(group: pa.Table) -> pa.Table:
+        u = pc.unique(group.column("node"))
+        return pa.table({"node": u, "label": u})
 
-    def label_distinct(group: pa.Table) -> pa.Table:
-        g = group.group_by(["node", "label"]).aggregate([])
-        return g.append_column("bucket", _str_bucket(g.column("node")))
-
-    labels = bucket_groupby(
-        sym.map_batches(init_labels, batch_format="pyarrow",
-                        batch_size=None), label_distinct).materialize()
-
-    def lab_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "key": batch.column("node"),
-            "other": pa.nulls(n, pa.string()),
-            "lab": batch.column("label"),
-            "bucket": batch.column("bucket"),
-        })
-
-    def edge_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "key": batch.column("dst"),
-            "other": batch.column("src"),
-            "lab": pa.nulls(n, pa.string()),
-            "bucket": _str_bucket(batch.column("dst")),
-        })
-
+    labels = bucket_groupby(sym.map_batches(
+        _endpoints, batch_format="pyarrow", batch_size=None),
+        self_label).materialize()
     for _ in range(rounds):
-        mixed = labels.map_batches(lab_rows, batch_format="pyarrow") \
-            .union(sym.map_batches(edge_rows, batch_format="pyarrow"))
-        counted = bucket_groupby(mixed, _lp_join_bucket)
-        labels = bucket_groupby(counted, _lp_argmax_bucket).materialize()
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch.column("node"),
-                         "label": batch.column("label")})
-
-    return labels.map_batches(finish, batch_format="pyarrow")
+        labels = superstep(labels, sym, _lp_count, _lp_argmax,
+                           edge_on="dst")
+    return labels
 
 
 def lp_communities_local(pairs: list[tuple[str, str]],
@@ -2477,6 +1839,7 @@ def lp_communities_sql(triples_glob: str,
     """Unrolled DuckDB twin: per round, count neighbor labels over the
     symmetric distinct edge set and keep the (count desc, label asc)
     window argmax — identical tie-break to the engine."""
+    _check_params("lp_communities_sql", rounds=rounds)
     frags = [f"""e AS (
           SELECT DISTINCT src, dst FROM (
             SELECT CAST(subj AS VARCHAR) AS src,
@@ -2659,8 +2022,8 @@ def assortativity_registers(edges_ds):
     sufficient statistics for Pearson degree assortativity (x = deg of
     a half-edge's source, symmetric so sum over x == sum over y).
     Requires an active Ray session."""
-    sp = edges_ds.map_batches(_bfs_sym_partial, batch_format="pyarrow",
-                              batch_size=None)
+    sp = edges_ds.map_batches(_edge_partial(symmetric=True),
+                              batch_format="pyarrow", batch_size=None)
     mixed = bucket_groupby(sp, _assort_deg_bucket)
     parts = bucket_groupby(mixed, _assort_sum_bucket)
 
