@@ -246,30 +246,14 @@ def with_bucket(t: pa.Table, on) -> pa.Table:
     return t.append_column("bucket", key_bucket(t, on))
 
 
-def _side_fields(ds, schema) -> tuple:
-    """(Dataset, fields) of one join side. The fields come from
-    ``schema`` if given, else from the Dataset, which is materialized
-    first when its schema is not known yet (padding needs both sides'
-    types before the exchange starts). None: the side has no rows and
-    no schema."""
-    if schema is None:
-        s = ds.schema(fetch_if_missing=False)
-        if s is None:
-            ds = ds.materialize()
-            s = ds.schema(fetch_if_missing=False)
-        if s is None:
-            return ds, None
-        schema = pa.schema(list(zip(s.names, s.types)))
-    return ds, [f for f in schema if f.name not in ("bucket", "_side")]
-
-
-def bucket_join(left, right, fn, *, on, right_on=None,
-                left_schema=None, right_schema=None):
+def bucket_join(left, right, fn, *, on, left_schema, right_schema,
+                right_on=None):
     """Co-locate two keyed Datasets in ONE :func:`bucket_groupby`
     exchange and call ``fn(left_rows, right_rows)`` once per bucket
-    group. Each argument is a table of that side's own columns (a
-    ``bucket`` column of an input is dropped) holding the side's rows
-    whose key fell in the group's bucket; either may have no rows.
+    group. Each argument is a table of that side's declared columns
+    (``left_schema`` / ``right_schema``; any other input column, such as
+    a ``bucket``, is dropped before the exchange) holding the side's
+    rows whose key fell in the group's bucket; either may have no rows.
 
     ``left`` is keyed by the column(s) ``on``, ``right`` by
     ``right_on`` (default ``on``): rows with equal keys always meet in
@@ -277,20 +261,13 @@ def bucket_join(left, right, fn, *, on, right_on=None,
     Arrow join inside ``fn`` never matches it. Both sides are padded
     here to one union schema (a shared column name must have one type)
     plus an int8 ``_side`` tag, so every exchanged block has the same
-    schema and a null value never decides a row's side.
-
-    ``left_schema`` / ``right_schema`` give a side's schema explicitly.
-    Pass one for a lazy input (else it is materialized here to learn
-    its schema) and for an input that may have no rows: Ray keeps no
-    schema for an exchange or a map over no rows, and ``fn`` then could
-    not be given that side. Without one, a side with no rows and no
-    schema raises ValueError as soon as the other side's rows reach
-    ``fn``."""
-    left, lf = _side_fields(left, left_schema)
-    right, rf = _side_fields(right, right_schema)
+    schema and a null value never decides a row's side. The schemas are
+    declared, not read from the inputs, because Ray keeps no schema for
+    an exchange or a map over no rows: an empty side still reaches
+    ``fn`` as an empty table of its declared schema."""
     right_on = on if right_on is None else right_on
-    by_name = {f.name: f for f in (lf or [])}
-    for f in rf or []:
+    by_name = {f.name: f for f in left_schema}
+    for f in right_schema:
         if by_name.setdefault(f.name, f).type != f.type:
             raise TypeError(f"bucket_join: column {f.name!r} is "
                             f"{by_name[f.name].type} on the left and "
@@ -310,29 +287,18 @@ def bucket_join(left, right, fn, *, on, right_on=None,
                         key_bucket(t, key)], schema=schema)
         return padded
 
-    lnames, rnames = ([f.name for f in fs] if fs is not None else None
-                      for fs in (lf, rf))
-
     def kernel(group: pa.Table) -> pa.Table:
-        for names, which in ((lnames, "left"), (rnames, "right")):
-            if names is None:
-                raise ValueError(
-                    f"bucket_join: the {which} input has no rows and no "
-                    f"schema; pass {which}_schema")
         is_r = pc.equal(group.column("_side"), pa.scalar(1, pa.int8()))
-        return fn(group.filter(pc.invert(is_r)).select(lnames),
-                  group.filter(is_r).select(rnames))
+        return fn(group.filter(pc.invert(is_r)).select(left_schema.names),
+                  group.filter(is_r).select(right_schema.names))
 
-    parts = [ds.map_batches(pad(side, key), batch_format="pyarrow")
-             for side, ds, f, key in ((0, left, lf, on),
-                                      (1, right, rf, right_on))
-             if f is not None]
-    mixed = parts[0].union(parts[1]) if len(parts) == 2 \
-        else (parts or [left])[0]
-    return bucket_groupby(mixed, kernel)
+    lp, rp = (ds.map_batches(pad(side, key), batch_format="pyarrow")
+              for side, ds, key in ((0, left, on), (1, right, right_on)))
+    return bucket_groupby(lp.union(rp), kernel)
 
 
-def superstep(state, edges, message, combine, *, edge_on: str = "src"):
+def superstep(state, edges, message, combine, *, state_schema,
+              edge_schema, edge_on: str = "src"):
     """One round of a vertex program: :func:`bucket_join` the node
     ``state`` (keyed by its ``node`` column) with ``edges`` (keyed by
     ``edge_on``), where ``message(state_rows, edge_rows)`` emits
@@ -346,7 +312,8 @@ def superstep(state, edges, message, combine, *, edge_on: str = "src"):
     def reduce_(group: pa.Table) -> pa.Table:
         return combine(group.drop_columns(["bucket"]))
 
-    msgs = bucket_join(state, edges, send, on="node", right_on=edge_on)
+    msgs = bucket_join(state, edges, send, on="node", right_on=edge_on,
+                       left_schema=state_schema, right_schema=edge_schema)
     return bucket_groupby(msgs, reduce_).materialize()
 
 

@@ -97,7 +97,11 @@ def _distinct_edges(edges_ds, *, symmetric: bool = False, weight=None):
         batch_size=None), dedup).materialize()
 
 
+# column sets the joins declare for their inputs (bucket_join pads each
+# side to its schema, so an empty input still reaches the kernel)
 _NODE_SCHEMA = pa.schema([("node", pa.string())])
+_EDGE_SCHEMA = pa.schema([("src", pa.string()), ("dst", pa.string())])
+_WT_EDGE_SCHEMA = _EDGE_SCHEMA.append(pa.field("wt", pa.int64()))
 
 
 def _endpoints(batch: pa.Table) -> pa.Table:
@@ -182,8 +186,10 @@ def _subj_obj_partial(batch: pa.Table) -> pa.Table:
 
 def _co_pairs_bucket(obj_cap: int):
     def pairs(group: pa.Table) -> pa.Table:
-        # distinct across blocks, drop boilerplate objects, expand pairs
+        # distinct across blocks, drop boilerplate objects, expand pairs;
+        # a null object is shared with nobody (the SQL twin's equi-join)
         g = group.group_by(["subj", "obj"]).aggregate([])
+        g = g.filter(pc.is_valid(g.column("obj")))
         g = g.sort_by([("obj", "ascending"), ("subj", "ascending")])
         # sorted, so equal objects are one run of equal dictionary codes;
         # run size = #subjects (rows are distinct (subj, obj))
@@ -256,6 +262,8 @@ def co_mention_pairs(edges_ds, obj_cap: int = 32, min_shared: int = 2):
 # node-sized rank table; the seed set rides into the kernels by closure.
 
 PPR_SEEDS = 8
+_OUTDEG_SCHEMA = pa.schema([("node", pa.string()), ("outdeg", pa.int64())])
+_RANK_SCHEMA = _OUTDEG_SCHEMA.insert(1, pa.field("rank", pa.int64()))
 
 
 def _top_outdeg_partial(k: int):
@@ -334,9 +342,12 @@ def _seeded_pagerank(edges_ds, iters: int, n_seeds: int | None):
     nodes = edges.map_batches(_endpoints, batch_format="pyarrow",
                               batch_size=None)
     ranks = bucket_join(nodes, outdeg, init, on="node",
-                        left_schema=_NODE_SCHEMA).materialize()
+                        left_schema=_NODE_SCHEMA,
+                        right_schema=_OUTDEG_SCHEMA).materialize()
     for _ in range(iters):
-        ranks = superstep(ranks, edges, contribute, reduce_)
+        ranks = superstep(ranks, edges, contribute, reduce_,
+                          state_schema=_RANK_SCHEMA,
+                          edge_schema=_EDGE_SCHEMA)
     return ranks.select_columns(["node", "rank"]) \
         .rename_columns({"rank": "pr"})
 
@@ -464,8 +475,7 @@ def _tri_deg_bucket(group: pa.Table) -> pa.Table:
 
 def _attach_deg_a(e: pa.Table, deg: pa.Table) -> pa.Table:
     """First degree join (keyed by endpoint a): (a, b, deg_a)."""
-    return e.select(["a", "b"]).join(deg, keys="a", right_keys="node",
-                                      join_type="inner") \
+    return e.join(deg, keys="a", right_keys="node", join_type="inner") \
         .rename_columns(["a", "b", "deg_a"])
 
 
@@ -500,11 +510,11 @@ def _tri_wedge_bucket(group: pa.Table) -> pa.Table:
                      "u": src.take(ia)})
 
 
+_CANON_SCHEMA = pa.schema([("a", pa.string()), ("b", pa.string())])
+_DEG_SCHEMA = pa.schema([("node", pa.string()), ("deg", pa.int64())])
+_DEG_A_SCHEMA = _CANON_SCHEMA.append(pa.field("deg_a", pa.int64()))
 _WEDGE_SCHEMA = pa.schema([
     ("v", pa.string()), ("w", pa.string()), ("u", pa.string()),
-])
-_DEG_A_SCHEMA = pa.schema([
-    ("a", pa.string()), ("b", pa.string()), ("deg_a", pa.int64()),
 ])
 
 
@@ -514,9 +524,8 @@ def _closed(fn):
     smallest corner u; ``fn(u, v, w)`` turns them into output rows.
     Oriented edges are distinct, so each triangle matches once."""
     def kern(wedges: pa.Table, edges: pa.Table) -> pa.Table:
-        tri = wedges.join(edges.select(["src", "dst"]),
-                          keys=["v", "w"], right_keys=["src", "dst"],
-                          join_type="inner")
+        tri = wedges.join(edges, keys=["v", "w"],
+                          right_keys=["src", "dst"], join_type="inner")
         return fn(*(tri.column(c).combine_chunks() for c in "uvw"))
     return kern
 
@@ -557,12 +566,15 @@ def _closed_wedges(e, deg, fn):
     attach the endpoint degrees), emit its wedges per src, and join them
     against the oriented edges with the :func:`_closed` kernel ``fn`` —
     shared by triangle counting and the k-truss support rounds."""
-    with_a = bucket_join(e, deg, _attach_deg_a, on="a", right_on="node")
+    with_a = bucket_join(e, deg, _attach_deg_a, on="a", right_on="node",
+                         left_schema=_CANON_SCHEMA, right_schema=_DEG_SCHEMA)
     oriented = bucket_join(with_a, deg, _orient, on="b", right_on="node",
-                           left_schema=_DEG_A_SCHEMA).materialize()
+                           left_schema=_DEG_A_SCHEMA,
+                           right_schema=_DEG_SCHEMA).materialize()
     wedges = bucket_groupby(oriented, _tri_wedge_bucket)
     return bucket_join(wedges, oriented, fn, on=["v", "w"],
-                       right_on=["src", "dst"], left_schema=_WEDGE_SCHEMA)
+                       right_on=["src", "dst"], left_schema=_WEDGE_SCHEMA,
+                       right_schema=_EDGE_SCHEMA)
 
 
 def _triangle_core(edges_ds):
@@ -735,11 +747,10 @@ def clustering_coefficients(edges_ds):
     (node, degree, n_triangles, coeff_micro) where coeff_micro =
     floor(2 * triangles * 1e6 / (deg * (deg - 1))) — integer-exact, so
     the oracle compares bit-for-bit. One node-keyed bucket join on top
-    of the shared triangle pipeline (a triangle-free graph's triangle
-    table has no rows and no schema, hence ``right_schema``)."""
+    of the shared triangle pipeline."""
     deg, tri = _triangle_core(edges_ds)
     return bucket_join(deg, tri, _cc_join, on="node",
-                       right_schema=_TRI_SCHEMA)
+                       left_schema=_DEG_SCHEMA, right_schema=_TRI_SCHEMA)
 
 
 def triangle_counts_local(edges: list[tuple[str, str]]) -> dict[str, int]:
@@ -996,7 +1007,9 @@ def random_walks(edges_ds, n_walks: int = 2, walk_len: int = 3):
     out = frontier.map_batches(_rw_stamp(0), batch_format="pyarrow")
     for k in range(walk_len):
         frontier = bucket_join(frontier, edges, _rw_step(k), on="node",
-                               right_on="src").materialize()
+                               right_on="src",
+                               left_schema=_RW_FRONTIER_SCHEMA,
+                               right_schema=_EDGE_SCHEMA).materialize()
         out = out.union(frontier.map_batches(_rw_stamp(k + 1),
                                              batch_format="pyarrow"))
     return out
@@ -1083,6 +1096,7 @@ NJ_SCALE = 1_000_000
 _NJ_COMMON_SCHEMA = pa.schema([
     ("na", pa.string()), ("nb", pa.string()), ("n_common", pa.int64()),
 ])
+_NJ_WITH_A_SCHEMA = _NJ_COMMON_SCHEMA.append(pa.field("deg_a", pa.int64()))
 
 
 def _nj_center_partial(batch: pa.Table) -> pa.Table:
@@ -1152,12 +1166,12 @@ def neighbor_jaccard(edges_ds, hub_cap: int = NJ_HUB_CAP,
     wedges = bucket_groupby(centers, _nj_wedges_bucket(hub_cap))
     common = bucket_groupby(wedges, _nj_common_bucket(min_common),
                             pre_repartition=False)
-    # with no common pair at all, ``common`` has no schema
     with_a = bucket_join(common, deg, _nj_attach_a, on="na",
-                         right_on="node", left_schema=_NJ_COMMON_SCHEMA)
+                         right_on="node", left_schema=_NJ_COMMON_SCHEMA,
+                         right_schema=_DEG_SCHEMA)
     return bucket_join(with_a, deg, _nj_final, on="nb", right_on="node",
-                       left_schema=_NJ_COMMON_SCHEMA.append(
-                           pa.field("deg_a", pa.int64())))
+                       left_schema=_NJ_WITH_A_SCHEMA,
+                       right_schema=_DEG_SCHEMA)
 
 
 def neighbor_jaccard_sql(gold_path: str, hub_cap: int = NJ_HUB_CAP,
@@ -1503,6 +1517,7 @@ def kcore_sql(gold_kcore_path: str) -> str:
 
 HITS_SCALE = 1_000_000
 HITS_ITERS = 2
+_VAL_SCHEMA = pa.schema([("node", pa.string()), ("val", pa.int64())])
 
 
 def _hits_half(vec, edges, key_col: str, other_col: str):
@@ -1510,8 +1525,7 @@ def _hits_half(vec, edges, key_col: str, other_col: str):
     current vector lives) to ``other_col``; returns the renormalized
     receiving vector, materialized."""
     def contrib(v: pa.Table, e: pa.Table) -> pa.Table:
-        j = e.select([key_col, other_col]).join(
-            v, keys=key_col, right_keys="node", join_type="inner")
+        j = e.join(v, keys=key_col, right_keys="node", join_type="inner")
         g = j.group_by([other_col]).aggregate([("val", "sum")])
         return g.rename_columns(["node", "val"])
 
@@ -1519,7 +1533,8 @@ def _hits_half(vec, edges, key_col: str, other_col: str):
         g = m.group_by(["node"]).aggregate([("val", "sum")])
         return g.rename_columns(["node", "val"])
 
-    red = superstep(vec, edges, contrib, total, edge_on=key_col)
+    red = superstep(vec, edges, contrib, total, state_schema=_VAL_SCHEMA,
+                    edge_schema=_EDGE_SCHEMA, edge_on=key_col)
     mx = max(int(red.max("val") or 0), 1)
     if mx > (1 << 62) // HITS_SCALE:
         raise OverflowError("HITS renorm would overflow int64")
@@ -1563,7 +1578,8 @@ def hits(edges_ds, iters: int = HITS_ITERS):
     for _ in range(iters):
         a = _hits_half(h, e, "src", "dst")
         h = _hits_half(a, e, "dst", "src")
-    return bucket_join(h, a, _hits_fold, on="node")
+    return bucket_join(h, a, _hits_fold, on="node",
+                       left_schema=_VAL_SCHEMA, right_schema=_VAL_SCHEMA)
 
 
 def hits_sql(triples_glob: str, iters: int = HITS_ITERS) -> str:
@@ -1633,6 +1649,7 @@ def hits_sql(triples_glob: str, iters: int = HITS_ITERS) -> str:
 
 SSSP_MAX_HOPS = 4
 _SSSP_WT_MOD = 4
+_DIST_SCHEMA = pa.schema([("node", pa.string()), ("dist", pa.int64())])
 
 
 def _pred_weight(batch: pa.Table) -> pa.Array:
@@ -1683,7 +1700,9 @@ def _shortest_paths(edges, seed: str | None, rounds: int):
         "node": pa.array([seed], pa.string()),
         "dist": pa.array([0], pa.int64())}))
     for _ in range(rounds):
-        dist = superstep(dist, edges, _relax, _shortest)
+        dist = superstep(dist, edges, _relax, _shortest,
+                         state_schema=_DIST_SCHEMA,
+                         edge_schema=_WT_EDGE_SCHEMA)
     return dist
 
 
@@ -1768,13 +1787,13 @@ def sssp_sql(triples_glob: str, max_hops: int = SSSP_MAX_HOPS) -> str:
 # inter-round state: the components/pagerank cost class.
 
 LP_ROUNDS = 3
+_LABEL_SCHEMA = pa.schema([("node", pa.string()), ("label", pa.string())])
 
 
 def _lp_count(labels: pa.Table, e: pa.Table) -> pa.Table:
     """Attach each edge's dst label; per-(src, label) partial counts,
     addressed to src."""
-    j = e.select(["src", "dst"]).join(labels, keys="dst",
-                                      right_keys="node", join_type="inner")
+    j = e.join(labels, keys="dst", right_keys="node", join_type="inner")
     g = j.group_by(["src", "label"]).aggregate([([], "count_all")])
     return g.rename_columns(["node", "label", "n"])
 
@@ -1811,7 +1830,8 @@ def lp_communities(edges_ds, rounds: int = LP_ROUNDS):
         self_label).materialize()
     for _ in range(rounds):
         labels = superstep(labels, sym, _lp_count, _lp_argmax,
-                           edge_on="dst")
+                           state_schema=_LABEL_SCHEMA,
+                           edge_schema=_EDGE_SCHEMA, edge_on="dst")
     return labels
 
 

@@ -72,16 +72,8 @@ def test_bucket_join_matches_arrow_join(ray_session, left, right, how,
         return a.join(b, keys="k", right_keys="rk", join_type=how)
 
     joined = bucket_join(_dataset(lt, l_layout), _dataset(rt, r_layout),
-                         join, on="k", right_on="rk")
-    # Ray drops the schema of a lazy map over no rows: such a side
-    # cannot reach fn, so the join raises once the other side has rows
-    lost = [side for side, rows, layout in (("left", left, l_layout),
-                                            ("right", right, r_layout))
-            if layout == "lazy" and not rows]
-    if lost and (left or right):
-        with pytest.raises(ValueError, match=f"pass {lost[0]}_schema"):
-            joined.materialize()
-        return
+                         join, on="k", right_on="rk",
+                         left_schema=lt.schema, right_schema=rt.schema)
     want = join(lt, rt).to_pylist()
     assert sorted(map(repr, joined.take_all())) == sorted(map(repr, want))
 
@@ -91,16 +83,18 @@ def test_bucket_join_rejects_conflicting_column_types(ray_session):
 
     from casie_ray.ops.bucketing import bucket_join
 
-    a = ray.data.from_arrow(pa.table({"k": ["x"], "v": [1]}))
-    b = ray.data.from_arrow(pa.table({"k": ["x"], "v": ["1"]}))
+    a = pa.table({"k": ["x"], "v": [1]})
+    b = pa.table({"k": ["x"], "v": ["1"]})
     with pytest.raises(TypeError, match="'v'"):
-        bucket_join(a, b, lambda x, y: x, on="k")
+        bucket_join(ray.data.from_arrow(a), ray.data.from_arrow(b),
+                    lambda x, y: x, on="k", left_schema=a.schema,
+                    right_schema=b.schema)
 
 
-def test_bucket_join_side_without_rows_or_schema(ray_session):
-    """An exchange over no rows yields a Dataset with no schema: a given
-    schema stands in for it, and without one the join fails loudly once
-    the other side's rows reach ``fn``."""
+def test_bucket_join_empty_side_gets_its_declared_schema(ray_session):
+    """An exchange over no rows yields a Dataset with no schema; the
+    declared schema stands in for it, so ``fn`` still gets that side
+    as an empty table with its columns."""
     import ray.data
 
     from casie_ray.ops.bucketing import bucket_groupby, bucket_join
@@ -109,18 +103,17 @@ def test_bucket_join_side_without_rows_or_schema(ray_session):
         "rk": pa.array([], pa.string()),
         "bucket": pa.array([], pa.int32())})), lambda g: g).materialize()
     assert empty.schema(fetch_if_missing=False) is None
-    left = ray.data.from_arrow(pa.table({"k": ["a", "b"]}))
+    left = pa.table({"k": ["a", "b"]})
 
     def join(a: pa.Table, b: pa.Table) -> pa.Table:
         return a.join(b, keys="k", right_keys="rk", join_type="left outer")
 
-    got = bucket_join(left, empty, join, on="k", right_on="rk",
+    got = bucket_join(ray.data.from_arrow(left), empty, join, on="k",
+                      right_on="rk", left_schema=left.schema,
                       right_schema=pa.schema([("rk", pa.string()),
                                               ("rv", pa.int64())]))
     assert sorted(map(repr, got.take_all())) == [
         "{'k': 'a', 'rv': None}", "{'k': 'b', 'rv': None}"]
-    with pytest.raises(ValueError, match="pass right_schema"):
-        bucket_join(left, empty, join, on="k", right_on="rk").materialize()
 
 
 def _planted_edges():
@@ -202,3 +195,68 @@ def test_graph_op_out_of_domain_parameter_raises(ray_session, op, kwargs,
     else:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             getattr(graphx, op)(_planted_edges(), **kwargs).materialize()
+
+
+def _edge_table(pairs) -> pa.Table:
+    return pa.table({"subj": pa.array([a for a, _ in pairs], pa.string()),
+                     "pred": pa.array(["p"] * len(pairs), pa.string()),
+                     "obj": pa.array([b for _, b in pairs], pa.string())})
+
+
+@pytest.mark.parametrize("n_walks", [2, 0])
+def test_random_walks_dead_ends_match_sql_twin(ray_session, tmp_path,
+                                               n_walks):
+    """Every walk on a star dies after one hop (and ``n_walks=0`` starts
+    none), so later hops join an empty frontier: the walks still equal
+    the DuckDB twin's."""
+    import duckdb
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from casie_ray.ops.graphx import random_walks, random_walks_sql
+
+    t = _edge_table([("hub", f"x{i}") for i in range(5)])
+    pq.write_table(t, f"{tmp_path}/edges.parquet")
+    got = random_walks(ray.data.from_arrow(t), n_walks=n_walks,
+                       walk_len=3).take_all()
+    want = duckdb.sql(random_walks_sql(f"{tmp_path}/edges.parquet",
+                                       n_walks, 3)).fetchall()
+    assert sorted(tuple(r.values()) for r in got) == sorted(want)
+    assert len(want) == 2 * n_walks
+
+
+@pytest.mark.parametrize("op", ["bfs_reach", "sssp"])
+def test_shortest_paths_empty_graph_with_seed(ray_session, op):
+    """No edges, an explicit seed: the seed alone at distance 0."""
+    import ray.data
+
+    from casie_ray.ops import graphx
+
+    got = getattr(graphx, op)(ray.data.from_arrow(_edge_table([])),
+                              seed="z").take_all()
+    assert got == [{"node": "z", "dist": 0}]
+
+
+def test_co_mention_null_object_is_shared_with_nobody(ray_session):
+    """A null object joins no other row, as in the SQL twin's equi-join
+    on obj (duckdb over the same rows)."""
+    import duckdb
+    import ray.data
+
+    from casie_ray.ops.graphx import co_mention_pairs
+
+    t = _edge_table([("s1", "o1"), ("s2", "o1"), ("s1", "o2"),
+                     ("s2", "o2"), ("s1", None), ("s2", None),
+                     ("s3", None), ("s3", "o3"), ("s1", "o3")])
+    got = co_mention_pairs(ray.data.from_arrow(t)).take_all()
+    want = duckdb.sql("""
+        WITH so AS (SELECT DISTINCT subj, obj FROM t),
+        ok AS (SELECT obj FROM so GROUP BY obj HAVING count(*) <= 32),
+        p AS (SELECT a.subj AS subj_a, b.subj AS subj_b
+              FROM so a JOIN so b ON a.obj = b.obj
+                        JOIN ok ON a.obj = ok.obj
+              WHERE a.subj < b.subj)
+        SELECT subj_a, subj_b, count(*) AS n_shared FROM p
+        GROUP BY subj_a, subj_b HAVING count(*) >= 2""").fetchall()
+    assert sorted(tuple(r.values()) for r in got) == sorted(want)
+    assert want == [("s1", "s2", 2)]
