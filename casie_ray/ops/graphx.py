@@ -544,13 +544,18 @@ def _tri_final_bucket(group: pa.Table) -> pa.Table:
     return g.rename_columns(["node", "n_triangles"])
 
 
-def _simple_graph(edges_ds):
-    """Distinct canonical (a < b) edge set and its (node, deg) table,
-    both materialized — the base every undirected analytic (triangles,
-    clustering, neighbor Jaccard, k-truss, k-core) shares."""
+def _canonical_edges(edges_ds):
+    """The materialized distinct canonical (a < b) edge set — the base
+    every undirected analytic (triangles, clustering, neighbor Jaccard,
+    k-truss, k-core) shares."""
     canon = edges_ds.map_batches(_tri_canon_partial,
                                  batch_format="pyarrow", batch_size=None)
-    e = bucket_groupby(canon, _tri_distinct_bucket).materialize()
+    return bucket_groupby(canon, _tri_distinct_bucket).materialize()
+
+
+def _simple_graph(edges_ds):
+    """:func:`_canonical_edges` and its (node, deg) table."""
+    e = _canonical_edges(edges_ds)
     return e, _degrees(e)
 
 
@@ -873,7 +878,7 @@ def bfs_reach_sql(triples_glob: str, max_depth: int = 3) -> str:
           SELECT DISTINCT CAST(obj AS VARCHAR), CAST(subj AS VARCHAR)
           FROM read_parquet('{triples_glob}')
         ), r(node, d) AS (
-          SELECT (SELECT min(src) FROM e), 0
+          SELECT min(src), 0 FROM e HAVING min(src) IS NOT NULL
           UNION
           SELECT e.dst, r.d + 1 FROM r JOIN e ON e.src = r.node
           WHERE r.d < {max_depth}
@@ -1450,7 +1455,7 @@ def _kcore_round(k: int):
 def kcore(edges_ds, k: int = KCORE_K, max_rounds: int = 256):
     """(node, deg) rows of the k-core of the undirected simple graph
     over (subj, obj). Requires an active Ray session."""
-    e, _deg = _simple_graph(edges_ds)
+    e = _canonical_edges(edges_ds)
 
     def both_dirs(batch: pa.Table) -> pa.Table:
         a = batch.column("a").combine_chunks()
@@ -1658,18 +1663,20 @@ def _pred_weight(batch: pa.Table) -> pa.Array:
     return pa.array(ln % _SSSP_WT_MOD + 1, pa.int64())
 
 
-def _min_src(edges) -> str:
-    """The lexicographically smallest src of an edge Dataset: a
-    per-block combiner + one-task merge (never a driver fold)."""
+def _min_src(edges) -> str | None:
+    """The lexicographically smallest src of an edge Dataset (None when
+    it has no rows): a per-block combiner + one-task merge (never a
+    driver fold)."""
     def smallest(batch: pa.Table) -> pa.Table:
         return pa.table({"src": pa.array(
             [pc.min(batch.column("src")).as_py()], pa.string())})
 
-    return edges.map_batches(smallest, batch_format="pyarrow",
+    rows = edges.map_batches(smallest, batch_format="pyarrow",
                              batch_size=None) \
         .repartition(1) \
         .map_batches(smallest, batch_format="pyarrow",
-                     batch_size=None).take_all()[0]["src"]
+                     batch_size=None).take_all()
+    return rows[0]["src"] if rows else None
 
 
 def _relax(d: pa.Table, e: pa.Table) -> pa.Table:
@@ -1691,11 +1698,13 @@ def _shortest(m: pa.Table) -> pa.Table:
 
 def _shortest_paths(edges, seed: str | None, rounds: int):
     """(node, dist) after ``rounds`` Bellman-Ford supersteps from
-    ``seed`` (default: the smallest src) over materialized weighted
-    (src, dst, wt) edges."""
+    ``seed`` (default: the smallest src; no rows when there is no edge
+    to take it from) over materialized weighted (src, dst, wt) edges."""
     import ray.data
     if seed is None:
         seed = _min_src(edges)
+        if seed is None:
+            return ray.data.from_arrow(_DIST_SCHEMA.empty_table())
     dist = ray.data.from_arrow(pa.table({
         "node": pa.array([seed], pa.string()),
         "dist": pa.array([0], pa.int64())}))
@@ -1759,7 +1768,7 @@ def sssp_sql(triples_glob: str, max_hops: int = SSSP_MAX_HOPS) -> str:
             UNION ALL SELECT o, s, wt FROM b)
           GROUP BY src, dst
         ), r(node, hops, w) AS (
-          SELECT (SELECT min(src) FROM e), 0, 0
+          SELECT min(src), 0, 0 FROM e HAVING min(src) IS NOT NULL
           UNION
           SELECT e.dst, r.hops + 1, r.w + e.wt
           FROM r JOIN e ON e.src = r.node

@@ -1,28 +1,32 @@
 """The flagship pipeline: transcripts -> knowledge-graph tables.
 
-Physical plan (SURVEY §4.3), all Ray Data, streaming executor:
+Physical plan (SURVEY §4.3):
 
-  Stage A (ONE fused kernel, one execution per WAVE of resumable
+  Stage A (ONE fused kernel, one task fan-out per WAVE of resumable
   groups; it needs every conversation whole in one shard):
-    [conv_partitioned=False only: a staging pre-pass per group —
-     read the group's shards with (ordinal, row) columns, one
+    [conv_partitioned=False only: a Ray Data staging pre-pass per
+     group — read the group's shards with (ordinal, row) columns, one
      hash(conv_id) bucketed exchange into len(group) staging shards,
      each sorted back to file-then-row order (_stage_group)]
-    from_items(shard paths of the wave, one block per shard)
-      .map_batches(extract_shard_files,  # Ray tasks, one per shard, on
-                   batch_size=1)         # pooled workers that keep the
-                                         # extractor across waves/builds;
-                                         # T1/T2+T4/T5 seats: detect + doc
-                                         # logic + roles + realis + coref;
-                                         # each task ALSO emits + partially
-                                         # dedupes (S8/A7 combiner) +
-                                         # writes its shard's triples,
-                                         # surf + convs side tables, events
-      -> per-shard stats rows -> swap group dirs, commit manifests
-    (the tagger state is loaded and broadcast only if a group is
-    pending, so a resume that skips every group starts at stage B)
+    extract_shards(shard paths of the wave)
+      -> one plain Ray task per shard     # on pooled workers that keep
+         (extract_shard_files; at most    # the extractor across waves/
+         detect_concurrency in flight)    # builds; T1/T2+T4/T5 seats:
+                                          # detect + doc logic + roles +
+                                          # realis + coref; each task
+                                          # ALSO emits + partially dedupes
+                                          # (S8/A7 combiner) + writes its
+                                          # shard's triples, surf + convs
+                                          # side tables, events
+      -> ray.get the per-shard stats rows -> swap group dirs, commit
+         manifests (events, turns, task seconds per group)
+    (no Ray Data here: one map over a list of paths whose tasks write
+    their own files needs no streaming, exchange or backpressure. The
+    tagger state is loaded and broadcast only if a group is pending, so
+    a resume that skips every group starts at stage B)
 
-  Stage B (global finalize, reruns cheaply on resume; hash-shuffle):
+  Stage B (global finalize, Ray Data, reruns cheaply on resume;
+  hash-shuffle):
     read surf + convs side tables (a group without them raises)
       -> conv_id bucketed check: a conversation in two shards raises
     read surf side tables
@@ -41,6 +45,7 @@ The driver owns no Ray session: callers (tests / bench / CLI) init Ray.
 
 from __future__ import annotations
 
+import functools
 import glob
 import os
 import shutil
@@ -79,32 +84,56 @@ def list_transcript_files(corpus_dir: str) -> list[str]:
     return sorted(glob.glob(os.path.join(corpus_dir, "*.parquet")))
 
 
-def extract_group_ds(files: list[str], entities_ref, *,
-                     detect_concurrency=None,
-                     sink: dict | None = None,
-                     entities_path: str | None = None,
-                     kb_whitelist=None, kb_blacklist=None):
-    """Build the stage-A Dataset (lazy) over shards that each hold whole
-    conversations (:func:`_stage_group` makes them so for other input):
-    one Ray task per shard runs :func:`extract_shard_files`, so a retry
-    redoes one shard and extraction needs no exchange. With ``sink`` set
-    the tasks also write their own events, partially deduped triples and
-    side tables (see ShardFileExtractor) and the Dataset yields only
-    per-shard stats rows; without it, the event rows.
-    ``detect_concurrency``, when set, caps the parallel tasks, and
-    ``entities_path`` and the KB filters let a task rebuild the tagger
-    state if the ``entities_ref`` object is lost."""
-    return _ray_data().from_items(files, override_num_blocks=len(files)) \
-        .map_batches(
-            extract_shard_files,
-            fn_args=([entities_ref],),
-            fn_kwargs={"entities_path": entities_path,
-                       "kb_whitelist": kb_whitelist,
-                       "kb_blacklist": kb_blacklist, "sink": sink},
-            batch_format="pyarrow",
-            batch_size=1,
-            concurrency=detect_concurrency,
-        )
+@functools.cache
+def _extract_task():
+    """:func:`extract_shard_files` as a Ray task with the options Ray
+    Data gives a map task: one CPU, the default scheduling strategy (no
+    inherited placement group), and retries for a dead worker
+    (``max_retries=-1``, ``RaySystemError`` retried) but none for an
+    exception the task body raises."""
+    import ray
+    return ray.remote(num_cpus=1, scheduling_strategy="DEFAULT",
+                      max_retries=-1,
+                      retry_exceptions=[ray.exceptions.RaySystemError])(
+        extract_shard_files)
+
+
+def extract_shards(files: list[str], entities_ref, *,
+                   gids: list[int] | None = None, sink: dict | None = None,
+                   detect_concurrency: int | None = None,
+                   entities_path: str | None = None,
+                   kb_whitelist=None, kb_blacklist=None) -> list:
+    """Fused stage A over shards that each hold whole conversations
+    (:func:`_stage_group` makes them so for other input): one Ray task
+    per shard runs :func:`extract_shard_files`, so a retry redoes one
+    shard and extraction needs no exchange. Returns one ObjectRef per
+    shard, in ``files`` order. With ``sink`` (the shared roots and
+    suffix, see ShardFileExtractor) each task also gets its shard's gid
+    from ``gids``, writes its own events, partially deduped triples and
+    side tables, and returns a one-row stats table; without it, the
+    shard's event rows. ``detect_concurrency``, when set, keeps at most
+    that many tasks in flight; ``entities_path`` and the KB filters let a
+    task rebuild the tagger state if the ``entities_ref`` object is
+    lost."""
+    import ray
+
+    if detect_concurrency is not None and detect_concurrency < 1:
+        raise ValueError(f"detect_concurrency must be >= 1 or None, got "
+                         f"{detect_concurrency}")
+    task = _extract_task()
+    refs: list = []
+    inflight: list = []
+    for i, path in enumerate(files):
+        if detect_concurrency is not None \
+                and len(inflight) >= detect_concurrency:
+            _, inflight = ray.wait(inflight, num_returns=1,
+                                   fetch_local=False)
+        ref = task.remote(path, [entities_ref], entities_path, kb_whitelist,
+                          kb_blacklist,
+                          None if sink is None else {**sink, "gid": gids[i]})
+        refs.append(ref)
+        inflight.append(ref)
+    return refs
 
 
 def _stage_group(stage_dir: str, gid: int, gfiles: list[str]) -> list[str]:
@@ -219,33 +248,41 @@ def _stable_groups(out_dir: str, files: list[str],
     return groups
 
 
-# groups per fused extraction wave: ONE dataset execution covers a wave
-# of resume groups. Stage-A tasks run on Ray's pooled workers, which
-# keep the extractor loaded across executions, so a wave no longer pays
-# a worker spin-up; manifests commit per GROUP after each wave, so the
-# resume unit stays the group, and the wave only bounds how much
-# completed work an interrupted run can lose.
+# groups per fused extraction wave: ONE task fan-out covers a wave of
+# resume groups. Stage-A tasks run on Ray's pooled workers, which keep
+# the extractor loaded across waves and builds, so a wave pays no worker
+# spin-up; manifests commit per GROUP after each wave, so the resume
+# unit stays the group, and the wave only bounds how much completed work
+# an interrupted run can lose.
 WAVE_GROUPS = 8
 
 
 def _extract_fused_waves(out_dir, pending, entities_ref, cfg, tagger_kw,
                          *, detect_concurrency=None, keep_events=True,
-                         conv_partitioned=True) -> None:
+                         conv_partitioned=True) -> float:
     """Fully fused stage A over waves of groups: each shard task writes
     its own events, partially-deduped raw triples and side tables into
     per-group temp dirs and returns a stats row; the driver swaps dirs
-    and commits manifests per group when the wave's single execution
-    finishes. With ``conv_partitioned=False`` the tasks run on the
+    and commits manifests per group when the wave's tasks have all
+    finished. Each manifest counts the group's events, turns and stage-A
+    task seconds (``task_s``); returns the task seconds of every group
+    extracted. With ``conv_partitioned=False`` the tasks run on the
     wave's staging shards (:func:`_stage_group`), which are removed once
     the wave's groups commit; manifests always record the input shards.
     ``tagger_kw`` (entities path + KB filters) rebuilds the tagger state
     if ``entities_ref`` is lost."""
+    import ray
+
     roots = {r: os.path.join(out_dir, r) for r in STAGE_A_ROOTS
              if keep_events or r != "events"}
     stage_dir = os.path.join(out_dir, "_staging")
+    sink = {"raw_root": roots["raw_triples"], "suffix": ".tmp",
+            "surf_root": roots["surf"], "convs_root": roots["convs"],
+            "ev_root": roots.get("events")}
+    task_s = 0.0
     for w in range(0, len(pending), WAVE_GROUPS):
         wave = pending[w:w + WAVE_GROUPS]
-        gids: dict[str, int] = {}
+        gids: list[int] = []
         files: list[str] = []
         for gid, gfiles in wave:
             for root in roots.values():
@@ -254,29 +291,39 @@ def _extract_fused_waves(out_dir, pending, entities_ref, cfg, tagger_kw,
                 os.makedirs(td, exist_ok=True)
             shards = gfiles if conv_partitioned \
                 else _stage_group(stage_dir, gid, gfiles)
-            for p in shards:
-                gids[os.path.basename(p)] = gid
-                files.append(p)
-        sink = {"gids": gids, "raw_root": roots["raw_triples"],
-                "suffix": ".tmp", "surf_root": roots["surf"],
-                "convs_root": roots["convs"],
-                "ev_root": roots.get("events")}
-        # a wave of groups whose shards hold no rows stages no shard
-        stats = extract_group_ds(
-            files, entities_ref, detect_concurrency=detect_concurrency,
-            sink=sink, **tagger_kw).take_all() if files else []
+            gids += [gid] * len(shards)
+            files += shards
+        refs = extract_shards(files, entities_ref, gids=gids, sink=sink,
+                              detect_concurrency=detect_concurrency,
+                              **tagger_kw)
+        try:
+            stats = ray.get(refs)
+        except ray.exceptions.RayError:
+            # a failed shard fails the build: stop the wave's other
+            # tasks, or they would write into temp dirs a rerun reuses.
+            # force kills their workers: an interrupt could land inside
+            # an import and leave a pooled worker half-initialized
+            for r in refs:
+                ray.cancel(r, force=True)
+            raise
         counters = {gid: {"input_files": len(gfiles), "events": 0,
-                          "turns": 0} for gid, gfiles in wave}
-        for r in stats:
-            counters[r["gid"]]["events"] += r["n_events"]
-            counters[r["gid"]]["turns"] += r["n_turns"]
+                          "turns": 0, "task_s": 0.0} for gid, gfiles in wave}
+        for t in stats:
+            r = t.to_pylist()[0]
+            c = counters[r["gid"]]
+            c["events"] += r["n_events"]
+            c["turns"] += r["n_turns"]
+            c["task_s"] += r["task_s"]
         for gid, gfiles in wave:
             for root in roots.values():
                 manifest.atomic_dir_swap(
                     os.path.join(root, f".group-{gid:05d}.tmp"),
                     os.path.join(root, f"group-{gid:05d}"))
+            task_s += counters[gid]["task_s"]
+            counters[gid]["task_s"] = round(counters[gid]["task_s"], 3)
             manifest.commit(out_dir, gid, cfg, gfiles, counters[gid])
         shutil.rmtree(stage_dir, ignore_errors=True)
+    return task_s
 
 
 def run_kg_pipeline(corpus_dir: str, out_dir: str, *,
@@ -345,11 +392,15 @@ def run_kg_pipeline(corpus_dir: str, out_dir: str, *,
     # stage B
     entities_ref = ray.put(load_tagger_state(**tagger_kw)) if pending \
         else None
-    _extract_fused_waves(out_dir, pending, entities_ref, cfg, tagger_kw,
-                         detect_concurrency=detect_concurrency,
-                         keep_events=keep_events,
-                         conv_partitioned=conv_partitioned)
+    task_s = _extract_fused_waves(out_dir, pending, entities_ref, cfg,
+                                  tagger_kw,
+                                  detect_concurrency=detect_concurrency,
+                                  keep_events=keep_events,
+                                  conv_partitioned=conv_partitioned)
     timings["extract"] = round(time.time() - t0, 2)
+    # the stage-A tasks' own seconds (shard read to last write, summed):
+    # the rest of "extract" is orchestration
+    timings["extract_tasks"] = round(task_s, 2)
 
     # ---- stage B: canonicalize + global dedup + graph materialize ----
     # every stage-B exchange groups by a precomputed bounded-cardinality

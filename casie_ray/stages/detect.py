@@ -277,83 +277,78 @@ class ShardExtractor(DetectTagger):
 
 
 class ShardFileExtractor(ShardExtractor):
-    """File-granular zero-shuffle extraction: each call gets a batch of
-    shard PATHS and reads each shard itself (column-pruned), so
-    conversation/shard alignment is exact by construction — Ray block
-    planning can otherwise split or merge file blocks. This is the
+    """File-granular zero-shuffle extraction: each call gets ONE shard
+    PATH and reads the shard itself (column-pruned), so
+    conversation/shard alignment is exact by construction. This is the
     engine's hot path; the fused stage-A task :func:`extract_shard_files`
     keeps one instance per worker process.
 
-    Without ``sink`` a call returns the shards' event rows
-    (EVENT_SCHEMA). With ``sink`` the call is FULLY fused: it writes
-    each shard's events (SINK_EVENT_SCHEMA: the ``args`` column is never
+    Without ``sink`` a call returns the shard's event rows
+    (EVENT_SCHEMA). With ``sink`` the call is FULLY fused: it writes the
+    shard's events (SINK_EVENT_SCHEMA: the ``args`` column is never
     built) AND its partially-deduped raw triples itself (into the
-    per-group temp dirs ``sink`` names) and returns only a one-row stats
-    table per shard — no downstream stage, no object-store traffic (the
+    shard's group temp dirs ``sink`` names) and returns only a one-row
+    stats table — no downstream stage, no object-store traffic (the
     extraction output never leaves the task). File names derive from the
     input shard, so a task retry overwrites its own output (idempotent).
-    ``sink`` is a dict: ``{"gids": {shard basename: gid}, "ev_root": dir
-    | None, "raw_root": dir, "surf_root": dir | None, "convs_root": dir
-    | None, "suffix": tmp-dir suffix}``. ``surf_root`` additionally side-writes
-    the shard's distinct (surface node, entity block) rows, so
-    canonicalization later reads only the tiny surf tables instead of
+    ``sink`` is a dict: ``{"gid": the shard's group id, "ev_root": dir |
+    None, "raw_root": dir, "surf_root": dir | None, "convs_root": dir |
+    None, "suffix": tmp-dir suffix}``. ``surf_root`` additionally
+    side-writes the shard's distinct (surface node, entity block) rows,
+    so canonicalization later reads only the tiny surf tables instead of
     re-scanning the whole raw-triples output; ``convs_root`` writes the
     shard's distinct conv_ids (exact strings, with the shard path and
     gid), which stage B reads to find a conversation split across
-    shards."""
+    shards. The stats row's ``task_s`` is the call's seconds from the
+    shard read to its last write."""
 
     COLUMNS = ["conv_id", "turn_idx", "text", "ts"]
     STATS_SCHEMA = pa.schema([
         ("shard", pa.string()), ("gid", pa.int32()),
         ("n_events", pa.int64()), ("n_triples", pa.int64()),
-        ("n_turns", pa.int64()),
+        ("n_turns", pa.int64()), ("task_s", pa.float64()),
     ])
 
-    def __call__(self, batch: pa.Table,  # type: ignore[override]
+    def __call__(self, path: str,  # type: ignore[override]
                  sink: dict | None = None) -> pa.Table:
         import os
+        import time
+
         import pyarrow.parquet as pq
         from ..ops.sink import read_parquet
         from ..stages.triples import (
             extract_surface_nodes, partial_dedup, triples_from_events,
         )
 
-        out = [EVENT_SCHEMA.empty_table()]
-        stats: list[dict] = []
-        schema = EVENT_SCHEMA if sink is None else SINK_EVENT_SCHEMA
-        for path in batch.column("item").to_pylist():
-            tbl = read_parquet(path, columns=self.COLUMNS)
-            try:
-                events, event_objs = self._shard_events(tbl, schema)
-            except ValueError as e:
-                raise ValueError(f"shard {path}: {e}") from e
-            if sink is None:
-                out.append(events)
-                continue
-            base = os.path.basename(path)
-            gid = sink["gids"][base]
-            gdir = f".group-{gid:05d}{sink['suffix']}"
-            trip = partial_dedup(triples_from_events(event_objs))
-            pq.write_table(trip, os.path.join(sink["raw_root"], gdir, base))
-            if sink.get("surf_root"):
-                pq.write_table(extract_surface_nodes(trip),
-                               os.path.join(sink["surf_root"], gdir, base))
-            if sink.get("ev_root"):
-                pq.write_table(events,
-                               os.path.join(sink["ev_root"], gdir, base))
-            if sink.get("convs_root"):
-                convs = pc.unique(tbl.column("conv_id"))
-                pq.write_table(pa.table({
-                    "conv_id": convs, "shard": [path] * len(convs),
-                    "gid": pa.array([gid] * len(convs), pa.int32())}),
-                    os.path.join(sink["convs_root"], gdir, base))
-            stats.append({"shard": base, "gid": gid,
-                          "n_events": events.num_rows,
-                          "n_triples": trip.num_rows,
-                          "n_turns": tbl.num_rows})
-        if sink is not None:
-            return pa.Table.from_pylist(stats, schema=self.STATS_SCHEMA)
-        return pa.concat_tables(out)
+        t0 = time.perf_counter()
+        tbl = read_parquet(path, columns=self.COLUMNS)
+        try:
+            events, event_objs = self._shard_events(
+                tbl, EVENT_SCHEMA if sink is None else SINK_EVENT_SCHEMA)
+        except ValueError as e:
+            raise ValueError(f"shard {path}: {e}") from e
+        if sink is None:
+            return events
+        base = os.path.basename(path)
+        gid = sink["gid"]
+        gdir = f".group-{gid:05d}{sink['suffix']}"
+        trip = partial_dedup(triples_from_events(event_objs))
+        pq.write_table(trip, os.path.join(sink["raw_root"], gdir, base))
+        if sink.get("surf_root"):
+            pq.write_table(extract_surface_nodes(trip),
+                           os.path.join(sink["surf_root"], gdir, base))
+        if sink.get("ev_root"):
+            pq.write_table(events, os.path.join(sink["ev_root"], gdir, base))
+        if sink.get("convs_root"):
+            convs = pc.unique(tbl.column("conv_id"))
+            pq.write_table(pa.table({
+                "conv_id": convs, "shard": [path] * len(convs),
+                "gid": pa.array([gid] * len(convs), pa.int32())}),
+                os.path.join(sink["convs_root"], gdir, base))
+        return pa.Table.from_pylist([{
+            "shard": base, "gid": gid, "n_events": events.num_rows,
+            "n_triples": trip.num_rows, "n_turns": tbl.num_rows,
+            "task_s": time.perf_counter() - t0}], schema=self.STATS_SCHEMA)
 
 
 # this worker process's extractor: (hex of the tagger-state ref it was
@@ -388,17 +383,15 @@ def _cached_extractor(state_box: list, entities_path, kb_whitelist,
     return _EXTRACTOR[1]
 
 
-def extract_shard_files(batch: pa.Table, state_box: list,
+def extract_shard_files(path: str, state_box: list,
                         entities_path: str | None = None,
                         kb_whitelist=None, kb_blacklist=None,
                         sink: dict | None = None) -> pa.Table:
-    """Fused stage-A task body over a batch of shard paths (column
-    ``item``); see :class:`ShardFileExtractor` for ``sink``. Use as
-    ``from_items(files, override_num_blocks=len(files)).map_batches(
-    extract_shard_files, fn_args=([state_ref],), batch_size=1)``: the
-    tagger-state ref travels inside a list so Ray hands it over
-    unresolved, and it is fetched once per worker process, not per task.
-    ``entities_path`` and the KB filters rebuild the state if the
-    broadcast object is lost."""
+    """Fused stage-A task body over one shard path; see
+    :class:`ShardFileExtractor` for ``sink``. ``pipelines.kg`` runs it as
+    one Ray task per shard (``extract_shards``). The tagger-state ref
+    travels inside a list so Ray hands it over unresolved, and it is
+    fetched once per worker process, not per task. ``entities_path`` and
+    the KB filters rebuild the state if the broadcast object is lost."""
     return _cached_extractor(state_box, entities_path, kb_whitelist,
-                             kb_blacklist)(batch, sink)
+                             kb_blacklist)(path, sink)

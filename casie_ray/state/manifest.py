@@ -149,6 +149,9 @@ def summarize(out_dir: str) -> dict:
                             for g in complete),
         "turns_total": sum(g["counters"].get("turns", 0)
                            for g in complete),
+        # stage-A task seconds (shard read to last write, summed)
+        "task_s_total": round(sum(g["counters"].get("task_s", 0.0)
+                                  for g in complete), 3),
         "groups": groups,
     }
 

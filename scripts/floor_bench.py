@@ -53,15 +53,14 @@ def _worker(files, barrier, out, wid):
         os.makedirs(os.path.join(root, f".group-{wid:05d}"), exist_ok=True)
     # the engine's fused sink itself: shard read -> detect -> events,
     # raw-triple, surf and convs writes (events without the args column)
-    sink = {"gids": {os.path.basename(p): wid for p in files},
-            "raw_root": roots["raw"], "surf_root": roots["surf"],
+    sink = {"gid": wid, "raw_root": roots["raw"], "surf_root": roots["surf"],
             "ev_root": roots["events"], "convs_root": roots["convs"],
             "suffix": ""}
     barrier.wait()
     t0 = time.time()
     nrows = 0
     for p in files:
-        stats = ex(pa.table({"item": [p]}), sink)
+        stats = ex(p, sink)
         nrows += sum(stats.column("n_events").to_pylist())
     out.put((wid, time.time() - t0, nrows))
 

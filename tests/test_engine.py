@@ -447,19 +447,21 @@ def _fused_sink_digests(files, entities_ref, out, to_uri=lambda p: p,
     returns the sha256 of every raw / surf / events file, by root."""
     import hashlib
 
-    from casie_ray.pipelines.kg import extract_group_ds
+    import pyarrow as pa
+    import ray
+
+    from casie_ray.pipelines.kg import extract_shards
 
     roots = {r: os.path.join(out, r) for r in ("raw", "surf", "events")}
     for root in roots.values():
         os.makedirs(os.path.join(root, ".group-00000.tmp"))
-    sink = {"gids": {os.path.basename(p): 0 for p in files},
-            "raw_root": to_uri(roots["raw"]),
+    sink = {"raw_root": to_uri(roots["raw"]),
             "surf_root": to_uri(roots["surf"]),
             "ev_root": to_uri(roots["events"]), "suffix": ".tmp"}
-    stats = extract_group_ds([to_uri(p) for p in files], entities_ref,
-                             detect_concurrency=2, sink=sink,
-                             **kw).take_all()
-    assert sum(r["n_events"] for r in stats) > 0
+    stats = pa.concat_tables(ray.get(extract_shards(
+        [to_uri(p) for p in files], entities_ref, gids=[0] * len(files),
+        sink=sink, detect_concurrency=2, **kw)))
+    assert sum(stats.column("n_events").to_pylist()) > 0
     return {r: {os.path.basename(f): hashlib.sha256(
                     open(f, "rb").read()).hexdigest()
                 for f in sorted(glob.glob(os.path.join(
@@ -532,7 +534,7 @@ def test_general_layout_survives_lost_tagger_state(ray_session,
     import ray
     from ray._private.internal_api import free
 
-    from casie_ray.pipelines.kg import (_stage_group, extract_group_ds,
+    from casie_ray.pipelines.kg import (_stage_group, extract_shards,
                                         list_transcript_files)
     from casie_ray.stages.detect import load_tagger_state
 
@@ -542,9 +544,8 @@ def test_general_layout_survives_lost_tagger_state(ray_session,
     ents = os.path.join(smoke_corpus, "entities.parquet")
 
     def events(ref, **kw):
-        ds = extract_group_ds(staged, ref, detect_concurrency=1, **kw)
-        return pa.concat_tables(ds.iter_batches(
-            batch_format="pyarrow", batch_size=None)).sort_by("event_id")
+        return pa.concat_tables(ray.get(extract_shards(
+            staged, ref, detect_concurrency=1, **kw))).sort_by("event_id")
 
     live = events(ray.put(load_tagger_state(ents)))
     assert live.num_rows > 0
@@ -764,8 +765,8 @@ def test_sink_events_omit_args_and_plain_call_keeps_them(smoke_corpus,
                                                         tmp_path):
     """With a sink, ShardFileExtractor writes each shard's events in
     EVENT_SCHEMA without ``args`` and with the plain call's rows; the
-    plain call (``extract_group_ds`` without a sink) still returns
-    EVENT_SCHEMA with the argument spans."""
+    plain call (as ``extract_shards`` without a sink makes it) still
+    returns EVENT_SCHEMA with the argument spans."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -774,16 +775,15 @@ def test_sink_events_omit_args_and_plain_call_keeps_them(smoke_corpus,
 
     ext = _shard_extractor(smoke_corpus)
     files = list_transcript_files(smoke_corpus)[:2]
-    item = pa.table({"item": files})
-    plain = ext(item)
+    plain = pa.concat_tables([ext(f) for f in files])
     assert plain.schema.equals(EVENT_SCHEMA) and plain.num_rows > 0
     assert any(plain.column("args").to_pylist())
     roots = {r: str(tmp_path / r) for r in ("raw", "events")}
     for root in roots.values():
         os.makedirs(os.path.join(root, ".group-00000.tmp"))
-    stats = ext(item, {"gids": {os.path.basename(f): 0 for f in files},
-                       "raw_root": roots["raw"], "ev_root": roots["events"],
-                       "suffix": ".tmp"})
+    sink = {"gid": 0, "raw_root": roots["raw"], "ev_root": roots["events"],
+            "suffix": ".tmp"}
+    stats = pa.concat_tables([ext(f, sink) for f in files])
     written = pa.concat_tables([pq.read_table(os.path.join(
         roots["events"], ".group-00000.tmp", os.path.basename(f)))
         for f in files])
@@ -926,7 +926,7 @@ def test_sparse_stage_a_null_key_names_the_shard(smoke_corpus, tmp_path,
     path = tmp_path / "shard-with-null-key.parquet"
     pq.write_table(tbl.set_column(i, key, nulled), path)
     with pytest.raises(ValueError, match=r"shard-with-null-key.*null " + key):
-        ext(pa.table({"item": [str(path)]}))
+        ext(str(path))
 
 
 def test_no_stage_a_actor_outlives_a_build(ray_session, smoke_corpus,
@@ -968,7 +968,7 @@ def test_model_seat_swap_only_changes_realis(ray_session, smoke_corpus):
     import numpy as np
     import ray
 
-    from casie_ray.pipelines.kg import extract_group_ds, list_transcript_files
+    from casie_ray.pipelines.kg import extract_shards, list_transcript_files
     from casie_ray.stages.detect import load_tagger_state
     from casie_ray.stages.modelseat import train_realis_model
     from casie_ray.stages.rolerealis import (ModelRoleRealisScorer,
@@ -982,8 +982,8 @@ def test_model_seat_swap_only_changes_realis(ray_session, smoke_corpus):
     files = list_transcript_files(smoke_corpus)[:2]
     entities_ref = ray.put(load_tagger_state(
         os.path.join(smoke_corpus, "entities.parquet")))
-    events = extract_group_ds(files, entities_ref,
-                              detect_concurrency=2)
+    events = ray.data.from_arrow_refs(extract_shards(
+        files, entities_ref, detect_concurrency=2))
 
     def norm(df):
         df = df.sort_values(["conv_id", "turn_idx", "event_id",
@@ -1029,6 +1029,30 @@ def test_manifest_status_summary(ray_session, smoke_corpus, tmp_path):
     s2 = manifest.summarize(out)
     assert s2["groups_committed"] == 2
     assert s2["groups_reusable_on_resume"] == 1
+
+
+def test_build_reports_stage_a_task_seconds(ray_session, smoke_corpus,
+                                            tmp_path):
+    """A build's own output says how long its stage-A tasks ran: each
+    group manifest counts its tasks' seconds (``task_s``), ``--status``
+    totals them, and the timings carry their sum as ``extract_tasks``
+    next to the ``extract`` wall; a resume that extracts nothing
+    reports 0."""
+    from casie_ray.pipelines.kg import run_kg_pipeline
+    from casie_ray.state import manifest
+
+    out = str(tmp_path / "kg")
+    t = run_kg_pipeline(smoke_corpus, out, resume=False,
+                        n_groups=2)["timings"]
+    assert {"extract", "extract_tasks"} <= set(t)
+    assert 0 < t["extract_tasks"]
+    s = manifest.summarize(out)
+    per_group = [g["counters"]["task_s"] for g in s["groups"]]
+    assert len(per_group) == 2 and all(x > 0 for x in per_group)
+    assert s["task_s_total"] == pytest.approx(sum(per_group), abs=1e-3)
+    assert t["extract_tasks"] == pytest.approx(s["task_s_total"], abs=0.01)
+    resumed = run_kg_pipeline(smoke_corpus, out, resume=True, n_groups=2)
+    assert resumed["timings"]["extract_tasks"] == 0
 
 
 def test_pipeline_config_surface(ray_session, smoke_corpus, tmp_path):

@@ -1,11 +1,18 @@
-"""Fault-tolerance contracts for the streaming executor paths.
+"""Fault-tolerance contracts for the engine's Ray task and streaming
+executor paths.
 
 At 100 TB on a real cluster, worker processes die mid-run (preemption,
-OOM kills, node loss). The engine leans on Ray Data's default task/actor
-retry for exactness-under-failure, and on fail-loud semantics for user
-errors — these tests pin both behaviours so an upgrade or a config
-change that silently weakens them is caught:
+OOM kills, node loss). The engine relies on Ray retrying a task whose
+worker died, and on fail-loud semantics for user errors. Stage A runs
+as plain Ray tasks with the options Ray Data gives its map tasks; stage
+B, the staging pre-pass and the graph ops rely on Ray Data's default
+task/actor retry. These tests pin both behaviours so an upgrade or a
+config change that silently weakens them is caught:
 
+* the stage-A task retries a dead worker without limit and re-raises a
+  user error on its first raise: a null key fails the build with a
+  ``ValueError`` naming the shard, and the in-flight cap does not change
+  what the tasks write;
 * a worker process dying mid-stream inside an actor-pool stage is
   retried and the pipeline's output is byte-identical to a clean run
   (Ray restarts the actor and re-runs the lost task);
@@ -21,6 +28,7 @@ layer underneath it.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 import pyarrow as pa
@@ -141,3 +149,97 @@ def test_worker_death_in_shuffle_exchange_is_retried_exactly(
     assert os.path.exists(sentinel), "fault was never injected"
     assert faulted.num_rows == 97
     assert faulted.equals(clean)
+
+
+# ---- the stage-A task ----
+
+def test_stage_a_task_retries_dead_workers_not_user_errors(ray_session):
+    """The stage-A task keeps Ray Data's map-task options: a dead worker
+    is retried without limit (also when Ray reports it as a
+    RaySystemError from task code), an exception the body raises is not
+    retried, and the task takes one CPU outside any placement group."""
+    from casie_ray.pipelines.kg import _extract_task
+
+    opts = _extract_task()._default_options
+    assert opts["max_retries"] == -1
+    assert opts["retry_exceptions"] == [ray_session.exceptions.RaySystemError]
+    assert opts["num_cpus"] == 1
+    assert opts["scheduling_strategy"] == "DEFAULT"
+
+
+def _corpus_copy(smoke_corpus, dest) -> list[str]:
+    """The smoke corpus's entities and first three shards under
+    ``dest``; returns the copied shard paths."""
+    import shutil
+
+    from casie_ray.pipelines.kg import list_transcript_files
+
+    os.makedirs(os.path.join(dest, "transcripts"))
+    shutil.copy(os.path.join(smoke_corpus, "entities.parquet"), dest)
+    return [shutil.copy(f, os.path.join(dest, "transcripts"))
+            for f in list_transcript_files(smoke_corpus)[:3]]
+
+
+def test_stage_a_null_key_fails_the_build_naming_the_shard(
+        ray_session, smoke_corpus, tmp_path):
+    """A null conv_id in one shard fails the pipeline build (not only
+    the in-process kernel) with a ValueError that names that shard."""
+    import pyarrow.parquet as pq
+
+    from casie_ray.pipelines.kg import run_kg_pipeline
+
+    shards = _corpus_copy(smoke_corpus, str(tmp_path / "corpus"))
+    t = pq.read_table(shards[1])
+    i = t.schema.get_field_index("conv_id")
+    pq.write_table(t.set_column(i, "conv_id", pc.if_else(
+        pa.array([k == 3 for k in range(t.num_rows)]),
+        pa.nulls(t.num_rows, pa.string()), t.column(i))), shards[1])
+    with pytest.raises(ValueError, match=re.escape(shards[1])
+                       + r": 1 null conv_id"):
+        run_kg_pipeline(str(tmp_path / "corpus"), str(tmp_path / "kg"),
+                        resume=False)
+
+
+def test_stage_a_concurrency_cap_writes_identical_files(
+        ray_session, smoke_corpus, tmp_path, monkeypatch):
+    """At most one or at most two stage-A tasks in flight: the driver
+    waits for a task each time the window is full, and the raw, surf,
+    events and convs files are byte-identical."""
+    import glob
+    import hashlib
+
+    from casie_ray.pipelines.kg import STAGE_A_ROOTS, run_kg_pipeline
+
+    corpus = str(tmp_path / "corpus")
+    _corpus_copy(smoke_corpus, corpus)
+    waits: list[int] = []
+    real_wait = ray_session.wait
+
+    def wait(refs, **kw):
+        waits.append(len(refs))
+        return real_wait(refs, **kw)
+
+    monkeypatch.setattr(ray_session, "wait", wait)
+    digests = []
+    for cap in (1, 2):
+        out = str(tmp_path / f"kg{cap}")
+        waits.clear()
+        run_kg_pipeline(corpus, out, resume=False, detect_concurrency=cap)
+        assert waits == [cap] * (3 - cap)
+        files = sorted(glob.glob(os.path.join(out, "*", "group-*",
+                                              "*.parquet")))
+        assert {os.path.relpath(f, out).split(os.sep)[0]
+                for f in files} == set(STAGE_A_ROOTS)
+        digests.append({os.path.relpath(f, out): hashlib.sha256(
+            open(f, "rb").read()).hexdigest() for f in files})
+    assert len(digests[0]) == 4 * 3
+    assert digests[0] == digests[1]
+
+
+def test_stage_a_concurrency_cap_below_one_raises(ray_session):
+    """A cap of no task in flight would never submit one: ValueError."""
+    from casie_ray.pipelines.kg import extract_shards
+
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="detect_concurrency"):
+            extract_shards(["shard.parquet"], None, detect_concurrency=cap)

@@ -137,6 +137,9 @@ EXCHANGES = {
     "pagerank": 9, "ppr": 9, "bfs_reach": 7, "sssp": 9,
     "lp_communities": 8, "hits": 11, "triangle_counts": 7, "ktruss": 19,
     "neighbor_jaccard": 6, "clustering_coefficients": 8, "random_walks": 5,
+    # k-core: one distinct-edge exchange, one per peeling round (three
+    # here) and the final degree count; it builds no degree table
+    "kcore": 5,
 }
 
 
@@ -235,6 +238,25 @@ def test_shortest_paths_empty_graph_with_seed(ray_session, op):
     got = getattr(graphx, op)(ray.data.from_arrow(_edge_table([])),
                               seed="z").take_all()
     assert got == [{"node": "z", "dist": 0}]
+
+
+@pytest.mark.parametrize("op", ["bfs_reach", "sssp"])
+def test_shortest_paths_empty_graph_without_seed_matches_sql_twin(
+        ray_session, tmp_path, op):
+    """No edges and no seed: no node to start from, so no (node, dist)
+    row, in the engine op and in its DuckDB twin alike."""
+    import duckdb
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from casie_ray.ops import graphx
+
+    t = _edge_table([])
+    pq.write_table(t, f"{tmp_path}/edges.parquet")
+    got = getattr(graphx, op)(ray.data.from_arrow(t)).take_all()
+    want = duckdb.sql(getattr(graphx, f"{op}_sql")(
+        f"{tmp_path}/edges.parquet")).fetchall()
+    assert got == [] and want == []
 
 
 def test_co_mention_null_object_is_shared_with_nobody(ray_session):
