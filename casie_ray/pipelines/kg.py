@@ -10,10 +10,10 @@ Physical plan (SURVEY §4.3):
      each sorted back to file-then-row order (_stage_group)]
     extract_shards(shard paths of the wave)
       -> one plain Ray task per shard     # on pooled workers that keep
-         (extract_shard_files; at most    # the extractor across waves/
-         detect_concurrency in flight)    # builds; T1/T2+T4/T5 seats:
-                                          # detect + doc logic + roles +
-                                          # realis + coref; each task
+         (extract_shard_files; at most    # the extractor across the
+         detect_concurrency in flight)    # build's waves; T1/T2+T4/T5
+                                          # seats: detect + doc logic +
+                                          # roles + realis + coref; each task
                                           # ALSO emits + partially dedupes
                                           # (S8/A7 combiner) + writes its
                                           # shard's triples, surf + convs
@@ -250,10 +250,11 @@ def _stable_groups(out_dir: str, files: list[str],
 
 # groups per fused extraction wave: ONE task fan-out covers a wave of
 # resume groups. Stage-A tasks run on Ray's pooled workers, which keep
-# the extractor loaded across waves and builds, so a wave pays no worker
-# spin-up; manifests commit per GROUP after each wave, so the resume
-# unit stays the group, and the wave only bounds how much completed work
-# an interrupted run can lose.
+# the extractor loaded across the waves of one build (each build puts a
+# new tagger-state object, so the next build sets it up again), so a
+# wave pays no worker spin-up; manifests commit per GROUP after each
+# wave, so the resume unit stays the group, and the wave only bounds
+# how much completed work an interrupted run can lose.
 WAVE_GROUPS = 8
 
 

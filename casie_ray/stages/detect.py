@@ -353,8 +353,10 @@ class ShardFileExtractor(ShardExtractor):
 
 # this worker process's extractor: (hex of the tagger-state ref it was
 # built from, ShardFileExtractor). Ray reuses pooled task workers across
-# executions, so later waves and builds skip the state deserialize and
-# extractor set-up; a build with new state replaces the entry.
+# executions, so a build's later tasks and waves skip the state
+# deserialize and extractor set-up. Every build puts its tagger state
+# anew, so the ref (and the key) changes and the next build replaces
+# the entry.
 _EXTRACTOR: tuple[str, ShardFileExtractor] | None = None
 
 

@@ -1,13 +1,14 @@
 """Triple emission + exact dedup + node/edge materialization.
 
 Emission is the engine equivalent of the reference's brat frame writers
-(report.py:260-481 → SURVEY S8). Dedup (SURVEY A7) is a salted
-two-phase aggregate: a vectorized per-batch Arrow ``group_by`` combine
-(pre-aggregation before the shuffle) followed by a bucketed
-``groupby("bucket").map_groups`` final — the bucket column spreads hot
-keys (e.g. hot-entity `targets` edges) across 4096 reducers. The final
-reduce (:func:`final_dedup_group`) is sort-fused: one Arrow sort, then
-numpy run reductions and a buffer-level provenance decode, never
+(report.py:260-481 → SURVEY S8). Raw triples carry their provenance
+as the typed columns the edges have (conv_id, turn_idx, ev_start,
+ev_end). Dedup (SURVEY A7) is a salted two-phase aggregate: a per-shard
+combine (:func:`partial_dedup`, pre-aggregation before the shuffle)
+followed by a bucketed ``groupby("bucket").map_groups`` final
+(:func:`final_dedup_group`) — the bucket column spreads hot keys (e.g.
+hot-entity `targets` edges) across 4096 reducers. Both phases are one
+sort-fused run-reduce: one Arrow sort, then numpy run reductions, never
 per-key Python. Canonicalization reads the surf side tables
 (:func:`extract_surface_nodes` per shard) that stage A writes.
 """
@@ -18,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..ops.bucketing import fnv1a_hashes, string_buffers
+from ..ops.bucketing import fnv1a_hashes
 from ..schema import TRIPLE_SCHEMA
 from ..semantics import (canon_block_key, canon_merge_edges,
                          emit_triple_columns, parse_surface_node)
@@ -35,82 +36,44 @@ def triple_buckets(subj, pred, obj) -> np.ndarray:
     keys = pc.binary_join_element_wise(subj, pred, obj, "\x00")
     return (fnv1a_hashes(keys) % np.uint64(N_BUCKETS)).astype(np.int32)
 
+
 RAW_TRIPLE_SCHEMA = pa.schema([
     ("subj", pa.string()), ("pred", pa.string()), ("obj", pa.string()),
     ("subj_type", pa.string()), ("obj_type", pa.string()),
-    ("prov", pa.string()), ("count", pa.int64()), ("bucket", pa.int32()),
+    ("conv_id", pa.string()), ("turn_idx", pa.int32()),
+    ("ev_start", pa.int32()), ("ev_end", pa.int32()),
+    ("count", pa.int64()), ("bucket", pa.int32()),
 ])
-
-
-_PROV_INT_MAX = 10**8 - 1
-
-
-def _pad8(ints: pa.Array) -> pa.Array:
-    """Zero-padded 8-digit decimal text, as f"{v:08d}" formats an int in
-    [0, 10^8). Provenance order (string min) and its fixed-width decode
-    in :func:`final_dedup_group` both rely on exactly 8 digits, so a
-    negative or wider value raises ValueError."""
-    if len(ints):
-        lo, hi = pc.min_max(ints).values()
-        if lo.as_py() < 0 or hi.as_py() > _PROV_INT_MAX:
-            raise ValueError(f"provenance ints must be non-negative and at "
-                             f"most {_PROV_INT_MAX}")
-    return pc.utf8_lpad(pc.cast(ints, pa.string()), 8, "0")
-
-
-def _prov(conv_id: pa.Array, turn_idx: pa.Array, start: pa.Array,
-          end: pa.Array) -> pa.Array:
-    # \x00 separator sorts below every printable char, so the string min
-    # over provenances orders exactly like the (conv_id, turn, start, end)
-    # tuple even when one conv_id is a proper prefix of another
-    return pc.binary_join_element_wise(
-        conv_id, _pad8(turn_idx), _pad8(start), _pad8(end), "\x00")
+_KEY = ("subj", "pred", "obj")
+_PROV = ("conv_id", "turn_idx", "ev_start", "ev_end")
 
 
 def triples_from_events(events: list) -> pa.Table:
     """Event OBJECTS -> raw triple table, built columnar: the
     :func:`semantics.emit_triple_columns` lists become one pa.array per
-    column, the provenance strings are built once per event by Arrow
-    kernels and taken by the repeated event index, and the FNV buckets
-    are one Arrow pass — the fused extraction path calls this directly
-    on the Events it already holds, so the hot path never round-trips
-    through event rows and formats no per-row strings in Python."""
+    column, the provenance columns are built once per event and taken by
+    the repeated event index, and the FNV buckets are one Arrow pass —
+    the fused extraction path calls this directly on the Events it
+    already holds, so the hot path never round-trips through event rows
+    and formats no per-row strings in Python."""
     cols, counts = emit_triple_columns(events)
     if not cols[0]:
         return RAW_TRIPLE_SCHEMA.empty_table()
     subj, pred, obj, subj_type, obj_type = (pa.array(c, pa.string())
                                             for c in cols)
-    prov = _prov(pa.array([e.conv_id for e in events], pa.string()),
-                 pa.array([e.turn_idx for e in events], pa.int64()),
-                 pa.array([e.nugget_start for e in events], pa.int64()),
-                 pa.array([e.nugget_end for e in events], pa.int64()))
+    prov = pa.table({
+        "conv_id": pa.array([e.conv_id for e in events], pa.string()),
+        "turn_idx": pa.array([e.turn_idx for e in events], pa.int32()),
+        "ev_start": pa.array([e.nugget_start for e in events], pa.int32()),
+        "ev_end": pa.array([e.nugget_end for e in events], pa.int32()),
+    }).take(np.repeat(np.arange(len(events)), counts))
     return pa.table({
         "subj": subj, "pred": pred, "obj": obj,
         "subj_type": subj_type, "obj_type": obj_type,
-        "prov": prov.take(pa.array(np.repeat(np.arange(len(events)),
-                                             counts))),
+        **{c: prov.column(c) for c in _PROV},
         "count": pa.array(np.ones(len(subj), np.int64)),
         "bucket": pa.array(triple_buckets(subj, pred, obj), pa.int32()),
-    }).cast(RAW_TRIPLE_SCHEMA)
-
-
-_AGG = [("count", "sum"), ("prov", "min"), ("subj_type", "min"),
-        ("obj_type", "min"), ("bucket", "min")]
-_RENAME = {"count_sum": "count", "prov_min": "prov",
-           "subj_type_min": "subj_type", "obj_type_min": "obj_type",
-           "bucket_min": "bucket"}
-
-
-def partial_dedup(batch: pa.Table) -> pa.Table:
-    """Per-batch combiner (runs before the shuffle): vectorized exact
-    dedup on (subj, pred, obj) that sums counts and keeps the minimal
-    provenance, types and bucket. A hash ``group_by``: unlike the final
-    dedup, the combiner's output order does not matter."""
-    if batch.num_rows == 0:
-        return RAW_TRIPLE_SCHEMA.empty_table()
-    g = batch.group_by(["subj", "pred", "obj"]).aggregate(_AGG)
-    g = g.rename_columns([_RENAME.get(c, c) for c in g.column_names])
-    return g.select(RAW_TRIPLE_SCHEMA.names).cast(RAW_TRIPLE_SCHEMA)
+    }, schema=RAW_TRIPLE_SCHEMA)
 
 
 def _run_starts(cols: list, n: int) -> np.ndarray:
@@ -141,72 +104,46 @@ def _run_min_strings(col, order: np.ndarray, starts: np.ndarray) -> pa.Array:
     return enc.dictionary.take(by_value).take(pa.array(best, mask=best == k))
 
 
-# provenance suffix: "\x00%08d" for each of turn_idx, ev_start, ev_end,
-# as byte positions counted back from the end of the string
-_PROV_SUFFIX = 27
-_PROV_SEPS = np.array([-27, -18, -9])
-_PROV_DIGITS = np.array([s + 1 + d for s in _PROV_SEPS for d in range(8)])
-
-
-def _decode_prov(prov: pa.Array) -> tuple[pa.Array, np.ndarray]:
-    """Split provenance strings into (conv_id strings, int32 [3, n] rows
-    of turn_idx / ev_start / ev_end). The suffix is fixed-width ASCII,
-    so its digits are read in numpy at fixed negative offsets from each
-    string's end in the Arrow buffers, and conv_id is the rest, even
-    when it contains the \\x00 separator itself. A malformed suffix
-    raises ValueError."""
-    offs, data = string_buffers(prov)
-    if len(prov) and int(np.diff(offs).min()) < _PROV_SUFFIX:
-        raise ValueError("provenance shorter than its 27-byte suffix")
-    ends = offs[1:, None]
-    digits = data[ends + _PROV_DIGITS] - np.uint8(ord("0"))
-    if data[ends + _PROV_SEPS].any() or (digits > 9).any():
-        raise ValueError("malformed provenance suffix")
-    ints = digits.reshape(-1, 3, 8).astype(np.int32) \
-        @ (10 ** np.arange(7, -1, -1, dtype=np.int32))
-    conv = pc.utf8_slice_codeunits(prov, start=0, stop=-_PROV_SUFFIX)
-    return conv, np.ascontiguousarray(ints.T)
+def partial_dedup(t: pa.Table) -> pa.Table:
+    """Exact dedup of raw triple rows on (subj, pred, obj) ->
+    RAW_TRIPLE_SCHEMA rows in key order: stage A's per-shard combiner
+    (runs before the dedup exchange) and the one run-reduce that
+    :func:`final_dedup_group` projects. Sort-fused, with no hash
+    aggregate and no output re-sort: ONE sort by (subj, pred, obj,
+    conv_id, turn_idx, ev_start, ev_end) makes each key a run whose first
+    row carries the minimal provenance tuple (SURVEY A7's keep-first
+    rule) and its bucket, which is a function of the key; ``count`` is a
+    run sum and each type a run minimum (over sorted-dictionary ranks).
+    A null key, provenance or count raises ValueError."""
+    n = t.num_rows
+    if n == 0:
+        return RAW_TRIPLE_SCHEMA.empty_table()
+    for c in _KEY + _PROV + ("count",):
+        if t.column(c).null_count:
+            raise ValueError(f"triple dedup: null {c} value(s)")
+    idx = pc.sort_indices(t, [(c, "ascending") for c in _KEY + _PROV])
+    keys = [t.column(c).take(idx).combine_chunks() for c in _KEY]
+    starts = _run_starts(keys, n)
+    order = idx.to_numpy()
+    first = t.select(_PROV + ("bucket",)).take(order[starts])
+    return pa.table({
+        **{c: k.take(pa.array(starts)) for c, k in zip(_KEY, keys)},
+        **{c: _run_min_strings(t.column(c), order, starts)
+           for c in ("subj_type", "obj_type")},
+        **{c: first.column(c) for c in first.column_names},
+        "count": np.add.reduceat(t.column("count").to_numpy()[order],
+                                 starts),
+    }, schema=RAW_TRIPLE_SCHEMA)
 
 
 def final_dedup_group(group: pa.Table) -> pa.Table:
-    """Exact dedup of raw triple rows on (subj, pred, obj) -> TRIPLE_SCHEMA
-    rows in key order: the final reduce of the dedup exchange (one call
-    per bucket group) and of the driver-local finalize. Sort-fused, with
-    no hash aggregate and no output re-sort: ONE sort by (subj, pred,
-    obj, prov) makes each key a run whose first row carries the minimal
-    provenance; ``count`` is a run sum and each type a run minimum (over
-    sorted-dictionary ranks). The surviving provenance strings are
-    decoded in numpy from their fixed 27-byte suffix. A null key,
-    provenance or count raises ValueError."""
-    n = group.num_rows
-    if n == 0:
-        return TRIPLE_SCHEMA.empty_table()
-    for c in ("subj", "pred", "obj", "prov", "count"):
-        if group.column(c).null_count:
-            raise ValueError(f"final_dedup_group: null {c} value(s)")
-    idx = pc.sort_indices(group, [(c, "ascending") for c in
-                                  ("subj", "pred", "obj", "prov")])
-    keys = [group.column(c).take(idx).combine_chunks()
-            for c in ("subj", "pred", "obj")]
-    starts = _run_starts(keys, n)
-    order = idx.to_numpy()
-    conv, ints = _decode_prov(group.column("prov").take(
-        pa.array(order[starts])).combine_chunks())
-    firsts = pa.array(starts)
-    count = group.column("count").to_numpy()[order]
-    return pa.table({
-        "subj": keys[0].take(firsts), "pred": keys[1].take(firsts),
-        "obj": keys[2].take(firsts),
-        "subj_type": _run_min_strings(group.column("subj_type"), order,
-                                      starts),
-        "obj_type": _run_min_strings(group.column("obj_type"), order,
-                                     starts),
-        "conv_id": conv,
-        "turn_idx": pa.array(ints[0]), "ev_start": pa.array(ints[1]),
-        "ev_end": pa.array(ints[2]),
-        "weight": pa.array(np.ones(len(starts), np.float32)),
-        "count": pa.array(np.add.reduceat(count, starts)),
-    }, schema=TRIPLE_SCHEMA)
+    """The final reduce of the dedup exchange (one call per bucket
+    group) and of the driver-local finalize: :func:`partial_dedup`
+    projected onto TRIPLE_SCHEMA, rows in key order."""
+    t = partial_dedup(group).drop_columns(["bucket"])
+    return t.add_column(TRIPLE_SCHEMA.get_field_index("weight"),
+                        TRIPLE_SCHEMA.field("weight"),
+                        pa.array(np.ones(t.num_rows, np.float32)))
 
 
 NODE_SCHEMA = pa.schema([
@@ -318,16 +255,9 @@ def rewrite_triples(mapping_ref):
             bucket[changed] = triple_buckets(
                 pc.take(subj, idx), pc.take(batch.column("pred"), idx),
                 pc.take(obj, idx))
-        return pa.table({
-            "subj": subj,
-            "pred": batch.column("pred"),
-            "obj": obj,
-            "subj_type": batch.column("subj_type"),
-            "obj_type": batch.column("obj_type"),
-            "prov": batch.column("prov"),
-            "count": batch.column("count"),
-            "bucket": pa.array(bucket, pa.int32()),
-        }).cast(RAW_TRIPLE_SCHEMA)
+        cols = {c: batch.column(c) for c in batch.column_names}
+        cols.update(subj=subj, obj=obj, bucket=bucket)
+        return pa.table(cols, schema=RAW_TRIPLE_SCHEMA)
     return fn
 
 

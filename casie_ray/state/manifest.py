@@ -30,10 +30,10 @@ def _embed_dim() -> int:
     return DIM
 
 
-# bump whenever the on-disk output layout changes (e.g. the prov
-# encoding, or the surf/ side tables) so resume never mixes formats
-# across code versions
-FORMAT_VERSION = 7  # v7: every complete group has surf + convs tables
+# bump whenever the on-disk output layout changes (e.g. the raw-triple
+# provenance columns, or the surf/ side tables) so resume never mixes
+# formats across code versions
+FORMAT_VERSION = 8  # v8: raw triples carry typed provenance columns
 
 
 def config_hash() -> str:

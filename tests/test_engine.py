@@ -50,6 +50,20 @@ def test_engine_matches_oracle_exactly(kg_out, oracle_triples):
     pd.testing.assert_frame_equal(_norm(oracle_triples), _norm(eng))
 
 
+def test_perfbench_stage_b_replay_matches_build(kg_out):
+    """The benchmark's in-process replay of the stage-B kernels over a
+    build's raw triples gives the build's edges and nodes: the output
+    check of the kg_finalize workload, so a raw-layout change that
+    breaks it fails here, not only in the benchmark."""
+    from perfbench.workloads import (no_span, raw_triple_files, read_dir,
+                                     sorted_table, stage_b_kernels)
+    ref = stage_b_kernels(raw_triple_files(kg_out), no_span)
+    assert ref["raw_rows"] > ref["edges"].num_rows > 100
+    for sub, keys in (("edges", KEY), ("nodes", ["node_id"])):
+        built = sorted_table(read_dir(os.path.join(kg_out, sub)), keys)
+        assert built.equals(sorted_table(ref[sub], keys)), sub
+
+
 def test_engine_invariant_under_grouping(ray_session, smoke_corpus, kg_out,
                                          tmp_path):
     """Triple set identical when the resumable-group partitioning

@@ -92,49 +92,6 @@ def test_fnv1a_hashes_edge_inputs():
         fnv1a_hashes(["a", None])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.text(max_size=12),
-                          st.integers(min_value=0, max_value=10**8 - 1),
-                          st.integers(min_value=0, max_value=10**8 - 1),
-                          st.integers(min_value=0, max_value=99)),
-                max_size=6))
-def test_columnar_provenance_matches_fstring(rows):
-    """Triple provenance built with Arrow kernels equals the per-row
-    f-string it replaced, up to the widest 8-digit int."""
-    import pyarrow as pa
-
-    from casie_ray.stages.triples import _prov
-
-    cols = list(zip(*rows)) or [[], [], [], []]
-    got = _prov(pa.array(cols[0], pa.string()),
-                *(pa.array(c, pa.int64()) for c in cols[1:]))
-    assert got.to_pylist() == [
-        f"{c}\x00{t:08d}\x00{s:08d}\x00{e:08d}" for c, t, s, e in rows]
-
-
-def test_columnar_provenance_rejects_negative_ints():
-    import pyarrow as pa
-
-    from casie_ray.stages.triples import _prov
-
-    ok = pa.array([1], pa.int64())
-    with pytest.raises(ValueError, match="non-negative"):
-        _prov(pa.array(["c"]), ok, pa.array([-5], pa.int64()), ok)
-
-
-def test_columnar_provenance_rejects_ints_wider_than_8_digits():
-    """Provenance order and its fixed-width decode assume 8 digits: a
-    turn index of 10^8 raises instead of decoding to a wrong value."""
-    import pyarrow as pa
-
-    from casie_ray.stages.triples import _prov
-
-    ok = pa.array([1, 2], pa.int64())
-    with pytest.raises(ValueError, match="at most 99999999"):
-        _prov(pa.array(["c", "d"]), pa.array([10**8, 3], pa.int64()), ok,
-              ok)
-
-
 _CONV_IDS = ["c", "c1", "c\x00", "c\x00!", "c\x00x", "\u00e9", ""]
 _TYPES = ["Event", "Organization", "Person", "\u00c9", None]
 
@@ -144,38 +101,47 @@ _TYPES = ["Event", "Organization", "Person", "\u00c9", None]
     st.sampled_from(["s", "t", "s\x00"]), st.sampled_from(["p", "q"]),
     st.sampled_from(["o", "\u6f22"]), st.sampled_from(_TYPES),
     st.sampled_from(_TYPES), st.sampled_from(_CONV_IDS),
-    st.sampled_from([0, 7, 10**8 - 1]), st.integers(0, 3),
-    st.integers(0, 3), st.integers(1, 3), st.integers(0, 4095)),
+    st.sampled_from([-2**31, -1, 0, 7, 10**8, 2**31 - 1]),
+    st.sampled_from([-3, 0, 2, 10**9]), st.integers(-1, 2),
+    st.integers(1, 3)),
     max_size=24), st.integers(0, 3), st.integers(0, 24))
 @example(rows=[], skip=2, cut=0)
-@example(rows=[("s", "p", "o", None, "Event", "c\x00", 7, 0, 1, 2, 9)],
+@example(rows=[("s", "p", "o", None, "Event", "c\x00", 7, 0, 1, 2)],
          skip=1, cut=1)
+# a conv_id and its \x00 extension: the tuple order keeps the shorter
+# one whatever the turn index
+@example(rows=[("s", "p", "o", "Event", "Event", "c\x00", 0, 0, 0, 1),
+               ("s", "p", "o", "Event", "Event", "c", 7, 0, 0, 1)],
+         skip=0, cut=1)
 def test_final_dedup_group_matches_dict_reference(rows, skip, cut):
-    """The sort-fused final dedup against a plain dict reference: per
-    (subj, pred, obj) the count sums, and the provenance and each type
-    are minima (types skipping nulls); output rows come in key order.
-    Keys repeat and tie on provenance, types differ within a key, and
-    conv_ids hold \\x00 or are prefixes of one another. The input is
-    sliced (non-zero offset) and split into two chunks."""
+    """Both dedup phases against a plain dict reference: per (subj,
+    pred, obj) the count sums, the provenance is the minimal (conv_id,
+    turn_idx, ev_start, ev_end) tuple and each type a minimum (skipping
+    nulls); output rows come in key order. :func:`partial_dedup` keeps
+    the raw layout and the key's bucket, :func:`final_dedup_group`
+    gives TRIPLE_SCHEMA rows. Keys repeat and tie on provenance, types
+    differ within a key, conv_ids hold \\x00 or are prefixes of one
+    another, and provenance ints are negative or 10^8 and wider. The
+    input is sliced (non-zero offset) and split into two chunks."""
+    import zlib
+
     import pyarrow as pa
 
     from casie_ray.stages.triples import (
-        RAW_TRIPLE_SCHEMA, _prov, final_dedup_group,
+        RAW_TRIPLE_SCHEMA, final_dedup_group, partial_dedup,
     )
 
+    def bucket(key):
+        return zlib.crc32("\x01".join(key).encode()) % 4096
+
     def table(rs):
-        cols = list(zip(*rs)) or [[]] * 11
+        cols = list(zip(*rs)) or [[]] * 10
         return pa.table({
-            "subj": cols[0], "pred": cols[1], "obj": cols[2],
-            "subj_type": pa.array(cols[3], pa.string()),
-            "obj_type": pa.array(cols[4], pa.string()),
-            "prov": _prov(pa.array(cols[5], pa.string()),
-                          *(pa.array(c, pa.int64()) for c in cols[6:9])),
-            "count": pa.array(cols[9], pa.int64()),
-            "bucket": pa.array(cols[10], pa.int32()),
+            **dict(zip(RAW_TRIPLE_SCHEMA.names, cols)),
+            "bucket": [bucket(r[:3]) for r in rs],
         }, schema=RAW_TRIPLE_SCHEMA)
 
-    filler = [("z", "z", "z", "Z", "Z", "z", 1, 1, 1, 1, 0)] * skip
+    filler = [("z", "z", "z", "Z", "Z", "z", 1, 1, 1, 1)] * skip
     t = table(filler + rows).slice(skip)
     cut = min(cut, len(rows))
     chunked = pa.concat_tables([t.slice(0, cut), t.slice(cut)])
@@ -185,21 +151,23 @@ def test_final_dedup_group_matches_dict_reference(rows, skip, cut):
         return min(vals) if vals else None
 
     groups: dict = {}
-    for r, prov in zip(rows, t.column("prov").to_pylist()):
-        groups.setdefault(r[:3], []).append((r, prov))
-    want = []
+    for r in rows:
+        groups.setdefault(r[:3], []).append(r)
+    raw, final = [], []
     for key in sorted(groups):
         g = groups[key]
-        prov = min(p for _, p in g)
-        want.append({
-            "subj": key[0], "pred": key[1], "obj": key[2],
-            "subj_type": tmin(r[3] for r, _ in g),
-            "obj_type": tmin(r[4] for r, _ in g),
-            "conv_id": prov[:-27], "turn_idx": int(prov[-26:-18]),
-            "ev_start": int(prov[-17:-9]), "ev_end": int(prov[-8:]),
-            "weight": 1.0, "count": sum(r[9] for r, _ in g)})
+        conv, turn, start, end = min(r[5:9] for r in g)
+        row = {"subj": key[0], "pred": key[1], "obj": key[2],
+               "subj_type": tmin(r[3] for r in g),
+               "obj_type": tmin(r[4] for r in g),
+               "conv_id": conv, "turn_idx": turn, "ev_start": start,
+               "ev_end": end}
+        count = sum(r[9] for r in g)
+        raw.append({**row, "count": count, "bucket": bucket(key)})
+        final.append({**row, "weight": 1.0, "count": count})
     for inp in (t, chunked):
-        assert final_dedup_group(inp).to_pylist() == want
+        assert partial_dedup(inp).to_pylist() == raw
+        assert final_dedup_group(inp).to_pylist() == final
 
 
 @settings(max_examples=80, deadline=None)
@@ -377,7 +345,7 @@ def _emit_events(spec):
 
 def _dict_emitter_table(events):
     """The raw triple table rebuilt from the oracle's dict form of the
-    emitter: per-row provenance f-strings, unit counts, shared buckets."""
+    emitter: per-row provenance fields, unit counts, shared buckets."""
     import pyarrow as pa
 
     from casie_ray.semantics import emit_triples
@@ -391,12 +359,11 @@ def _dict_emitter_table(events):
             for c in ("subj", "pred", "obj", "subj_type", "obj_type")}
     return pa.table({
         **cols,
-        "prov": [f"{r['conv_id']}\x00{r['turn_idx']:08d}"
-                 f"\x00{r['ev_start']:08d}\x00{r['ev_end']:08d}"
-                 for r in rows],
+        **{c: [r[c] for r in rows]
+           for c in ("conv_id", "turn_idx", "ev_start", "ev_end")},
         "count": pa.array([1] * len(rows), pa.int64()),
         "bucket": triple_buckets(cols["subj"], cols["pred"], cols["obj"]),
-    }).cast(RAW_TRIPLE_SCHEMA)
+    }, schema=RAW_TRIPLE_SCHEMA)
 
 
 @settings(max_examples=150, deadline=None)
