@@ -5,9 +5,11 @@ logic, role/realis assignment, event coreference, triple emission — as
 pure functions over plain Python structures for ONE conversation. The
 single-process oracle (``casie_ray.oracle``) drives these sequentially;
 the distributed engine's stage-A kernel (``casie_ray.stages.detect``)
-runs the same functions per conversation, except event coreference,
-which it batches over a whole shard (:func:`coref_many`, checked
-against the oracle's :func:`coref_events`).
+runs the same functions per conversation, except two it batches over
+a whole shard: event coreference (:func:`coref_many`, checked against
+the oracle's :func:`coref_events`) and tokenization (one
+:class:`TokenTable` that every turn's :func:`detect_turn` reads, checked
+against the oracle's per-token :func:`detect_turn_seq`).
 
 The neural models of the reference (unavailable, SURVEY §3.4) are
 replaced by lexicon rules occupying the same pipeline seats:
@@ -24,13 +26,16 @@ from __future__ import annotations
 
 import bisect
 import datetime as dt
+import string
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
 from . import lexicons as lx
 from .embed import embed_surface, embed_surfaces
-from .tokenize import tokenize
+from .tokenize import tokenize, tokenize_many
 
 # ---------------------------------------------------------------------------
 # Data structures (plain, picklable, small — these cross map_groups only)
@@ -195,7 +200,94 @@ _DATAISH_NOUNS = {"records", "files", "documents", "emails", "passwords",
                   "credentials"}
 
 
-def detect_turn(text: str, catalog: dict, fuzzy: dict | None = None):
+# class bits of a lowered token in the TokenTable: modal, generic, trigger
+# surface, non-content word, span-start word (arg-phrase first token,
+# month or numeral word)
+_MODAL, _GENERIC, _TRIG, _NONCONTENT, _START = 1, 2, 4, 8, 16
+
+
+def _word_classes() -> dict[str, int]:
+    bits: dict[str, int] = {}
+    for words, bit in ((lx.MODAL_WORDS, _MODAL), (lx.GENERIC_WORDS, _GENERIC),
+                       (lx.TRIGGER_SURFACES, _TRIG),
+                       (lx.NON_CONTENT_WORDS, _NONCONTENT),
+                       (lx.ARG_PHRASE_FIRST | _MONTHS_SET | lx.NUMERAL_WORDS,
+                        _START)):
+        for w in words:
+            bits[w] = bits.get(w, 0) | bit
+    return bits
+
+
+_WORD_CLASSES = _word_classes()
+# first characters that start no span unless the lowered token is a start
+# word or a catalog key: ASCII lowercase letters and punctuation, except
+# "v" (Version) and "$" (Money)
+_NO_SPAN_FIRST = np.zeros(128, dtype=bool)
+_NO_SPAN_FIRST[[ord(c) for c in string.ascii_lowercase + string.punctuation
+                if c not in "v$"]] = True
+
+
+def _is_cap(c: str) -> bool:
+    return c.isupper() and c.isalpha()
+
+
+_CAP_FIRST = np.array([_is_cap(chr(c)) for c in range(128)])
+
+
+class TokenTable:
+    """The tokens of many turns (one shard's mask-passing texts) and what
+    :func:`detect_turn` reads of them, each computed in one pass over the
+    whole table. Token i has ``toks[i]``, ``lowers[i]``, char offsets
+    ``starts[i]`` / ``ends[i]`` within its own turn, ``flags[i]`` (bit 1
+    modal, bit 2 generic), ``cap[i]`` (capitalized first char) and
+    ``run_end[i]`` (for a capitalized token, the end of its capitalized
+    run, never past its own turn's last token). Turn k holds tokens
+    ``bounds[k]:bounds[k + 1]``. Three sorted index lists carry per-turn
+    bounds (turn k's entries are ``spans[span_b[k]:span_b[k + 1]]``):
+    possible span starts, trigger-surface tokens and content-word tokens.
+    Only strings, ints, lists and numpy arrays: no per-token object for
+    the cyclic GC to track."""
+
+    __slots__ = ("toks", "lowers", "starts", "ends", "bounds", "flags",
+                 "cap", "run_end", "spans", "span_b", "trigs", "trig_b",
+                 "cands", "cand_b")
+
+    def __init__(self, texts: list[str], catalog: dict):
+        toks, self.starts, self.ends, self.bounds = tokenize_many(texts)
+        n = len(toks)
+        self.toks = toks
+        self.lowers = lowers = list(map(str.lower, toks))
+        bits = np.fromiter(map(_WORD_CLASSES.get, lowers, repeat(0)),
+                           np.uint8, n)
+        cp = np.fromiter(map(ord, map(itemgetter(0), toks)), np.int64, n)
+        ascii_cp = np.minimum(cp, 127)
+        cap = _CAP_FIRST[ascii_cp]
+        wide = np.flatnonzero(cp > 127)
+        cap[wide] = [_is_cap(chr(c)) for c in cp[wide].tolist()]
+        span = ~((cp < 128) & _NO_SPAN_FIRST[ascii_cp]) \
+            | (bits & _START > 0) \
+            | np.fromiter(map(catalog.__contains__, lowers), bool, n)
+        cand = (bits & (_TRIG | _NONCONTENT) == 0) \
+            & (np.fromiter(map(len, lowers), np.int64, n) >= 3) \
+            & np.fromiter(map(str.isalpha, toks), bool, n)
+        bounds = np.asarray(self.bounds)
+        stops = np.union1d(np.flatnonzero(~cap), bounds)
+        self.run_end = stops[np.searchsorted(stops, np.arange(n),
+                                             side="right")].tolist()
+        self.flags = (bits & (_MODAL | _GENERIC)).tolist()
+        self.cap = cap.tolist()
+
+        def index(mask):
+            idx = np.flatnonzero(mask)
+            return idx.tolist(), np.searchsorted(idx, bounds).tolist()
+
+        self.spans, self.span_b = index(span)
+        self.trigs, self.trig_b = index(bits & _TRIG)
+        self.cands, self.cand_b = index(cand)
+
+
+def detect_turn(text: str, catalog: dict, fuzzy: dict | None = None,
+                view: tuple[TokenTable, int] | None = None):
     """Per-turn mention + trigger-candidate detection.
 
     Deterministic longest-match, left-to-right, priority:
@@ -210,6 +302,123 @@ def detect_turn(text: str, catalog: dict, fuzzy: dict | None = None):
     conversation-level coref-chain propagation — joins at doc-logic
     time (:func:`propagate_coref_aliases`).
 
+    ``view`` is ``(table, k)``: turn k of a :class:`TokenTable` over many
+    texts, ``text`` being that turn's text. The span rules then run only
+    at the turn's possible span starts, and triggers, candidate tokens
+    and flags are slices of the table. Without a view the call builds a
+    one-text table. Returns a :class:`TurnDetection`, equal to
+    :func:`detect_turn_seq`'s.
+    """
+    tt, k = view if view is not None else (TokenTable([text], catalog), 0)
+    a, n = tt.bounds[k], tt.bounds[k + 1]
+    toks, lowers, starts, ends = tt.toks, tt.lowers, tt.starts, tt.ends
+    cap, run_end = tt.cap, tt.run_end
+    claimed: set[int] = set()
+    mentions: list[Mention] = []
+    cve_match = lx.CVE_RE.match
+    version_match = lx.VERSION_RE.match
+    money_match = lx.MONEY_RE.match
+    arg_first = lx.ARG_PHRASE_FIRST
+    arg_surfaces = lx.ARG_PHRASE_SURFACES
+    max_arg = lx.MAX_ARG_PHRASE_LEN
+    numeral_words = lx.NUMERAL_WORDS
+    org_hints = lx.ORG_HINTS
+
+    pos = a   # tokens before pos are claimed by the last span
+    for i in tt.spans[tt.span_b[k]:tt.span_b[k + 1]]:
+        if i < pos:
+            continue
+        tok = toks[i]
+        low = lowers[i]
+        c0 = tok[0]
+        span = None  # (n_tokens, argtype, entity_id)
+        if c0 == "C" and cve_match(tok):
+            span = (1, "CVE", None)
+        elif (c0 == "v" or c0.isdigit()) and version_match(tok):
+            span = (1, "Version", None)
+        elif c0 == "$" and money_match(tok):
+            span = (1, "Money", None)
+        if span is None and cap[i]:
+            # capitalized-run NER (see detect_turn_seq)
+            j = run_end[i]
+            rl = j - i
+            if rl >= 2 and not org_hints.isdisjoint(lowers[i:j]):
+                run = tuple(lowers[i:j])
+                eid = etype = None
+                for phrase, ln, ptype, pid in catalog.get(low, ()):
+                    if ln == rl and run == phrase:
+                        eid, etype = pid, ptype
+                        break
+                if etype is None:
+                    etype = "Organization"
+                    eid = fuzzy_link(
+                        lx.normalize_surface(text[starts[i]:ends[j - 1]]),
+                        etype, fuzzy)
+                span = (rl, etype, eid)
+        if span is None and low in catalog:
+            for phrase, ln, etype, eid in catalog[low]:
+                if i + ln <= n and tuple(lowers[i:i + ln]) == phrase:
+                    span = (ln, etype, eid)
+                    break
+        if span is None and low in arg_first:
+            for ln in range(min(max_arg, n - i), 0, -1):
+                argtype = arg_surfaces.get(" ".join(lowers[i:i + ln]))
+                if argtype is not None:
+                    span = (ln, argtype, None)
+                    break
+        if span is None and low in _MONTHS_SET:
+            ln = 1
+            j = i + 1
+            if j < n and _DAY_RE.match(toks[j]) and len(toks[j]) <= 2:
+                ln += 1
+                j += 1
+            if j < n and lx.YEAR_RE.match(toks[j]):
+                ln = j - i + 1
+            if ln > 1:
+                span = (ln, "Time", None)
+        if span is None and c0.isdigit() and lx.NUMERIC_RE.match(tok) \
+                and i + 1 < n and lowers[i + 1] in _COUNT_NOUNS:
+            span = (1, "Number", None)
+        if span is None and low in numeral_words:
+            j = i + 1
+            while j < n and (lowers[j] in numeral_words
+                             or (lowers[j] == "and" and j + 1 < n
+                                 and lowers[j + 1] in numeral_words)):
+                j += 1
+            q = j
+            if q < n and lowers[q] == "of":
+                q += 1
+            if q < n and lowers[q] in _COUNT_NOUNS:
+                span = (j - i, "Number", None)
+        if span is not None:
+            ln, argtype, eid = span
+            m_start = starts[i]
+            m_end = ends[i + ln - 1]
+            nn = i + ln
+            if argtype == "Number" and nn < n and lowers[nn] == "of":
+                nn += 1
+            dataish = (argtype == "Number" and nn < n
+                       and lowers[nn] in _DATAISH_NOUNS)
+            mentions.append(Mention(m_start, m_end, text[m_start:m_end],
+                                    argtype, eid,
+                                    next_noun_dataish=dataish))
+            claimed.update(range(i, i + ln))
+            pos = i + ln
+
+    surfaces = lx.TRIGGER_SURFACES
+    triggers = [
+        Trigger(i - a, starts[i], ends[i], toks[i], surfaces[lowers[i]])
+        for i in tt.trigs[tt.trig_b[k]:tt.trig_b[k + 1]] if i not in claimed]
+    cands = [(i - a, starts[i], ends[i], lowers[i], cap[i])
+             for i in tt.cands[tt.cand_b[k]:tt.cand_b[k + 1]]
+             if i not in claimed]
+    return TurnDetection(starts[a:n], tt.flags[a:n], triggers, mentions,
+                         cands)
+
+
+def detect_turn_seq(text: str, catalog: dict, fuzzy: dict | None = None):
+    """:func:`detect_turn` token by token, without a :class:`TokenTable`:
+    its sequential twin, run by the oracle (:func:`extract_conversation`).
     Returns a :class:`TurnDetection`.
     """
     toks = tokenize(text)
@@ -1157,8 +1366,8 @@ def extract_conversation(conv_id: str, turns: list[dict], catalog: dict,
     if detections is None:
         detections = {}
         for t in turns:
-            detections[t["turn_idx"]] = detect_turn(t["text"], catalog,
-                                                    fuzzy)
+            detections[t["turn_idx"]] = detect_turn_seq(t["text"], catalog,
+                                                        fuzzy)
     for t in turns:
         turn_ts[t["turn_idx"]] = t.get("ts")
 

@@ -45,12 +45,16 @@ class EmbeddingTagger(DetectTagger):
                             for s in self.proto_surfaces]
         self.proto_mat = embed_surfaces(self.proto_surfaces)
 
-    def detect_or_skip(self, text, interesting: bool) -> TurnDetection:
+    def interesting_mask(self, texts) -> np.ndarray:
         # the vectorized pre-pass proof ("no hot-vocab word => empty
         # detection") holds for exact lexicon matching only; similarity
         # detection can fire on ANY content token, so this seat always
         # runs the full pass
-        det = super().detect_or_skip(text, True)
+        return np.ones(len(texts), dtype=bool)
+
+    def detect_or_skip(self, text, interesting: bool,
+                       view=None) -> TurnDetection:
+        det = super().detect_or_skip(text, True, view)
         extra: list[Trigger] = []
         kept = []
         for c in det.cand_tokens:

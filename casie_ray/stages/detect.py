@@ -9,6 +9,8 @@ turns and appends the detection columns (schema.DETECTION_*).
 
 from __future__ import annotations
 
+import functools
+import gc
 import re
 
 import numpy as np
@@ -21,7 +23,8 @@ from ..schema import (
     TRIGGER_T, detection_to_row,
 )
 from ..semantics import (
-    TurnDetection, build_catalog_matcher, build_fuzzy_index, detect_turn,
+    TokenTable, TurnDetection, build_catalog_matcher, build_fuzzy_index,
+    detect_turn,
 )
 from . import doclogic
 
@@ -63,9 +66,11 @@ def build_tagger_state(entities, kb_whitelist=None,
     """Build the tagger's broadcast state ONCE (driver side): catalog
     matcher, blocked fuzzy-link index (J5), hot-vocab pre-pass set.
     ``ray.put`` the result and pass the ref to the taggers — each worker
-    process then pays one plasma deserialize (~50 ms) per build instead
-    of re-deriving the embedding index (~1.3 s at sf1.0), which is pure
-    serial cost on the extraction critical path.
+    process then fetches it once and reuses it for later tasks (about
+    0.30 s for the first fetch and extractor set-up in a fresh worker,
+    about 7 ms after that at sf0.01) instead of re-deriving the
+    embedding index (~1.3 s at sf1.0), which is pure serial cost on the
+    extraction critical path.
     ``kb_whitelist``/``kb_blacklist`` override the KB candidate typing
     filters (PipelineConfig surface; None -> lexicon defaults)."""
     catalog = build_catalog_matcher(entities)
@@ -77,29 +82,40 @@ def build_tagger_state(entities, kb_whitelist=None,
     }
 
 
+def tagger_state_cache_path(entities: bytes, kb_whitelist=None,
+                            kb_blacklist=None) -> str:
+    """Disk-cache file of the tagger state for these entities-table bytes
+    and KB filters. The key covers the extraction rules
+    (``manifest.semantic_payload``) but not ``FORMAT_VERSION``: the state
+    does not depend on the output layout."""
+    import hashlib
+    import os
+    import tempfile
+
+    from ..state.manifest import semantic_payload
+
+    kb_key = repr((sorted(kb_whitelist) if kb_whitelist else None,
+                   sorted(kb_blacklist) if kb_blacklist else None))
+    key = hashlib.blake2b(entities + repr(semantic_payload()).encode()
+                          + kb_key.encode(),
+                          digest_size=16).hexdigest()
+    return os.path.join(tempfile.gettempdir(), "casie_state_cache",
+                        f"{key}.pkl")
+
+
 def load_tagger_state(entities_path: str, kb_whitelist=None,
                       kb_blacklist=None) -> dict:
-    """Disk-cached :func:`build_tagger_state`, keyed by the entities
-    table bytes + the semantic config hash. The build is ~1.3 s of
+    """Disk-cached :func:`build_tagger_state`, keyed as
+    :func:`tagger_state_cache_path` says. The build is ~1.3 s of
     driver-serial embedding-index work per run — a fixed cost that does
     not shrink with cluster size, so a warm cache directly improves
     scaling efficiency. Cache writes are atomic (tmp + rename)."""
-    import hashlib
     import os
     import pickle
-    import tempfile
-
-    from ..state.manifest import config_hash
 
     with open(entities_path, "rb") as f:
         raw = f.read()
-    kb_key = repr((sorted(kb_whitelist) if kb_whitelist else None,
-                   sorted(kb_blacklist) if kb_blacklist else None))
-    key = hashlib.blake2b(raw + config_hash().encode()
-                          + kb_key.encode(),
-                          digest_size=16).hexdigest()
-    cdir = os.path.join(tempfile.gettempdir(), "casie_state_cache")
-    cpath = os.path.join(cdir, f"{key}.pkl")
+    cpath = tagger_state_cache_path(raw, kb_whitelist, kb_blacklist)
     if os.path.exists(cpath):
         try:
             with open(cpath, "rb") as f:
@@ -110,12 +126,30 @@ def load_tagger_state(entities_path: str, kb_whitelist=None,
     state = build_tagger_state(pq.read_table(entities_path).to_pylist(),
                                kb_whitelist=kb_whitelist,
                                kb_blacklist=kb_blacklist)
-    os.makedirs(cdir, exist_ok=True)
+    os.makedirs(os.path.dirname(cpath), exist_ok=True)
     tmp = cpath + f".{os.getpid()}.tmp"
     with open(tmp, "wb") as f:
         pickle.dump(state, f)
     os.replace(tmp, cpath)
     return state
+
+
+def _gc_paused(fn):
+    """Run ``fn`` with Python's cyclic GC paused, then restore the
+    caller's GC state. The stage-A kernel makes many small acyclic
+    objects, so the collections they would trigger free nothing and only
+    rescan the long-lived tagger state (tens of thousands of tracked
+    objects)."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 class DetectTagger:
@@ -170,18 +204,27 @@ class DetectTagger:
         return hit[pc.fill_null(enc.indices, n)
                    .to_numpy(zero_copy_only=False)]
 
-    def detect_or_skip(self, text: str | None, interesting: bool) \
+    def detect_or_skip(self, text: str | None, interesting: bool,
+                       view: tuple[TokenTable, int] | None = None) \
             -> TurnDetection:
+        """``view``: the text's turn in a token table of the batch's
+        passing texts, or None for a one-text table."""
         if not interesting:
             return TurnDetection([], [], [], [], [])
-        return detect_turn(text or "", self.catalog, self.fuzzy)
+        return detect_turn(text or "", self.catalog, self.fuzzy, view)
 
     def tag_batch(self, batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
         mask = self.interesting_mask(batch.column("text"))
+        table = TokenTable([t or "" for t, keep in zip(texts, mask) if keep],
+                           self.catalog)
         starts, flags, trigs, ments, cands = [], [], [], [], []
+        k = 0
         for text, keep in zip(texts, mask):
-            row = detection_to_row(self.detect_or_skip(text, keep))
+            view = None
+            if keep:
+                view, k = (table, k), k + 1
+            row = detection_to_row(self.detect_or_skip(text, keep, view))
             starts.append(row["token_starts"])
             flags.append(row["token_flags"])
             trigs.append(row["triggers"])
@@ -210,8 +253,10 @@ class ShardExtractor(DetectTagger):
     it): detection + doc logic + role/realis run per conversation
     inside one whole-shard table, then event coreference runs ONCE over
     every conversation of the shard (one ``semantics.coref_many`` numpy
-    pass, via ``doclogic.coref_event_rows``), emitting event rows
-    directly.
+    pass, via ``doclogic.coref_event_table``), emitting event rows
+    directly. Detection tokenizes the shard's passing turns once, into
+    one ``semantics.TokenTable``, and each turn's ``detect_turn`` reads
+    its slice. The whole shard runs with the cyclic GC paused.
 
     Turn-sparse: only the turns the vectorized :meth:`interesting_mask`
     passes (about 13% at sf0.01) leave Arrow, so per-row Python is paid
@@ -233,10 +278,13 @@ class ShardExtractor(DetectTagger):
         as the oracle does; a null key raises ValueError."""
         return self._shard_events(batch, EVENT_SCHEMA)
 
+    @_gc_paused
     def _shard_events(self, batch: pa.Table, schema: pa.Schema) \
             -> tuple[pa.Table, list]:
         """:meth:`extract_turns_with_events` with the event table built
-        in ``schema`` (EVENT_SCHEMA or SINK_EVENT_SCHEMA)."""
+        in ``schema`` (EVENT_SCHEMA or SINK_EVENT_SCHEMA). Detection reads
+        one :class:`TokenTable` over the shard's mask-passing texts, one
+        ``detect_turn`` call per turn."""
         for key in self.KEYS:
             if batch.column(key).null_count:
                 raise ValueError(
@@ -255,17 +303,19 @@ class ShardExtractor(DetectTagger):
             hot, [(k, "ascending") for k in self.KEYS]))
         conv_ids = hot.column("conv_id").to_pylist()
         turn_idxs = hot.column("turn_idx").to_pylist()
-        texts = hot.column("text").to_pylist()
+        texts = hot.column("text").to_pylist()   # the mask drops nulls
         tss = hot.column("ts").to_pylist()
         convs: list[tuple[list, list, dict]] = []
         catalog, fuzzy = self.catalog, self.fuzzy
+        table = TokenTable(texts, catalog)
         k, m = 0, len(conv_ids)
         while k < m:
             cid = conv_ids[k]
             detections, ts_of = {}, {}
             while k < m and conv_ids[k] == cid:
                 ti = turn_idxs[k]
-                detections[ti] = detect_turn(texts[k] or "", catalog, fuzzy)
+                detections[ti] = detect_turn(texts[k], catalog, fuzzy,
+                                             view=(table, k))
                 ts_of[ti] = tss[k]
                 k += 1
             evs, flags = doclogic.extract_conversation_events(cid,

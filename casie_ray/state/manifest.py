@@ -36,12 +36,13 @@ def _embed_dim() -> int:
 FORMAT_VERSION = 8  # v8: raw triples carry typed provenance columns
 
 
-def config_hash() -> str:
-    """Hash of the semantic configuration: lexicon tables + stage params.
-    Any change to the extraction rules changes this hash."""
+def semantic_payload() -> tuple:
+    """The lexicon tables and stage parameters the extraction rules read:
+    everything :func:`config_hash` covers except ``FORMAT_VERSION``, so
+    state derived from the rules alone (the tagger-state cache) survives
+    an output-layout bump."""
     from .. import lexicons as lx
-    payload = repr((
-        FORMAT_VERSION,
+    return (
         sorted(lx.TRIGGER_SURFACES.items()),
         sorted(lx.ARG_PHRASE_SURFACES.items()),
         sorted((k, sorted(v)) for k, v in lx.PAIR.items()),
@@ -52,7 +53,14 @@ def config_hash() -> str:
         lx.SIM_CUTOFF, sorted(lx.NUMWORDS.items()),
         lx.LINK_BLOCK_PREFIX, sorted(lx.SURFACE_NODE_TYPES), _embed_dim(),
         sorted(lx.KB_TYPE_WHITELIST), sorted(lx.KB_TYPE_BLACKLIST),
-    ))
+    )
+
+
+def config_hash() -> str:
+    """Hash of the semantic configuration: lexicon tables + stage params,
+    and the output layout. Any change to the extraction rules changes
+    this hash."""
+    payload = repr((FORMAT_VERSION,) + semantic_payload())
     return hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
 
 

@@ -943,6 +943,104 @@ def test_sparse_stage_a_null_key_names_the_shard(smoke_corpus, tmp_path,
         ext(str(path))
 
 
+def _full_sink(tmp_path, name):
+    roots = {r: str(tmp_path / name / r)
+             for r in ("raw", "surf", "events", "convs")}
+    for root in roots.values():
+        os.makedirs(os.path.join(root, ".group-00000.tmp"))
+    return {"gid": 0, "raw_root": roots["raw"], "surf_root": roots["surf"],
+            "ev_root": roots["events"], "convs_root": roots["convs"],
+            "suffix": ".tmp"}
+
+
+def _read_shard(path, ext):
+    import pyarrow.parquet as pq
+    return pq.read_table(path, columns=ext.COLUMNS)
+
+
+def test_stage_a_kernel_leaves_no_cyclic_garbage(smoke_corpus, tmp_path):
+    """Stage A runs with the cyclic GC paused, which is safe only while
+    its objects are acyclic: a fully sunk shard run with the GC off
+    leaves nothing for ``gc.collect()`` once its outputs are dropped."""
+    import gc
+
+    from casie_ray.pipelines.kg import list_transcript_files
+
+    ext = _shard_extractor(smoke_corpus)
+    path = list_transcript_files(smoke_corpus)[0]
+    tbl = _read_shard(path, ext)
+    ext(path, _full_sink(tmp_path, "warm"))   # first-call imports
+    gc.collect()
+    gc.disable()
+    try:
+        stats = ext(path, _full_sink(tmp_path, "run"))
+        assert stats.column("n_events")[0].as_py() > 0
+        events, objs = ext.extract_turns_with_events(tbl)
+        assert events.num_rows > 0 and objs
+        del stats, events, objs
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_stage_a_restores_the_callers_gc_state(smoke_corpus, tmp_path):
+    """The GC pause ends with the shard: enabled again after a normal
+    shard and after one that raises (a null key), and still disabled
+    for a caller that had disabled it."""
+    import gc
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from casie_ray.pipelines.kg import list_transcript_files
+
+    ext = _shard_extractor(smoke_corpus)
+    path = list_transcript_files(smoke_corpus)[0]
+    tbl = _read_shard(path, ext)
+    nulled = pc.if_else(pa.array([k == 5 for k in range(tbl.num_rows)]),
+                        pa.nulls(tbl.num_rows, pa.string()),
+                        tbl.column("conv_id"))
+    bad = str(tmp_path / "null-key.parquet")
+    pq.write_table(tbl.set_column(0, "conv_id", nulled), bad)
+    assert gc.isenabled()
+    ext(path, _full_sink(tmp_path, "ok"))
+    assert gc.isenabled()
+    with pytest.raises(ValueError, match="null conv_id"):
+        ext(bad)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        ext(path)
+        with pytest.raises(ValueError, match="null conv_id"):
+            ext(bad)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_tagger_state_cache_key_ignores_the_output_layout(monkeypatch):
+    """The tagger-state disk cache depends on the extraction rules, not
+    on FORMAT_VERSION: a layout bump keeps the cache path (while it
+    still changes the manifest config hash); a changed lexicon table
+    changes the path."""
+    from casie_ray import lexicons as lx
+    from casie_ray.stages.detect import tagger_state_cache_path
+    from casie_ray.state import manifest
+
+    path = tagger_state_cache_path(b"entities", ["Organization"])
+    cfg = manifest.config_hash()
+    monkeypatch.setattr(manifest, "FORMAT_VERSION",
+                        manifest.FORMAT_VERSION + 1)
+    assert manifest.config_hash() != cfg
+    assert tagger_state_cache_path(b"entities", ["Organization"]) == path
+    assert tagger_state_cache_path(b"other", ["Organization"]) != path
+    assert tagger_state_cache_path(b"entities") != path
+    monkeypatch.setattr(lx, "TRIGGER_SURFACES",
+                        {**lx.TRIGGER_SURFACES, "zzqx": ("Attack",)})
+    assert tagger_state_cache_path(b"entities", ["Organization"]) != path
+
+
 def test_no_stage_a_actor_outlives_a_build(ray_session, smoke_corpus,
                                            tmp_path):
     """Stage A leaves no actor behind: with the cyclic GC off, after

@@ -760,3 +760,111 @@ def test_hash_kernels_handle_unicode(texts):
             if 2 * ones > len(hs):
                 want |= 1 << i
         assert g == want, repr(t)
+
+
+def _table_matches_per_token_twin(texts, catalog, fuzzy=None):
+    """One TokenTable over ``texts`` (None read as "", as stage A does):
+    each turn's tokens and offsets equal tokenize(), and its
+    ``detect_turn`` view equals ``detect_turn_seq``."""
+    from casie_ray.semantics import TokenTable, detect_turn, detect_turn_seq
+    from casie_ray.tokenize import tokenize
+
+    texts = [t or "" for t in texts]
+    tt = TokenTable(texts, catalog)
+    assert len(tt.bounds) == len(texts) + 1 and tt.bounds[-1] == len(tt.toks)
+    for k, text in enumerate(texts):
+        a, b = tt.bounds[k], tt.bounds[k + 1]
+        assert list(zip(tt.toks[a:b], tt.starts[a:b], tt.ends[a:b])) \
+            == tokenize(text), repr(text)
+        assert detect_turn(text, catalog, fuzzy, view=(tt, k)) \
+            == detect_turn_seq(text, catalog, fuzzy), repr(text)
+
+
+_TABLE_ENTITIES = [
+    {"entity_id": "E1", "canonical": "Acme Corp", "aliases": ["acme"],
+     "type": "Organization"},
+    {"entity_id": "E2", "canonical": "Velmir Labs Intl", "aliases": [],
+     "type": "Organization"},
+    {"entity_id": "E3", "canonical": "CVE-2017-0144", "aliases": [],
+     "type": "CVE"},
+    {"entity_id": "E4", "canonical": "v2.3 kit", "aliases": [],
+     "type": "System"},
+]
+_TABLE_EDGES = [
+    None, "", "a\nb\tc\n", "trailing whitespace   \t", "\n\n",
+    "İstanbul Corp hired ǅemal Labs .", "٣ records and ٣٤ files",
+    "v2.3 kit , v9 and $5M , $ , CVE-2017-0144 in C-3 Corp",
+    "acme corp stole three million records from Velmir Labs Intl .",
+    "the attack was led by Acme",             # capitalized run at the end
+    "Corp Labs Group denied it",              # next turn starts capitalized
+    "on May 12 2019 they may patch ; March 2018 .",
+    "Zorvex Networks Intl breached Acme Corp's servers .",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.sampled_from(_TABLE_EDGES),
+                          st.text(max_size=40)), max_size=8))
+@example(texts=_TABLE_EDGES)
+def test_token_table_matches_per_token_detection(texts):
+    """The shard-wide token table equals tokenize() and the per-token
+    detect_turn_seq on arbitrary Unicode texts, with a catalog that has
+    multi-token phrases and a fuzzy index."""
+    from casie_ray.semantics import build_catalog_matcher, build_fuzzy_index
+
+    _table_matches_per_token_twin(
+        texts, build_catalog_matcher(_TABLE_ENTITIES),
+        build_fuzzy_index(_TABLE_ENTITIES))
+
+
+def test_token_table_matches_per_token_detection_on_smoke_corpus(
+        smoke_corpus):
+    """The same equality over every text of the smoke shards, in one
+    table per shard, plus the edge cases with the corpus catalog and a
+    multi-token phrase of it."""
+    import pyarrow.parquet as pq
+
+    from casie_ray.pipelines.kg import list_transcript_files
+    from casie_ray.stages.detect import load_tagger_state
+
+    state = load_tagger_state(os.path.join(smoke_corpus, "entities.parquet"))
+    catalog, fuzzy = state["catalog"], state["fuzzy"]
+    for f in list_transcript_files(smoke_corpus):
+        _table_matches_per_token_twin(
+            pq.read_table(f, columns=["text"]).column("text").to_pylist(),
+            catalog, fuzzy)
+    phrase = next(p for entries in catalog.values()
+                  for p, ln, _, _ in entries if ln >= 3)
+    _table_matches_per_token_twin(
+        _TABLE_EDGES + [" ".join(phrase).title() + " was hit",
+                        "they hit " + " ".join(phrase)], catalog, fuzzy)
+
+
+def test_tag_batch_matches_per_token_detection_on_smoke_corpus(
+        smoke_corpus):
+    """DetectTagger.tag_batch (one token table over a batch's passing
+    texts) gives every row the detection columns of detect_turn_seq, and
+    an empty detection to a masked-out row."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from casie_ray.pipelines.kg import list_transcript_files
+    from casie_ray.schema import detection_to_row
+    from casie_ray.semantics import TurnDetection, detect_turn_seq
+    from casie_ray.stages.detect import DetectTagger, load_tagger_state
+
+    tagger = DetectTagger(load_tagger_state(
+        os.path.join(smoke_corpus, "entities.parquet")))
+    tbl = pq.read_table(list_transcript_files(smoke_corpus)[0],
+                        columns=["conv_id", "turn_idx", "text", "ts"])
+    got = tagger.tag_batch(tbl)
+    mask = tagger.interesting_mask(tbl.column("text"))
+    assert 0 < mask.sum() < len(mask)
+    rows = [detection_to_row(
+        detect_turn_seq(t or "", tagger.catalog, tagger.fuzzy) if keep
+        else TurnDetection([], [], [], [], []))
+        for t, keep in zip(tbl.column("text").to_pylist(), mask)]
+    for col in ("token_starts", "token_flags", "triggers", "mentions",
+                "cand_tokens"):
+        want = pa.array([r[col] for r in rows], got.schema.field(col).type)
+        assert got.column(col).combine_chunks().equals(want), col
