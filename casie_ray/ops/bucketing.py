@@ -256,9 +256,10 @@ def bucket_join(left, right, fn, *, on, left_schema, right_schema,
     rows whose key fell in the group's bucket; either may have no rows.
 
     ``left`` is keyed by the column(s) ``on``, ``right`` by
-    ``right_on`` (default ``on``): rows with equal keys always meet in
-    one group. A null key hashes like '' and reaches ``fn``, so an
-    Arrow join inside ``fn`` never matches it. Both sides are padded
+    ``right_on`` (default ``on``): rows whose keys are equal once cast
+    to their declared types always meet in one group. A null key
+    hashes like '' and reaches ``fn``, so an Arrow join inside ``fn``
+    never matches it. Both sides are padded
     here to one union schema (a shared column name must have one type)
     plus an int8 ``_side`` tag, so every exchanged block has the same
     schema and a null value never decides a row's side. The schemas are
@@ -279,12 +280,13 @@ def bucket_join(left, right, fn, *, on, left_schema, right_schema,
     def pad(side: int, key):
         def padded(t: pa.Table) -> pa.Table:
             n = t.num_rows
-            cols = [t.column(f.name).cast(f.type)
-                    if f.name in t.column_names else pa.nulls(n, f.type)
-                    for f in fields]
+            cols = pa.Table.from_arrays(
+                [t.column(f.name).cast(f.type) if f.name in t.column_names
+                 else pa.nulls(n, f.type) for f in fields],
+                schema=pa.schema(fields))
             return pa.Table.from_arrays(
-                cols + [pa.array(np.full(n, side, np.int8)),
-                        key_bucket(t, key)], schema=schema)
+                cols.columns + [pa.array(np.full(n, side, np.int8)),
+                                key_bucket(cols, key)], schema=schema)
         return padded
 
     def kernel(group: pa.Table) -> pa.Table:

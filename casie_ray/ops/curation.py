@@ -17,7 +17,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .bucketing import bucket_groupby, fnv1a_hashes, hash_bucket, mix64
+from .bucketing import (bucket_groupby, bucket_join, fnv1a_hashes,
+                        hash_bucket, mix64)
 
 
 def _read_documents(sf_dir: str, columns=("doc_id", "text")):
@@ -260,8 +261,6 @@ def lm_score(sf_dir: str):
     web scale the bigram vocabulary does not broadcast), with the
     per-doc aggregate fused into the join's bucket kernel, then one
     tiny doc-keyed reduce."""
-    from .join import hash_join
-
     occ = _read_documents(sf_dir).map_batches(
         _doc_bigram_rows, batch_format="pyarrow", batch_size=None)
 
@@ -281,43 +280,20 @@ def lm_score(sf_dir: str):
     # the count side carries PARTIAL per-batch counts; equal bigrams
     # co-locate in one join bucket, so summing inside the bucket kernel
     # yields exact totals before the per-doc aggregate
-    def bucket_kernel(group: pa.Table) -> pa.Table:
-        is_cnt = pc.is_valid(group.column("c"))
-        cnt = group.filter(is_cnt).select(["__k", "c"]) \
-            .group_by(["__k"]).aggregate([("c", "sum")]) \
-            .rename_columns(["__k", "c"])
-        occ_rows = group.filter(pc.invert(is_cnt)).select(
-            ["__k", "doc_id"])
-        j = occ_rows.join(cnt, keys="__k", join_type="inner")
+    def bucket_kernel(occ_rows: pa.Table, cnt: pa.Table) -> pa.Table:
+        cnt = cnt.group_by(["bg"]).aggregate([("c", "sum")]) \
+            .rename_columns(["bg", "c"])
+        j = occ_rows.join(cnt, keys="bigram", right_keys="bg",
+                          join_type="inner")
         g = j.group_by(["doc_id"]).aggregate([([], "count_all"),
                                               ("c", "sum")])
         return g.rename_columns(["doc_id", "n_bigrams", "sum_counts"])
 
-    # manual carrier union (the hash_join shape, specialized: the
-    # occurrence side carries doc_id, the count side carries c)
-    def occ_carrier(t: pa.Table) -> pa.Table:
-        h = fnv1a_hashes(t.column("bigram").to_pylist())
-        return pa.table({
-            "__k": t.column("bigram"),
-            "doc_id": t.column("doc_id"),
-            "c": pa.nulls(t.num_rows, pa.int64()),
-            "bucket": pa.array(hash_bucket([h]), pa.int32()),
-        })
-
-    def cnt_carrier(t: pa.Table) -> pa.Table:
-        h = fnv1a_hashes(t.column("bg").to_pylist())
-        return pa.table({
-            "__k": t.column("bg"),
-            "doc_id": pa.nulls(t.num_rows, pa.int64()),
-            "c": t.column("c").cast(pa.int64()),
-            "bucket": pa.array(hash_bucket([h]), pa.int32()),
-        })
-
-    left = occ.map_batches(occ_carrier, batch_format="pyarrow",
-                           batch_size=None)
-    right = counts.map_batches(cnt_carrier, batch_format="pyarrow",
-                               batch_size=None)
-    joined = bucket_groupby(left.union(right), bucket_kernel)
+    joined = bucket_join(
+        occ, counts, bucket_kernel, on="bigram", right_on="bg",
+        left_schema=pa.schema([("bigram", pa.string()),
+                               ("doc_id", pa.int64())]),
+        right_schema=pa.schema([("bg", pa.string()), ("c", pa.int64())]))
 
     # a doc's bigrams span many buckets: one tiny doc-keyed reduce
     def tag_doc(t: pa.Table) -> pa.Table:
@@ -474,8 +450,8 @@ DSIR_SQL = f"""
 # (the text payload must cross an exchange for packing anyway, so
 # carrying it here adds no extra data movement); stage 3 reuses
 # decontaminate_substring()'s two keyed exchanges (the eval side rides the
-# dataflow, nothing broadcast); stage 4 is one doc-id-keyed exchange
-# doing a tagged anti-join (contaminated ids are a tiny fraction, so
+# dataflow, nothing broadcast); stage 4 is one doc-id-keyed
+# ``bucket_join`` anti-join (contaminated ids are a tiny fraction, so
 # the exchange mass is the surviving text); stage 5 is
 # pack_sequences' single pack-bucket exchange. No stage materializes
 # the corpus on the driver.
@@ -519,8 +495,7 @@ def curation_pack(sf_dir: str, seq_len: int | None = None):
             & (ids % BENCH_MOD != 0)))
 
     def hash_tag(batch: pa.Table) -> pa.Table:
-        th = fnv1a_hashes([t or "" for t in
-                           batch.column("text").to_pylist()])
+        th = fnv1a_hashes(pc.fill_null(batch.column("text"), ""))
         return pa.table({
             "bucket": pa.array(hash_bucket([th]), pa.int32()),
             "text_hash": pa.array(th, pa.uint64()),
@@ -529,49 +504,31 @@ def curation_pack(sf_dir: str, seq_len: int | None = None):
         })
 
     def winners(group: pa.Table) -> pa.Table:
-        """Min doc_id per text_hash, text carried; re-keyed by doc_id
-        for the downstream anti-join exchange."""
+        """Min doc_id per text_hash, text carried."""
         th = group.column("text_hash").to_numpy(zero_copy_only=False)
         ids = group.column("doc_id").to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, th))
         first = np.ones(len(order), bool)
         first[1:] = th[order[1:]] != th[order[:-1]]
-        sel = group.take(pa.array(np.sort(order[first])))
-        sids = sel.column("doc_id").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "bucket": pa.array(hash_bucket([sids]), pa.int32()),
-            "doc_id": sel.column("doc_id"),
-            "text": sel.column("text"),
-            "is_contam": pa.array(np.zeros(len(sids), bool)),
-        })
+        return group.take(pa.array(np.sort(order[first]))) \
+            .select(["doc_id", "text"])
 
-    def contam_tag(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "bucket": pa.array(hash_bucket([ids]), pa.int32()),
-            "doc_id": t.column("doc_id"),
-            "text": pa.array([""] * t.num_rows, pa.string()),
-            "is_contam": pa.array(np.ones(t.num_rows, bool)),
-        })
-
-    def anti(group: pa.Table) -> pa.Table:
-        """Tagged anti-join: doc rows survive unless a contam row with
-        the same doc_id shares the bucket group."""
-        isc = group.column("is_contam").to_numpy(zero_copy_only=False)
-        ids = group.column("doc_id").to_numpy(zero_copy_only=False)
-        bad = np.unique(ids[isc])
-        mask = ~isc
-        mask[mask] = ~np.isin(ids[~isc], bad)
-        return group.filter(pa.array(mask)).select(["doc_id", "text"])
+    def anti(docs: pa.Table, contam: pa.Table) -> pa.Table:
+        return docs.filter(pc.invert(pc.is_in(
+            docs.column("doc_id"), value_set=contam.column("doc_id"))))
 
     q = _read_documents(sf_dir).map_batches(
         qfilter, batch_format="pyarrow", batch_size=None)
+    # materialized: two lazy exchange-fed inputs in one union stall the
+    # executor at one CPU
     w = bucket_groupby(
         q.map_batches(hash_tag, batch_format="pyarrow",
-                      batch_size=None), winners)
-    contam = decontaminate_substring(sf_dir).map_batches(
-        contam_tag, batch_format="pyarrow", batch_size=None)
-    kept = bucket_groupby(w.union(contam), anti)
+                      batch_size=None), winners).materialize()
+    kept = bucket_join(
+        w, decontaminate_substring(sf_dir), anti, on="doc_id",
+        left_schema=pa.schema([("doc_id", pa.int64()),
+                               ("text", pa.string())]),
+        right_schema=pa.schema([("doc_id", pa.int64())]))
     return pack_sequences(sf_dir, seq_len=seq_len, docs=kept)
 
 

@@ -40,7 +40,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .bucketing import (
-    FNV_BASE, N_OPS_BUCKETS, bucket_groupby, fnv1a_hashes, hash_bucket,
+    FNV_BASE, bucket_groupby, bucket_join, fnv1a_hashes, hash_bucket,
     mix64, segment_pair_indices,
 )
 
@@ -466,10 +466,10 @@ def minhash_lsh_pairs(sf_dir: str, threshold_pct: int = 80,
 # Distributed exact-Jaccard verification of candidate pairs
 # ---------------------------------------------------------------------------
 
-_JOIN_SCHEMA = pa.schema([
-    ("dkey", pa.int64()), ("shingles", pa.list_(pa.uint64())),
-    ("doc_a", pa.int64()), ("doc_b", pa.int64()), ("bucket", pa.int32()),
-])
+_DOC_SHINGLE_SCHEMA = pa.schema([
+    ("dkey", pa.int64()), ("shingles", pa.list_(pa.uint64()))])
+_PROBE_SCHEMA = pa.schema([
+    ("dkey", pa.int64()), ("doc_a", pa.int64()), ("doc_b", pa.int64())])
 _SIDE_SCHEMA = pa.schema([
     ("doc_a", pa.int64()), ("doc_b", pa.int64()),
     ("shingles", pa.list_(pa.uint64())), ("bucket", pa.int32()),
@@ -477,48 +477,32 @@ _SIDE_SCHEMA = pa.schema([
 
 
 def _doc_shingle_rows(batch: pa.Table) -> pa.Table:
-    doc_ids = batch.column("doc_id").to_numpy()
     n = batch.num_rows
     rows, hashes = shingle_hash_batch(batch.column("text").to_pylist())
     counts = np.bincount(rows, minlength=n)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     shingles = pa.ListArray.from_arrays(
         pa.array(offsets, pa.int32()), pa.array(hashes, pa.uint64()))
-    return pa.table({
-        "dkey": pa.array(doc_ids, pa.int64()),
-        "shingles": shingles,
-        "doc_a": pa.nulls(n, pa.int64()),
-        "doc_b": pa.nulls(n, pa.int64()),
-        "bucket": pa.array(hash_bucket([doc_ids]), pa.int32()),
-    }).cast(_JOIN_SCHEMA)
+    return pa.table({"dkey": batch.column("doc_id"), "shingles": shingles})
 
 
 def _cand_side_rows(batch: pa.Table) -> pa.Table:
     """Each candidate pair -> two probe rows, keyed by either doc."""
     a = batch.column("doc_a").to_numpy()
     b = batch.column("doc_b").to_numpy()
-    dkey = np.concatenate([a, b])
-    doc_a = np.concatenate([a, a])
-    doc_b = np.concatenate([b, b])
-    return pa.table({
-        "dkey": pa.array(dkey, pa.int64()),
-        "shingles": pa.nulls(len(dkey), pa.list_(pa.uint64())),
-        "doc_a": pa.array(doc_a, pa.int64()),
-        "doc_b": pa.array(doc_b, pa.int64()),
-        "bucket": pa.array(hash_bucket([dkey]), pa.int32()),
-    }).cast(_JOIN_SCHEMA)
+    return pa.table({"dkey": np.concatenate([a, b]),
+                     "doc_a": np.concatenate([a, a]),
+                     "doc_b": np.concatenate([b, b])})
 
 
-def _attach_shingles_bucket(group: pa.Table) -> pa.Table:
-    """One doc-hash bucket of (doc rows ∪ probe rows): vectorized
+def _attach_shingles_bucket(docs: pa.Table, sides: pa.Table) -> pa.Table:
+    """One doc-hash bucket of doc rows and probe rows: vectorized
     searchsorted join attaching each probe row's shingle set. Probe rows
     are DEDUPED first (a candidate pair reaching this bucket once per
     matching band must ship its shingle set exactly once), which is what
     lets the callers skip a separate global pair-distinct exchange."""
-    is_doc = pc.is_valid(group.column("shingles"))
-    docs = group.filter(is_doc).sort_by("dkey")
-    sides = group.filter(pc.invert(is_doc)) \
-        .group_by(["dkey", "doc_a", "doc_b"]).aggregate([]) \
+    docs = docs.sort_by("dkey")
+    sides = sides.group_by(["dkey", "doc_a", "doc_b"]).aggregate([]) \
         .rename_columns(["dkey", "doc_a", "doc_b"])
     if docs.num_rows == 0 or sides.num_rows == 0:
         return _SIDE_SCHEMA.empty_table()
@@ -585,9 +569,10 @@ def verify_pairs_exact(cand_ds, sf_dir: str, threshold_pct: int):
     bucketed exchanges (the scale-safe replacement for the round-1
     driver-collect + dict broadcast):
 
-      1. candidates explode to per-doc probe rows; union with the
-         per-doc shingle-set rows; groupby(doc bucket) attaches each
-         probe's shingle set with a vectorized searchsorted join.
+      1. candidates explode to per-doc probe rows, which meet the
+         per-doc shingle-set rows in one ``bucket_join`` on the doc key;
+         each bucket attaches each probe's shingle set with a
+         vectorized searchsorted join.
       2. groupby(pair bucket) intersects the two sides per pair and
          applies the threshold.
 
@@ -599,7 +584,9 @@ def verify_pairs_exact(cand_ds, sf_dir: str, threshold_pct: int):
                                                batch_size=None)
     sides = cand_ds.map_batches(_cand_side_rows, batch_format="pyarrow",
                                 batch_size=None)
-    joined = bucket_groupby(docs.union(sides), _attach_shingles_bucket)
+    joined = bucket_join(docs, sides, _attach_shingles_bucket, on="dkey",
+                         left_schema=_DOC_SHINGLE_SCHEMA,
+                         right_schema=_PROBE_SCHEMA)
     return bucket_groupby(joined, _verify_bucket(threshold_pct))
 
 

@@ -3,25 +3,22 @@
 Ray Data has no native join operator; the engine's other joins either
 broadcast a small dimension (``relational.segment_revenue``) or are
 specialized interval probes (as-of / range join). This module is the
-general case — both sides arbitrarily large — re-expressed with the
-engine's standard bucketed-exchange shape (SURVEY §2 "custom
+general case — both sides arbitrarily large — on the engine's one
+two-sided exchange, ``bucketing.bucket_join`` (SURVEY §2 "custom
 operators"; the reference's cursor-style joins are `code/link_coref.py`
 file-at-a-time loops, re-architected here for a cluster):
 
-    tag each side with ``bucket = hash(key)``
-      -> harmonize to one carrier schema (other side's payload NULL)
-      -> union (streaming, no barrier)
-      -> ONE bucketed sort exchange on ``bucket``
-      -> per bucket group: split sides, vectorized ``pa.Table.join``
+    declare each side's columns
+      -> bucket both sides by the key's hash, side tagged explicitly
+      -> ONE bucketed sort exchange
+      -> per bucket group: vectorized ``pa.Table.join`` (+ ``bucket_fn``)
 
 Equal keys land in the same bucket group, so each per-bucket hash join
-is exact; the union carries each row across the wire exactly once (the
-minimum any repartition join moves), and no driver-side build or
-whole-side broadcast ever happens. The output keeps the ``bucket``
-column: downstream same-key stages (grouped aggregates, semi joins,
-another join on the same key) are already co-partitioned and need no
-further exchange — the classic "reuse one partitioning key across
-stages" rule.
+is exact; each row crosses the wire exactly once (the minimum any
+repartition join moves), and no driver-side build or whole-side
+broadcast ever happens. A key-grouped aggregate fused into the bucket
+kernel (``bucket_fn``) is final, since the group holds every row of
+its keys.
 
 Skew: a hot join key enlarges one bucket's vectorized Arrow join, never
 a Python loop; if one bucket group outgrows a task heap the fix is the
@@ -39,10 +36,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .bucketing import bucket_groupby, fnv1a_hashes, hash_bucket, mix64
-
-_KEY = "__k"
-_SIDE = "__side"
+from .bucketing import bucket_join, fnv1a_hashes, mix64
 
 # ---------------------------------------------------------------------------
 # Bloom-filter join pruning (the classic "bloom join"): one scan over
@@ -84,7 +78,7 @@ def build_bloom(ds, key: str, *, m_bits: int = BLOOM_BITS,
 
     ``key_type``: when build and probe key columns differ in (castable)
     type, BOTH sides must hash the same harmonized type or the filter
-    silently drops matches — ``hash_join`` passes its carrier key type
+    silently drops matches — ``hash_join`` passes its join key type
     here and casts the probe column before ``bloom_may_contain``."""
     import ray.data
 
@@ -138,78 +132,35 @@ def bloom_may_contain(words: np.ndarray, keys: pa.ChunkedArray,
     return mask
 
 
-def _pa_schema(ds) -> pa.Schema:
-    s = ds.schema()
-    base = getattr(s, "base_schema", None)
-    if isinstance(base, pa.Schema):
-        return base
-    return pa.schema(list(zip(s.names, s.types)))
-
-
 def _key_hashes(col: pa.ChunkedArray) -> np.ndarray:
-    # Null keys hash as ''/0: they co-locate in one bucket where the
-    # exact per-bucket Arrow join applies SQL semantics (nulls never
-    # match; left-outer keeps the unmatched left rows).
+    # Null keys hash as ''/0, so a null probe key only costs one bloom
+    # lookup; the exact join never matches it.
     if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
         return fnv1a_hashes(pc.fill_null(col, ""))
     return pc.fill_null(col.cast(pa.int64()), 0) \
         .to_numpy(zero_copy_only=False).astype(np.int64)
 
 
-def _carrier(batch: pa.Table, key: str, key_type: pa.DataType, side: int,
-             own: list[tuple[str, pa.DataType]],
-             other: list[tuple[str, pa.DataType]]) -> pa.Table:
-    """Project one side's batch onto the shared carrier schema: cast
-    key -> __k, NULL columns for the other side's payload, int8 side
-    tag, int32 bucket. Column ORDER is fixed (key, side, bucket, left
-    payload, right payload) so the union sees one schema."""
-    n = batch.num_rows
-    kcol = batch.column(key).cast(key_type)
-    cols: dict[str, pa.Array | pa.ChunkedArray] = {
-        _KEY: kcol,
-        _SIDE: pa.array(np.full(n, side, np.int8)),
-        "bucket": pa.array(hash_bucket([_key_hashes(kcol)]), pa.int32()),
-    }
-    for name, typ in own:
-        cols[name] = batch.column(name).cast(typ)
-    for name, typ in other:
-        cols[name] = pa.nulls(n, typ)
-    order = ([_KEY, _SIDE, "bucket"] + [n for n, _ in own]
-             + [n for n, _ in other]) if side == 0 else \
-            ([_KEY, _SIDE, "bucket"] + [n for n, _ in other]
-             + [n for n, _ in own])
-    return pa.table({name: cols[name] for name in order})
-
-
-def _join_bucket(key_out: str, how: str,
-                 lnames: list[str], rnames: list[str], bucket_fn=None):
-    def kernel(group: pa.Table) -> pa.Table:
-        bucket = group.column("bucket")
-        lmask = pc.equal(group.column(_SIDE), pa.scalar(0, pa.int8()))
-        lt = group.filter(lmask).select([_KEY] + lnames)
-        rt = group.filter(pc.invert(lmask)).select([_KEY] + rnames)
-        j = lt.join(rt, keys=_KEY, join_type=how)
-        j = j.rename_columns([key_out if c == _KEY else c
-                              for c in j.column_names])
-        if bucket_fn is not None:
-            j = bucket_fn(j)
-        b = bucket[0] if group.num_rows else pa.scalar(0, pa.int32())
-        return j.append_column(
-            "bucket", pa.array(np.full(j.num_rows, b.as_py(), np.int32)))
-    return kernel
+def _retyped(schema: pa.Schema, name: str, typ: pa.DataType) -> pa.Schema:
+    return schema.set(schema.get_field_index(name), pa.field(name, typ))
 
 
 def hash_join(left_ds, right_ds, on: str, right_on: str | None = None,
-              *, how: str = "inner", bucket_fn=None,
+              *, left_schema: pa.Schema, right_schema: pa.Schema,
+              how: str = "inner", bucket_fn=None,
               bloom_prune: str | None = None):
-    """Distributed equi-join of two Datasets on one key column.
+    """Distributed equi-join of two Datasets on one key column: one
+    :func:`~casie_ray.ops.bucketing.bucket_join` exchange, then a
+    vectorized ``pa.Table.join`` per bucket group.
 
     ``on`` names the left key; ``right_on`` the right key (defaults to
-    ``on``). Payload column names must be disjoint across sides (rename
-    upstream — cheap inside the same ``map_batches`` that prunes
-    columns). ``how``: "inner" or "left outer". Returns the joined rows
-    with the left key name and a ``bucket`` column co-partitioned on
-    the key for downstream reuse.
+    ``on``). ``left_schema`` / ``right_schema`` declare each side's
+    columns (other input columns are dropped); payload column names must
+    be disjoint across sides (rename upstream — cheap inside the same
+    ``map_batches`` that prunes columns). Both keys are cast to the
+    left key's type, an integer key to int64. ``how``: any
+    ``pa.Table.join`` type, usually "inner" or "left outer". Returns the
+    left columns, then the right payload columns.
 
     ``bucket_fn``: optional vectorized Arrow kernel fused into the
     per-bucket join task (joined group table -> table). Because a
@@ -217,67 +168,50 @@ def hash_join(left_ds, right_ds, on: str, right_on: str | None = None,
     here is already final — fusing it avoids materializing wide join
     output into the object store and needs no second exchange.
 
-    ``bloom_prune``: "right" builds a bloom filter over the LEFT keys
+    ``bloom_prune="right"`` builds a bloom filter over the LEFT keys
     (one extra left scan; O(512 KB) moved) and drops right rows whose
     key cannot match before the exchange — use when the join is
-    selective and the right side is the big one. "left" is the mirror
-    and is only legal for ``how="inner"`` (left-outer must keep
-    unmatched left rows). Results are exactly identical either way;
-    bloom false positives just ride through to the exact per-bucket
-    join. When one side is small enough to broadcast outright, a
-    broadcast join (``relational.segment_revenue`` pattern) beats
-    bloom + exchange; this path is for selective LARGE x LARGE."""
+    selective and the right side is the big one. Results are exactly
+    identical either way: bloom false positives just ride through to
+    the exact per-bucket join. When one side is small enough to
+    broadcast outright, a broadcast join (``relational.segment_revenue``
+    pattern) beats bloom + exchange; this path is for selective
+    LARGE x LARGE."""
     import ray
 
     right_on = right_on or on
-    if bloom_prune not in (None, "left", "right"):
-        raise ValueError("bloom_prune must be None, 'left' or 'right'")
-    if bloom_prune == "left" and how != "inner":
-        raise ValueError("bloom_prune='left' would drop unmatched left "
-                         "rows; only legal for how='inner'")
-    ls, rs = _pa_schema(left_ds), _pa_schema(right_ds)
-    key_type = ls.field(on).type
-    if pa.types.is_integer(key_type):
-        key_type = pa.int64()
-    lpay = [(f.name, f.type) for f in ls if f.name != on]
-    rpay = [(f.name, f.type) for f in rs if f.name != right_on]
-    dup = {n for n, _ in lpay} & {n for n, _ in rpay}
+    if bloom_prune not in (None, "right"):
+        raise ValueError("bloom_prune must be None or 'right'")
+    dup = (set(left_schema.names) - {on}) \
+        & (set(right_schema.names) - {right_on})
     if dup:
         raise ValueError(f"colliding payload columns: {sorted(dup)}")
+    key_type = left_schema.field(on).type
+    if pa.types.is_integer(key_type):
+        key_type = pa.int64()
 
-    bloom_ref = None
     if bloom_prune == "right":
         bloom_ref = ray.put(build_bloom(left_ds, on, key_type=key_type))
-    elif bloom_prune == "left":
-        bloom_ref = ray.put(
-            build_bloom(right_ds, right_on, key_type=key_type))
 
-    def _pruned(b: pa.Table, key: str) -> pa.Table:
-        # Cast to the SAME harmonized type the bloom was built with —
-        # string-vs-int key pairs would otherwise take different hash
-        # paths and the filter would drop every matching row.
-        words = ray.get(bloom_ref)
-        col = b.column(key).cast(key_type)
-        return b.filter(pa.array(bloom_may_contain(words, col)))
+        def pruned(b: pa.Table) -> pa.Table:
+            # the probe hashes the SAME type the bloom was built with:
+            # string-vs-int key pairs would otherwise take different
+            # hash paths and the filter would drop every match
+            col = b.column(right_on).cast(key_type)
+            return b.filter(pa.array(
+                bloom_may_contain(ray.get(bloom_ref), col)))
 
-    def _lcarrier(b: pa.Table) -> pa.Table:
-        if bloom_prune == "left":
-            b = _pruned(b, on)
-        return _carrier(b, on, key_type, 0, lpay, rpay)
+        right_ds = right_ds.map_batches(pruned, batch_format="pyarrow",
+                                        batch_size=None)
 
-    def _rcarrier(b: pa.Table) -> pa.Table:
-        if bloom_prune == "right":
-            b = _pruned(b, right_on)
-        return _carrier(b, right_on, key_type, 1, rpay, lpay)
+    def kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        j = lt.join(rt, keys=on, right_keys=right_on, join_type=how)
+        return j if bucket_fn is None else bucket_fn(j)
 
-    left = left_ds.map_batches(_lcarrier, batch_format="pyarrow",
-                               batch_size=None)
-    right = right_ds.map_batches(_rcarrier, batch_format="pyarrow",
-                                 batch_size=None)
-    return bucket_groupby(
-        left.union(right),
-        _join_bucket(on, how, [n for n, _ in lpay], [n for n, _ in rpay],
-                     bucket_fn))
+    return bucket_join(left_ds, right_ds, kernel, on=on, right_on=right_on,
+                       left_schema=_retyped(left_schema, on, key_type),
+                       right_schema=_retyped(right_schema, right_on,
+                                             key_type))
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +253,14 @@ def order_lineitem_totals(sf_dir: str):
     lineitem = _read(sf_dir, "lineitem",
                      ["l_orderkey", "l_quantity", "l_extendedprice"]) \
         .map_batches(li_prep, batch_format="pyarrow", batch_size=None)
-    out = hash_join(orders, lineitem, on="o_orderkey",
-                    right_on="l_orderkey",
-                    bucket_fn=_order_totals_bucket)
-    return out.drop_columns(["bucket"])
+    return hash_join(
+        orders, lineitem, on="o_orderkey", right_on="l_orderkey",
+        left_schema=pa.schema([("o_orderkey", pa.int64()),
+                               ("o_orderpriority", pa.string())]),
+        right_schema=pa.schema([("l_orderkey", pa.int64()),
+                                ("l_quantity", pa.int64()),
+                                ("cents", pa.int64())]),
+        bucket_fn=_order_totals_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +285,6 @@ def customer_event_values(sf_dir: str, segment: str = "BUILDING"):
     """Per-customer event totals for one market segment via the
     bloom-pruned general join (events side never broadcast, non-member
     events dropped pre-exchange)."""
-    import ray.data
-
     from .relational import _cents, _read
 
     def cust_prep(b: pa.Table) -> pa.Table:
@@ -365,10 +301,13 @@ def customer_event_values(sf_dir: str, segment: str = "BUILDING"):
 
     events = _read(sf_dir, "events", ["user_id", "value"]) \
         .map_batches(ev_prep, batch_format="pyarrow", batch_size=None)
-    out = hash_join(customers, events, on="c_custkey",
-                    right_on="user_id", bloom_prune="right",
-                    bucket_fn=_cust_event_bucket)
-    return out.drop_columns(["bucket"])
+    return hash_join(
+        customers, events, on="c_custkey", right_on="user_id",
+        left_schema=pa.schema([("c_custkey", pa.int64()),
+                               ("c_name", pa.string())]),
+        right_schema=pa.schema([("user_id", pa.int64()),
+                                ("value_cents", pa.int64())]),
+        bloom_prune="right", bucket_fn=_cust_event_bucket)
 
 
 CUSTOMER_EVENT_SQL = """

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .bucketing import bucket_groupby, fnv1a_hashes, hash_bucket
+from .bucketing import bucket_groupby, fnv1a_hashes, hash_bucket, mix64
 
 TEST_PCT = 20
 
@@ -62,7 +63,6 @@ def split_assignment(transcripts_ds, test_pct: int = TEST_PCT):
     re-derivable anywhere (including SQL)."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         u = pc.unique(batch.column("conv_id").combine_chunks())
         h = fnv1a_hashes(u.to_pylist())
         return pa.table({
@@ -194,7 +194,6 @@ _RANGE_SHIFT = np.uint64(64 - 12)
 
 
 def _shuffle_keys(t: pa.Table) -> np.ndarray:
-    from .bucketing import mix64
     b = t.column("bucket").to_numpy(zero_copy_only=False).astype(np.uint64)
     w = t.column("window_idx").to_numpy(zero_copy_only=False) \
         .astype(np.uint64)
@@ -300,10 +299,7 @@ def token_budget_sample(sf_dir: str, budget: int = TOKEN_BUDGET,
     """(lang, doc_id, n_tokens, cum_tokens) for the greedy per-group
     prefix: docs ordered by splitmix64(doc_id) (doc_id tie-break),
     kept while the group's running token total stays <= budget."""
-    import pyarrow.compute as pc
     import ray.data
-
-    from .bucketing import mix64
 
     def project(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
@@ -413,6 +409,10 @@ def token_budget_sample(sf_dir: str, budget: int = TOKEN_BUDGET,
 
 NEG_K = 2
 _NEG_SEP = "\x1f"
+_NEG_CAND_SCHEMA = pa.schema([
+    ("c_key", pa.string()), ("subj", pa.string()), ("pred", pa.string()),
+    ("neg_obj", pa.string()), ("sample_idx", pa.int64()),
+])
 
 
 def kg_negative_samples(edges_ds, k: int = NEG_K):
@@ -436,23 +436,25 @@ def kg_negative_samples(edges_ds, k: int = NEG_K):
 
     from .join import hash_join
 
+    def spo_key(subj, pred, obj) -> pa.ChunkedArray:
+        return pc.binary_join_element_wise(subj, pred, obj, _NEG_SEP)
+
     def spo(batch: pa.Table) -> pa.Table:
         t = batch.select(["subj", "pred", "obj"])
         g = t.group_by(["subj", "pred", "obj"]).aggregate([])
+        h = fnv1a_hashes(spo_key(*g.columns))
         return g.append_column("bucket", pa.array(
-            (fnv1a_hashes(
-                [s + _NEG_SEP + p + _NEG_SEP + o
-                 for s, p, o in zip(g.column("subj").to_pylist(),
-                                    g.column("pred").to_pylist(),
-                                    g.column("obj").to_pylist())])
-             % np.uint64(256)).astype(np.int32)))
+            (h % np.uint64(256)).astype(np.int32)))
 
     def spo_distinct(group: pa.Table) -> pa.Table:
         return group.drop_columns(["bucket"]) \
             .group_by(["subj", "pred", "obj"]).aggregate([])
 
+    # materialized: both join sides read it, and two lazy consumers of
+    # one exchange stall the executor at one CPU
     positives = bucket_groupby(
-        edges_ds.map_batches(spo, batch_format="pyarrow"), spo_distinct)
+        edges_ds.map_batches(spo, batch_format="pyarrow"),
+        spo_distinct).materialize()
 
     # node vocabulary: distinct endpoint ids, sorted — vocabulary-sized
     # (bounded broadcast, BPE-vocab / entity-catalog class)
@@ -469,58 +471,45 @@ def kg_negative_samples(edges_ds, k: int = NEG_K):
                                  dtype=object))
     vocab_ref = ray.put(vocab)
 
-    from .bucketing import mix64
-
     def candidates(batch: pa.Table) -> pa.Table:
         nodes = ray.get(vocab_ref)
         n_nodes = np.uint64(len(nodes))
-        subj = batch.column("subj").to_pylist()
-        pred = batch.column("pred").to_pylist()
-        obj = batch.column("obj").to_pylist()
-        out_s, out_p, out_neg, out_i = [], [], [], []
+        subj, pred = batch.column("subj"), batch.column("pred")
+        key = spo_key(subj, pred, batch.column("obj"))
+        parts = []
         for i in range(k):
-            keys = [s + _NEG_SEP + p + _NEG_SEP + o + _NEG_SEP + str(i)
-                    for s, p, o in zip(subj, pred, obj)]
-            h = mix64([fnv1a_hashes(keys)])
-            picks = nodes[(h % n_nodes).astype(np.int64)]
-            out_s.extend(subj)
-            out_p.extend(pred)
-            out_neg.extend(picks.tolist())
-            out_i.extend([i] * len(subj))
-        return pa.table({
-            "c_key": pa.array(
-                [s + _NEG_SEP + p + _NEG_SEP + o for s, p, o in
-                 zip(out_s, out_p, out_neg)], pa.string()),
-            "subj": pa.array(out_s, pa.string()),
-            "pred": pa.array(out_p, pa.string()),
-            "neg_obj": pa.array(out_neg, pa.string()),
-            "sample_idx": pa.array(out_i, pa.int64()),
-        })
+            h = mix64([fnv1a_hashes(
+                pc.binary_join_element_wise(key, str(i), _NEG_SEP))])
+            neg = pa.array(nodes[(h % n_nodes).astype(np.int64)],
+                           pa.string())
+            parts.append(pa.table({
+                "c_key": spo_key(subj, pred, neg),
+                "subj": subj, "pred": pred, "neg_obj": neg,
+                "sample_idx": pa.array(np.full(batch.num_rows, i,
+                                               np.int64)),
+            }))
+        return pa.concat_tables(parts)
 
     cands = positives.map_batches(candidates, batch_format="pyarrow")
 
     def pos_keys(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "c_key": pa.array(
-                [s + _NEG_SEP + p + _NEG_SEP + o for s, p, o in
-                 zip(batch.column("subj").to_pylist(),
-                     batch.column("pred").to_pylist(),
-                     batch.column("obj").to_pylist())], pa.string()),
+            "c_key": spo_key(batch.column("subj"), batch.column("pred"),
+                             batch.column("obj")),
             "hit": pa.array(np.ones(batch.num_rows, np.int8)),
         })
 
     marks = positives.map_batches(pos_keys, batch_format="pyarrow")
 
     def keep_unmatched(j: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        m = pc.is_null(j.column("hit"))
-        return j.filter(m).select(
+        return j.filter(pc.is_null(j.column("hit"))).select(
             ["subj", "pred", "neg_obj", "sample_idx"])
 
-    out = hash_join(cands, marks, on="c_key", how="left outer",
-                    bucket_fn=keep_unmatched)
-    return out.map_batches(
-        lambda b: b.drop_columns(["bucket"]), batch_format="pyarrow")
+    return hash_join(cands, marks, on="c_key", how="left outer",
+                     left_schema=_NEG_CAND_SCHEMA,
+                     right_schema=pa.schema([("c_key", pa.string()),
+                                             ("hit", pa.int8())]),
+                     bucket_fn=keep_unmatched)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +537,6 @@ def sft_pairs(transcripts_dir: str, context: int = SFT_CONTEXT_TURNS):
     from .bucketing import bucket_groupby, fnv1a_hashes, hash_bucket
 
     def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         h = fnv1a_hashes(
             pc.fill_null(batch.column("conv_id"), "").to_pylist())
         return pa.table({
@@ -560,7 +548,6 @@ def sft_pairs(transcripts_dir: str, context: int = SFT_CONTEXT_TURNS):
         })
 
     def pairs(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         order = pc.sort_indices(group, sort_keys=[
             ("conv_id", "ascending"), ("turn_idx", "ascending")])
         g = group.take(order)

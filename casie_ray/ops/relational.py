@@ -317,36 +317,30 @@ def distinct_users(sf_dir: str):
 RANGE_JOIN_WINDOW_SECS = 30 * 86400
 
 
+_RANGE_ORDER_SCHEMA = pa.schema([
+    ("ckey", pa.int64()), ("t", pa.int64()), ("cents", pa.int64())])
+_RANGE_EVENT_SCHEMA = pa.schema([
+    ("ckey", pa.int64()), ("t", pa.int64()), ("event_id", pa.int64())])
+
+
 def _range_order_rows(batch: pa.Table) -> pa.Table:
-    from .bucketing import hash_bucket
-    ck = batch.column("o_custkey").to_numpy()
     return pa.table({
-        "ckey": pa.array(ck, pa.int64()),
-        "t": pa.array(_epoch_secs(batch.column("o_orderdate")),
-                      pa.int64()),
-        "cents": pa.array(_cents(batch.column("o_totalprice"))),
-        "event_id": pa.nulls(len(ck), pa.int64()),
-        "bucket": pa.array(hash_bucket([ck]), pa.int32()),
+        "ckey": batch.column("o_custkey"),
+        "t": _epoch_secs(batch.column("o_orderdate")),
+        "cents": _cents(batch.column("o_totalprice")),
     })
 
 
 def _range_event_rows(batch: pa.Table) -> pa.Table:
-    from .bucketing import hash_bucket
-    ck = batch.column("user_id").to_numpy()
     return pa.table({
-        "ckey": pa.array(ck, pa.int64()),
-        "t": pa.array(_epoch_secs(batch.column("ts")), pa.int64()),
-        "cents": pa.nulls(len(ck), pa.int64()),
-        "event_id": batch.column("event_id").cast(pa.int64()),
-        "bucket": pa.array(hash_bucket([ck]), pa.int32()),
+        "ckey": batch.column("user_id"),
+        "t": _epoch_secs(batch.column("ts")),
+        "event_id": batch.column("event_id"),
     })
 
 
 def _range_probe_bucket(window_secs: int):
-    def probe(group: pa.Table) -> pa.Table:
-        is_event = pc.is_valid(group.column("event_id"))
-        orders = group.filter(pc.invert(is_event))
-        events = group.filter(is_event)
+    def probe(orders: pa.Table, events: pa.Table) -> pa.Table:
         eid = events.column("event_id").to_numpy()
         if events.num_rows == 0:
             return pa.table({"event_id": pa.array([], pa.int64()),
@@ -390,13 +384,14 @@ def events_orders_range_join(sf_dir: str,
                              window_secs: int = RANGE_JOIN_WINDOW_SECS):
     """Distributed range join: per event, count + revenue of the SAME
     user's orders with order time in ``[event_ts - window, event_ts]``
-    (left semantics — every event gets a row). Both sides bucketed by
-    hash(user): one exchange each, no driver build, no broadcast; each
-    bucket answers every probe with two vectorized searchsorteds over
-    composite (user-rank << 34 | epoch-secs) keys plus a revenue prefix
-    sum. Partitioning assumption: one user's orders fit a bucket group
-    (same contract + salting escape hatch as the as-of join)."""
-    from .bucketing import bucket_groupby
+    (left semantics — every event gets a row). Both sides meet in one
+    ``bucket_join`` exchange keyed by user: no driver build, no
+    broadcast; each bucket answers every probe with two vectorized
+    searchsorteds over composite (user-rank << 34 | epoch-secs) keys
+    plus a revenue prefix sum. Partitioning assumption: one user's
+    orders fit a bucket group (same contract + salting escape hatch as
+    the as-of join)."""
+    from .bucketing import bucket_join
 
     orders = _read(sf_dir, "orders",
                    ["o_custkey", "o_totalprice", "o_orderdate"]) \
@@ -405,8 +400,9 @@ def events_orders_range_join(sf_dir: str,
     events = _read(sf_dir, "events", ["event_id", "user_id", "ts"]) \
         .map_batches(_range_event_rows, batch_format="pyarrow",
                      batch_size=None)
-    return bucket_groupby(orders.union(events),
-                          _range_probe_bucket(window_secs))
+    return bucket_join(orders, events, _range_probe_bucket(window_secs),
+                       on="ckey", left_schema=_RANGE_ORDER_SCHEMA,
+                       right_schema=_RANGE_EVENT_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +411,12 @@ def events_orders_range_join(sf_dir: str,
 # ---------------------------------------------------------------------------
 
 
-_ASOF_SCHEMA = pa.schema([
-    ("ckey", pa.int64()), ("t", pa.int64()), ("okey", pa.int64()),
-    ("event_id", pa.int64()), ("bucket", pa.int32()),
-])
+_ASOF_ORDER_SCHEMA = pa.schema([
+    ("ckey", pa.int64()), ("salt", pa.int64()), ("t", pa.int64()),
+    ("okey", pa.int64())])
+_ASOF_EVENT_SCHEMA = pa.schema([
+    ("ckey", pa.int64()), ("salt", pa.int64()), ("t", pa.int64()),
+    ("event_id", pa.int64())])
 
 # Hot-key skew escape hatch (r2 verdict task 7): a probe-side key
 # holding more than HOT_KEY_CAP rows would concentrate in one bucket
@@ -498,57 +496,43 @@ def _get_hot(hot_ref) -> np.ndarray:
 
 
 def _asof_order_rows(hot_ref=None):
-    """Build-side carrier factory: hot customers' orders are replicated
+    """Build-side row factory: hot customers' orders are replicated
     to every salt sub-bucket (per-customer order mass is bounded; the
     replication factor is the fixed N_SALTS)."""
     def fn(batch: pa.Table) -> pa.Table:
-        from .bucketing import hash_bucket
         ck = batch.column("o_custkey").cast(pa.int64()).to_numpy()
         t = _epoch_secs(batch.column("o_orderdate"))
         ok = batch.column("o_orderkey").cast(pa.int64()).to_numpy()
         take, salts = _salted_rows(ck, _get_hot(hot_ref),
                                    np.empty(0, np.int64), replicate=True)
-        ck, t, ok = ck[take], t[take], ok[take]
-        return pa.table({
-            "ckey": pa.array(ck, pa.int64()),
-            "t": pa.array(t, pa.int64()),
-            "okey": pa.array(ok, pa.int64()),
-            "event_id": pa.nulls(len(ck), pa.int64()),
-            "bucket": pa.array(hash_bucket([ck, salts]), pa.int32()),
-        }).cast(_ASOF_SCHEMA)
+        return pa.table({"ckey": ck[take], "salt": salts, "t": t[take],
+                         "okey": ok[take]}, schema=_ASOF_ORDER_SCHEMA)
     return fn
 
 
 def _asof_event_rows(hot_ref=None):
-    """Probe-side carrier factory: hot customers' events spread across
+    """Probe-side row factory: hot customers' events spread across
     N_SALTS sub-buckets by event-id hash; each sub-bucket still holds
     the full order history (replicated), so every probe is exact."""
     def fn(batch: pa.Table) -> pa.Table:
-        from .bucketing import hash_bucket, mix64
+        from .bucketing import mix64
         ck = batch.column("user_id").cast(pa.int64()).to_numpy()
         eid = batch.column("event_id").cast(pa.int64()).to_numpy()
         salt_of = (mix64([eid]) % np.uint64(N_SALTS)).astype(np.int64)
         _, salts = _salted_rows(ck, _get_hot(hot_ref), salt_of,
                                 replicate=False)
-        return pa.table({
-            "ckey": pa.array(ck, pa.int64()),
-            "t": pa.array(_epoch_secs(batch.column("ts")), pa.int64()),
-            "okey": pa.nulls(len(ck), pa.int64()),
-            "event_id": pa.array(eid, pa.int64()),
-            "bucket": pa.array(hash_bucket([ck, salts]), pa.int32()),
-        }).cast(_ASOF_SCHEMA)
+        return pa.table({"ckey": ck, "salt": salts,
+                         "t": _epoch_secs(batch.column("ts")),
+                         "event_id": eid}, schema=_ASOF_EVENT_SCHEMA)
     return fn
 
 
-def _asof_probe_bucket(group: pa.Table) -> pa.Table:
-    """One customer-hash bucket of (order rows ∪ event rows): sort the
-    orders by (cust-rank, time, orderkey), then ONE vectorized
+def _asof_probe_bucket(orders: pa.Table, events: pa.Table) -> pa.Table:
+    """One (customer, salt)-hash bucket of order rows and event rows:
+    sort the orders by (cust-rank, time, orderkey), then ONE vectorized
     searchsorted over composite uint64 keys answers every event probe —
     the predecessor position is simultaneously the latest qualifying
     date AND the max orderkey within that date."""
-    is_order = pc.is_valid(group.column("okey"))
-    orders = group.filter(is_order)
-    events = group.filter(pc.invert(is_order))
     if orders.num_rows == 0 or events.num_rows == 0:
         return pa.table({"event_id": pa.array([], pa.int64()),
                          "last_orderkey": pa.array([], pa.int64())})
@@ -582,11 +566,11 @@ def _asof_probe_bucket(group: pa.Table) -> pa.Table:
 
 def events_asof_orders(sf_dir: str, hot_cap: int | None = HOT_KEY_CAP):
     """Distributed as-of join (a custom operator Ray Data lacks): both
-    sides are bucketed by hash(customer key) — ONE exchange each, no
-    driver-side build, no broadcast — and each bucket resolves every
-    probe with a single vectorized searchsorted. Ties on equal
-    orderdate resolve to the max orderkey (the SQL oracle's ORDER BY
-    o_orderdate DESC, o_orderkey DESC).
+    sides meet in ONE ``bucket_join`` exchange keyed by (customer key,
+    salt) — no driver-side build, no broadcast — and each bucket
+    resolves every probe with a single vectorized searchsorted. Ties on
+    equal orderdate resolve to the max orderkey (the SQL oracle's ORDER
+    BY o_orderdate DESC, o_orderkey DESC).
 
     Skew: a customer with more than ``hot_cap`` events triggers the
     salting escape hatch (armed by default) — that customer's events
@@ -600,7 +584,7 @@ def events_asof_orders(sf_dir: str, hot_cap: int | None = HOT_KEY_CAP):
     rebalance."""
     import ray
 
-    from .bucketing import bucket_groupby
+    from .bucketing import bucket_join
 
     hot_ref = None
     if hot_cap is not None:
@@ -613,7 +597,9 @@ def events_asof_orders(sf_dir: str, hot_cap: int | None = HOT_KEY_CAP):
         .map_batches(_asof_order_rows(hot_ref), batch_format="pyarrow")
     events = _read(sf_dir, "events", ["event_id", "user_id", "ts"]) \
         .map_batches(_asof_event_rows(hot_ref), batch_format="pyarrow")
-    return bucket_groupby(orders.union(events), _asof_probe_bucket)
+    return bucket_join(orders, events, _asof_probe_bucket,
+                       on=["ckey", "salt"], left_schema=_ASOF_ORDER_SCHEMA,
+                       right_schema=_ASOF_EVENT_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -791,44 +777,32 @@ def events_window_dedup_sql(window_us: int = WINDOW_DEDUP_US) -> str:
 
 def customers_without_events(sf_dir: str):
     """Customers who never produced an event — the distributed ANTI-JOIN
-    shape: both
-    sides are combined per block to distinct keys, hash-bucketed on the
-    join key (equal keys co-locate), and each bucket group resolves the
-    difference with one vectorized ``np.isin`` — no broadcast of either
-    side, no per-key Python. At 100 TB this is one exchange of the
-    distinct-key mass, which the per-block combiners have already
-    shrunk to key cardinality."""
-    from .bucketing import bucket_groupby, hash_bucket
+    shape: the events side is combined per block to distinct keys, both
+    sides meet in one ``bucket_join`` on the customer key, and each
+    bucket group resolves the difference with one vectorized
+    ``pc.is_in`` — no broadcast of either side, no per-key Python. At
+    100 TB this is one exchange of the customer rows plus the
+    distinct-key mass of the events."""
+    from .bucketing import bucket_join
 
-    def cust_rows(batch: pa.Table) -> pa.Table:
-        t = pa.table({"key": batch.column("c_custkey"),
-                      "c_mktsegment": batch.column("c_mktsegment")})
-        b = hash_bucket([t.column("key")])
-        return t.append_column("bucket", pa.array(b, pa.int32()))
+    def event_keys(batch: pa.Table) -> pa.Table:
+        return pa.table({"user_id": pc.unique(
+            batch.column("user_id").combine_chunks())})
 
-    def event_rows(batch: pa.Table) -> pa.Table:
-        k = pc.unique(batch.column("user_id").combine_chunks())
-        t = pa.table({"key": k,
-                      "c_mktsegment": pa.nulls(len(k), pa.string())})
-        b = hash_bucket([t.column("key")])
-        return t.append_column("bucket", pa.array(b, pa.int32()))
+    def anti(cust: pa.Table, seen: pa.Table) -> pa.Table:
+        # a null custkey never equals a user_id, so it is kept
+        return cust.filter(pc.invert(pc.is_in(
+            cust.column("c_custkey"), value_set=seen.column("user_id"),
+            skip_nulls=True)))
 
-    def anti_bucket(group: pa.Table) -> pa.Table:
-        is_cust = pc.is_valid(group.column("c_mktsegment"))
-        cust = group.filter(is_cust)
-        probe = group.filter(pc.invert(is_cust))
-        ck = cust.column("key").to_numpy()
-        ok = probe.column("key").to_numpy()
-        keep = ~np.isin(ck, ok)
-        out = cust.filter(pa.array(keep))
-        return pa.table({"c_custkey": out.column("key"),
-                         "c_mktsegment": out.column("c_mktsegment")})
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]) \
-        .map_batches(cust_rows, batch_format="pyarrow", batch_size=None)
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     events = _read(sf_dir, "events", ["user_id"]) \
-        .map_batches(event_rows, batch_format="pyarrow", batch_size=None)
-    return bucket_groupby(cust.union(events), anti_bucket)
+        .map_batches(event_keys, batch_format="pyarrow", batch_size=None)
+    return bucket_join(
+        cust, events, anti, on="c_custkey", right_on="user_id",
+        left_schema=pa.schema([("c_custkey", pa.int64()),
+                               ("c_mktsegment", pa.string())]),
+        right_schema=pa.schema([("user_id", pa.int64())]))
 
 
 # ---------------------------------------------------------------------------
@@ -2025,24 +1999,11 @@ def kg_event_timeline(events_ds, transcripts_dir: str):
     from .bucketing import N_OPS_BUCKETS, bucket_groupby, fnv1a_hashes
     from .join import hash_join
 
-    def t_rows(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "conv_id": b.column("conv_id"),
-            "t_turn": b.column("turn_idx"),
-            "ts": b.column("ts"),
-        })
-
-    def e_rows(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "conv_id": b.column("conv_id"),
-            "e_turn": b.column("turn_idx"),
-            "cluster": b.column("cluster"),
-        })
-
     left = ray.data.read_parquet(
         transcripts_dir, columns=["conv_id", "turn_idx", "ts"]) \
-        .map_batches(t_rows, batch_format="pyarrow")
-    right = events_ds.map_batches(e_rows, batch_format="pyarrow")
+        .rename_columns({"turn_idx": "t_turn"})
+    right = events_ds.select_columns(["conv_id", "turn_idx", "cluster"]) \
+        .rename_columns({"turn_idx": "e_turn"})
 
     def per_conv(j: pa.Table) -> pa.Table:
         m = pc.equal(j.column("t_turn"), j.column("e_turn"))
@@ -2050,11 +2011,18 @@ def kg_event_timeline(events_ds, transcripts_dir: str):
             [("ts", "min"), ("ts", "max"), ("ts", "count")])
         return g
 
-    pairs = hash_join(left, right, on="conv_id", bucket_fn=per_conv)
+    pairs = hash_join(
+        left, right, on="conv_id",
+        left_schema=pa.schema([("conv_id", pa.string()),
+                               ("t_turn", pa.int32()),
+                               ("ts", pa.timestamp("us"))]),
+        right_schema=pa.schema([("conv_id", pa.string()),
+                                ("e_turn", pa.int32()),
+                                ("cluster", pa.string())]),
+        bucket_fn=per_conv)
 
     def rebucket(b: pa.Table) -> pa.Table:
-        b = b.drop_columns(["bucket"])
-        h = fnv1a_hashes(b.column("cluster").to_pylist()) \
+        h = fnv1a_hashes(pc.fill_null(b.column("cluster"), "")) \
             % np.uint64(N_OPS_BUCKETS)
         return b.append_column("bucket", pa.array(h.astype(np.int32)))
 

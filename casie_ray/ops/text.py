@@ -485,8 +485,8 @@ def repetition(sf_dir: str):
 #
 # Shape: one pass emits per-block unigram + bigram count partials; the
 # bigram exchange finalizes pair counts (min_count filter bounds the
-# output at phrase-vocabulary cardinality); two tagged-union bucket
-# joins attach n_a then n_b from the materialized unigram table. No
+# output at phrase-vocabulary cardinality); two ``bucket_join``s
+# attach n_a then n_b from the materialized unigram table. No
 # vocabulary broadcast — both sides stay distributed (at web scale the
 # unigram table alone exceeds any worker's heap).
 
@@ -497,7 +497,8 @@ def collocations(sf_dir: str, min_count: int = COLLOC_MIN_COUNT):
     """(w_a, w_b, n_ab, n_a, n_b) for adjacent pairs with
     n_ab >= min_count; single-space tokenization, pairs never span
     documents."""
-    from .bucketing import bucket_groupby, fnv1a_hashes, hash_bucket
+    from .bucketing import (bucket_groupby, bucket_join, fnv1a_hashes,
+                            hash_bucket)
 
     def partials(batch: pa.Table) -> pa.Table:
         text = pc.fill_null(batch.column("text"), "")
@@ -519,139 +520,69 @@ def collocations(sf_dir: str, min_count: int = COLLOC_MIN_COUNT):
             bg = pa.table({"wa": pa.array([], pa.string()),
                            "wb": pa.array([], pa.string()),
                            "n": pa.array([], pa.int64())})
-        nu, nb = uni.num_rows, bg.num_rows
-        ha = fnv1a_hashes(uni.column("w").to_pylist()
-                          + bg.column("wa").to_pylist())
+        nu = uni.num_rows
+        wa = pa.concat_arrays([uni.column("w").combine_chunks(),
+                               bg.column("wa").combine_chunks()])
         hb = np.concatenate([np.zeros(nu, np.uint64),
-                             fnv1a_hashes(bg.column("wb").to_pylist())]) \
-            if nu + nb else np.zeros(0, np.uint64)
+                             fnv1a_hashes(bg.column("wb"))])
         return pa.table({
-            "wa": pa.concat_arrays([uni.column("w").combine_chunks(),
-                                    bg.column("wa").combine_chunks()]),
+            "wa": wa,
             "wb": pa.concat_arrays([pa.nulls(nu, pa.string()),
                                     bg.column("wb").combine_chunks()]),
             "n": pa.concat_arrays([
                 uni.column("n").cast(pa.int64()).combine_chunks(),
                 bg.column("n").cast(pa.int64()).combine_chunks()]),
-            "bucket": pa.array(hash_bucket([ha, hb]), pa.int32()),
+            "bucket": pa.array(hash_bucket([fnv1a_hashes(wa), hb]),
+                               pa.int32()),
         })
 
     def is_bigram(t: pa.Table):
         return pc.is_valid(t.column("wb"))
 
-    def finalize_bigrams(group: pa.Table) -> pa.Table:
-        bg = group.filter(is_bigram(group))
-        g = bg.select(["wa", "wb", "n"]).group_by(["wa", "wb"]) \
-            .aggregate([("n", "sum")]).rename_columns(["wa", "wb", "n_ab"])
-        g = g.filter(pc.greater_equal(
-            g.column("n_ab"), pa.scalar(min_count, pa.int64())))
-        h = fnv1a_hashes(g.column("wa").to_pylist())
-        return pa.table({
-            "wa": g.column("wa"), "wb": g.column("wb"),
-            "n_ab": g.column("n_ab").cast(pa.int64()),
-            "bucket": pa.array(hash_bucket([h]), pa.int32()),
-        })
-
-    def finalize_unigrams(group: pa.Table) -> pa.Table:
-        u = group.filter(pc.invert(is_bigram(group)))
-        g = u.select(["wa", "n"]).group_by(["wa"]) \
-            .aggregate([("n", "sum")]).rename_columns(["w", "n"])
-        h = fnv1a_hashes(g.column("w").to_pylist())
-        return pa.table({
-            "w": g.column("w"), "n": g.column("n").cast(pa.int64()),
-            "bucket": pa.array(hash_bucket([h]), pa.int32()),
-        })
+    # one exchange finalizes both count kinds: a bigram row carries its
+    # second word, a unigram row a null ``wb``
+    def split_finalize(group: pa.Table) -> pa.Table:
+        bg = group.filter(is_bigram(group)).select(["wa", "wb", "n"]) \
+            .group_by(["wa", "wb"]).aggregate([("n", "sum")]) \
+            .rename_columns(["wa", "wb", "n"])
+        bg = bg.filter(pc.greater_equal(
+            bg.column("n"), pa.scalar(min_count, pa.int64())))
+        un = group.filter(pc.invert(is_bigram(group))).select(["wa", "n"]) \
+            .group_by(["wa"]).aggregate([("n", "sum")]) \
+            .rename_columns(["wa", "n"])
+        un = un.append_column("wb", pa.nulls(un.num_rows, pa.string()))
+        return pa.concat_tables([bg, un.select(["wa", "wb", "n"])])
 
     ds = _read_documents(sf_dir).map_batches(
         partials, batch_format="pyarrow", batch_size=None)
-
-    # one exchange: bigram buckets finalize; unigram rows ride the same
-    # stream keyed by (w, 0) so both finalize kernels see whole keys
-    def split_finalize(group: pa.Table) -> pa.Table:
-        bg = finalize_bigrams(group)
-        un = finalize_unigrams(group)
-        return pa.table({
-            "wa": pa.concat_arrays([bg.column("wa").combine_chunks(),
-                                    un.column("w").combine_chunks()]),
-            "wb": pa.concat_arrays([bg.column("wb").combine_chunks(),
-                                    pa.nulls(un.num_rows, pa.string())]),
-            "n": pa.concat_arrays([bg.column("n_ab").combine_chunks(),
-                                   un.column("n").combine_chunks()]),
-            "bucket": pa.concat_arrays([
-                bg.column("bucket").combine_chunks(),
-                un.column("bucket").combine_chunks()]),
-        })
-
     merged = bucket_groupby(ds, split_finalize).materialize()
+    bigrams = merged.map_batches(lambda b: b.filter(is_bigram(b)),
+                                 batch_format="pyarrow")
+    unigrams = merged.map_batches(
+        lambda b: b.filter(pc.invert(is_bigram(b))).select(["wa", "n"])
+        .rename_columns(["w", "n"]), batch_format="pyarrow")
+    uni_schema = pa.schema([("w", pa.string()), ("n", pa.int64())])
 
-    def join_a(group: pa.Table) -> pa.Table:
-        bg = group.filter(is_bigram(group))
-        un = group.filter(pc.invert(is_bigram(group)))
-        ut = pa.table({"wa": un.column("wa"), "n_a": un.column("n")})
-        j = bg.select(["wa", "wb", "n"]).join(ut, keys="wa",
-                                              join_type="inner")
-        h = fnv1a_hashes(j.column("wb").to_pylist())
-        return pa.table({
-            "wa": j.column("wa"), "wb": j.column("wb"),
-            "n": j.column("n"), "n_a": j.column("n_a"),
-            "bucket": pa.array(hash_bucket([h]), pa.int32()),
-        })
+    def join_a(bg: pa.Table, un: pa.Table) -> pa.Table:
+        return bg.join(un.rename_columns(["w", "n_a"]), keys="wa",
+                       right_keys="w", join_type="inner")
 
-    def uni_keyed_by_w(batch: pa.Table) -> pa.Table:
-        un = batch.filter(pc.invert(is_bigram(batch)))
-        h = fnv1a_hashes(un.column("wa").to_pylist())
-        return pa.table({
-            "wa": un.column("wa"),
-            "wb": pa.nulls(un.num_rows, pa.string()),
-            "n": un.column("n"),
-            "n_a": pa.nulls(un.num_rows, pa.int64()),
-            "bucket": pa.array(hash_bucket([h]), pa.int32()),
-        })
+    def join_b(bg: pa.Table, un: pa.Table) -> pa.Table:
+        j = bg.join(un.rename_columns(["w", "n_b"]), keys="wb",
+                    right_keys="w", join_type="inner")
+        return j.select(["wa", "wb", "n", "n_a", "n_b"]).rename_columns(
+            ["w_a", "w_b", "n_ab", "n_a", "n_b"])
 
-    def bigram_rows_only(batch: pa.Table) -> pa.Table:
-        bg = batch.filter(is_bigram(batch))
-        # match uni_keyed_by_w's schema exactly (union-safe)
-        return pa.table({
-            "wa": bg.column("wa"), "wb": bg.column("wb"),
-            "n": bg.column("n"),
-            "n_a": pa.nulls(bg.num_rows, pa.int64()),
-            "bucket": bg.column("bucket"),
-        })
-
-    mixed_a = merged.map_batches(bigram_rows_only,
-                                 batch_format="pyarrow").union(
-        merged.map_batches(uni_keyed_by_w, batch_format="pyarrow"))
-    # NOTE: mixed_a's bigram rows are bucketed by hash(wa) only from
-    # finalize_bigrams; unigram rows by hash(w). Equal words co-locate.
-    joined_a = bucket_groupby(mixed_a, join_a)
-
-    def join_b(group: pa.Table) -> pa.Table:
-        has_na = pc.is_valid(group.column("n_a"))
-        bg = group.filter(has_na)            # joined_a outputs
-        un = group.filter(pc.invert(has_na))  # unigram count rows
-        ut = pa.table({"wb": un.column("wa"), "n_b": un.column("n")})
-        j = bg.select(["wa", "wb", "n", "n_a"]).join(ut, keys="wb",
-                                                     join_type="inner")
-        return pa.table({
-            "w_a": j.column("wa"), "w_b": j.column("wb"),
-            "n_ab": j.column("n"), "n_a": j.column("n_a"),
-            "n_b": j.column("n_b"),
-        })
-
-    def uni_keyed_again(batch: pa.Table) -> pa.Table:
-        un = batch.filter(pc.invert(is_bigram(batch)))
-        return pa.table({
-            "wa": un.column("wa"),
-            "wb": pa.nulls(un.num_rows, pa.string()),
-            "n": un.column("n"),
-            "n_a": pa.nulls(un.num_rows, pa.int64()),
-            "bucket": batch.filter(pc.invert(is_bigram(batch)))
-            .column("bucket"),
-        })
-
-    mixed_b = joined_a.union(
-        merged.map_batches(uni_keyed_again, batch_format="pyarrow"))
-    return bucket_groupby(mixed_b, join_b)
+    with_a = bucket_join(
+        bigrams, unigrams, join_a, on="wa", right_on="w",
+        left_schema=pa.schema([("wa", pa.string()), ("wb", pa.string()),
+                               ("n", pa.int64())]),
+        right_schema=uni_schema)
+    return bucket_join(
+        with_a, unigrams, join_b, on="wb", right_on="w",
+        left_schema=pa.schema([("wa", pa.string()), ("wb", pa.string()),
+                               ("n", pa.int64()), ("n_a", pa.int64())]),
+        right_schema=uni_schema)
 
 
 COLLOC_SQL = f"""

@@ -295,21 +295,12 @@ def rewrite_triples_ds(raw_ds, mapping_ds):
         return batch.filter(pa.array(~_dirty_mask(batch)))
 
     def dirty_part(batch: pa.Table) -> pa.Table:
-        # bucket is dropped (the key may change; hash_join appends its
-        # own co-partition bucket) and recomputed after the folds
-        return batch.filter(pa.array(_dirty_mask(batch))) \
-            .drop_columns(["bucket"])
+        return batch.filter(pa.array(_dirty_mask(batch)))
 
     clean = raw_ds.map_batches(clean_part, batch_format="pyarrow",
                                batch_size=None)
     dirty = raw_ds.map_batches(dirty_part, batch_format="pyarrow",
                                batch_size=None)
-
-    def _as_canon(name: str):
-        def fn(t: pa.Table) -> pa.Table:
-            return pa.table({"node": t.column("node").cast(pa.string()),
-                             name: t.column("label").cast(pa.string())})
-        return fn
 
     def fold(key: str, canon: str, last: bool):
         def fn(batch: pa.Table) -> pa.Table:
@@ -317,7 +308,7 @@ def rewrite_triples_ds(raw_ds, mapping_ds):
             folded = pc.if_else(pc.is_valid(canon_arr), canon_arr,
                                 batch.column(key).combine_chunks())
             cols = {c: batch.column(c) for c in batch.column_names
-                    if c not in (key, canon, "bucket")}
+                    if c not in (key, canon)}
             cols[key] = folded
             if last:
                 cols["bucket"] = pa.array(triple_buckets(
@@ -327,18 +318,24 @@ def rewrite_triples_ds(raw_ds, mapping_ds):
                 RAW_TRIPLE_SCHEMA) if last else t
         return fn
 
-    m_subj = mapping_ds.map_batches(_as_canon("canon_subj"),
-                                    batch_format="pyarrow",
-                                    batch_size=None)
-    m_obj = mapping_ds.map_batches(_as_canon("canon_obj"),
-                                   batch_format="pyarrow",
-                                   batch_size=None)
-    j1 = hash_join(dirty, m_subj, on="subj", right_on="node",
-                   how="left outer") \
+    # the bucket is left out of the join (the key may change) and
+    # recomputed after the folds
+    unbucketed = pa.schema([f for f in RAW_TRIPLE_SCHEMA
+                            if f.name != "bucket"])
+
+    def canon_join(left, key: str, canon: str):
+        # the join casts both mapping columns to string
+        return hash_join(
+            left, mapping_ds.rename_columns({"label": canon}), on=key,
+            right_on="node", left_schema=unbucketed,
+            right_schema=pa.schema([("node", pa.string()),
+                                    (canon, pa.string())]),
+            how="left outer")
+
+    j1 = canon_join(dirty, "subj", "canon_subj") \
         .map_batches(fold("subj", "canon_subj", last=False),
                      batch_format="pyarrow", batch_size=None)
-    j2 = hash_join(j1, m_obj, on="obj", right_on="node",
-                   how="left outer") \
+    j2 = canon_join(j1, "obj", "canon_obj") \
         .map_batches(fold("obj", "canon_obj", last=True),
                      batch_format="pyarrow", batch_size=None)
     return clean.union(j2)

@@ -286,6 +286,12 @@ def test_hll_estimate_accuracy(ray_session, ddb):
     assert abs(est - exact) / exact < 0.05
 
 
+def _kv_schema(key: str, val: str, key_type=None):
+    import pyarrow as pa
+
+    return pa.schema([(key, key_type or pa.string()), (val, pa.int64())])
+
+
 def test_hash_join_unit(ray_session):
     """General bucketed equi-join: inner + left outer, string keys
     (FNV hash path), duplicate right keys, and the payload-collision
@@ -298,22 +304,175 @@ def test_hash_join_unit(ray_session):
         [{"k": "a", "lx": 1}, {"k": "b", "lx": 2}, {"k": "c", "lx": 3}])
     right = ray.data.from_items(
         [{"k2": "b", "ry": 10}, {"k2": "b", "ry": 11}, {"k2": "d", "ry": 12}])
+    schemas = dict(left_schema=_kv_schema("k", "lx"),
+                   right_schema=_kv_schema("k2", "ry"))
 
-    inner = hash_join(left, right, on="k", right_on="k2").to_pandas()
+    inner = hash_join(left, right, on="k", right_on="k2",
+                      **schemas).to_pandas()
     inner = inner.sort_values(["k", "ry"]).reset_index(drop=True)
     assert list(inner["k"]) == ["b", "b"]
     assert list(inner["lx"]) == [2, 2]
     assert list(inner["ry"]) == [10, 11]
 
     outer = hash_join(left, right, on="k", right_on="k2",
-                      how="left outer").to_pandas()
+                      how="left outer", **schemas).to_pandas()
     outer = outer.sort_values(["k", "ry"]).reset_index(drop=True)
+    assert list(outer.columns) == ["k", "lx", "ry"]
     assert list(outer["k"]) == ["a", "b", "b", "c"]
     assert outer["ry"].isna().sum() == 2
 
     bad = ray.data.from_items([{"k2": "b", "lx": 9}])
     with pytest.raises(ValueError, match="colliding"):
-        hash_join(left, bad, on="k", right_on="k2")
+        hash_join(left, bad, on="k", right_on="k2",
+                  left_schema=schemas["left_schema"],
+                  right_schema=_kv_schema("k2", "lx"))
+
+
+def test_hash_join_right_side_mapped_to_no_rows(ray_session):
+    """A right side whose map yields no rows has no schema in Ray; the
+    declared one stands in: the inner join is an empty table of the
+    declared columns, the left-outer join keeps every left row."""
+    import ray
+
+    from casie_ray.ops.join import hash_join
+
+    left = ray.data.from_items([{"k": "a", "lx": 1}, {"k": "b", "lx": 2}])
+    right = ray.data.from_items([{"k2": "a", "ry": 10}]).map_batches(
+        lambda b: b.slice(0, 0), batch_format="pyarrow")
+    schemas = dict(left_schema=_kv_schema("k", "lx"),
+                   right_schema=_kv_schema("k2", "ry"))
+
+    inner = hash_join(left, right, on="k", right_on="k2",
+                      **schemas).materialize()
+    assert inner.count() == 0
+    assert inner.schema().names == ["k", "lx", "ry"]
+    outer = hash_join(left, right, on="k", right_on="k2",
+                      how="left outer", **schemas)
+    assert sorted(map(repr, outer.take_all())) == [
+        "{'k': 'a', 'lx': 1, 'ry': None}", "{'k': 'b', 'lx': 2, 'ry': None}"]
+
+
+def test_chained_hash_join_runs_upstream_once_per_block(ray_session,
+                                                         tmp_path):
+    """Building a chain of two joins executes nothing (no schema probe
+    of a lazy input); running it calls the upstream map once per input
+    block. Calls are counted through a file, since the map runs in Ray
+    workers."""
+    import pyarrow as pa
+    import ray
+
+    from casie_ray.ops.join import hash_join
+
+    calls = tmp_path / "calls"
+    calls.write_text("")
+
+    def counted(b: pa.Table) -> pa.Table:
+        with open(calls, "a") as f:
+            f.write("x\n")
+        return b
+
+    src = pa.table({"k": ["a", "b", "c", "d"], "lx": [1, 2, 3, 4]})
+    left = ray.data.from_arrow([src.slice(0, 2), src.slice(2)]) \
+        .map_batches(counted, batch_format="pyarrow", batch_size=None)
+    r1 = ray.data.from_items([{"k1": "a", "r1": 10}, {"k1": "c", "r1": 30}])
+    r2 = ray.data.from_items([{"k2": "a", "r2": 100}])
+    j1 = hash_join(left, r1, on="k", right_on="k1",
+                   left_schema=_kv_schema("k", "lx"),
+                   right_schema=_kv_schema("k1", "r1"))
+    j2 = hash_join(j1, r2, on="k", right_on="k2", how="left outer",
+                   left_schema=pa.schema([("k", pa.string()),
+                                          ("lx", pa.int64()),
+                                          ("r1", pa.int64())]),
+                   right_schema=_kv_schema("k2", "r2"))
+    assert calls.read_text() == ""
+    got = sorted(map(repr, j2.take_all()))
+    assert got == ["{'k': 'a', 'lx': 1, 'r1': 10, 'r2': 100}",
+                   "{'k': 'c', 'lx': 3, 'r1': 30, 'r2': None}"]
+    assert calls.read_text() == "x\n" * 2
+
+
+def test_customers_without_events_keeps_null_segment(ray_session,
+                                                      tmp_path):
+    """A customer with a null market segment and no events is kept, as
+    in the SQL twin: the side of a row is its tag, not a null test."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entrymod
+    from casie_ray.ops.relational import customers_without_events
+
+    pq.write_table(pa.table({
+        "c_custkey": pa.array([1, 2, 3], pa.int64()),
+        "c_mktsegment": pa.array(["BUILDING", None, "MACHINERY"])}),
+        tmp_path / "customer.parquet")
+    pq.write_table(pa.table({"user_id": pa.array([3], pa.int64())}),
+                   tmp_path / "events.parquet")
+    con = duckdb.connect()
+    for t in ("customer", "events"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{tmp_path / t}.parquet')")
+    want = _normalize(con.execute(
+        entrymod.oracle_sql()["customers_no_events"]).fetchdf())
+    got = _normalize(customers_without_events(str(tmp_path)).to_pandas())
+    assert list(want["c_custkey"]) == [1, 2]
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+_ONE_CPU_RUN = """
+import sys
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+import ray.data
+from casie_ray.ops import curation, mlprep
+op, arg = sys.argv[1], sys.argv[2]
+out = (mlprep.kg_negative_samples(ray.data.read_parquet(arg))
+       if op == "kg_negative_samples" else curation.curation_pack(arg))
+print(out.count())
+ray.shutdown()
+"""
+
+
+@pytest.mark.parametrize("op", ["kg_negative_samples", "curation_pack"])
+def test_two_exchange_inputs_finish_at_one_cpu(ray_session, oracle_triples,
+                                               tmp_path, op):
+    """The two ops whose join reads two exchange-fed inputs finish in a
+    Ray session of one logical CPU, with the rows of the shared 4-CPU
+    session. The run is a subprocess with its own session; on timeout
+    its whole process group (driver and Ray daemons) is killed, so a
+    hang fails the test and leaves no process behind."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    import ray
+
+    from casie_ray.ops import curation, mlprep
+
+    if op == "kg_negative_samples":
+        arg = str(tmp_path / "edges.parquet")
+        oracle_triples[["subj", "pred", "obj"]].to_parquet(arg, index=False)
+        want = mlprep.kg_negative_samples(ray.data.read_parquet(arg)).count()
+    else:
+        arg = SF_DIR
+        want = curation.curation_pack(arg).count()
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_RUN, op, arg], cwd=repo,
+        start_new_session=True, stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT, text=True)
+    try:
+        log, _ = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"{op} at 1 CPU did not finish in 180 s")
+    assert proc.returncode == 0, log[-3000:]
+    assert int(log.strip().splitlines()[-1]) == want > 0
 
 
 def test_bloom_filter_unit(ray_session):
@@ -347,6 +506,7 @@ def test_bloom_pruned_join_identical(ray_session):
     """bloom_prune must never change join results — only cut exchange
     volume. Selective fixture: 10% of right keys have a left match."""
     import numpy as np
+    import pyarrow as pa
     import ray
 
     from casie_ray.ops.join import hash_join
@@ -362,22 +522,20 @@ def test_bloom_pruned_join_identical(ray_session):
     def norm(df):
         return df.sort_values(list(df.columns)).reset_index(drop=True)
 
-    base = norm(hash_join(left, right, on="k", right_on="rk")
-                .drop_columns(["bucket"]).to_pandas())
-    for prune in ("left", "right"):
-        got = norm(hash_join(left, right, on="k", right_on="rk",
-                             bloom_prune=prune)
-                   .drop_columns(["bucket"]).to_pandas())
-        pd.testing.assert_frame_equal(got, base, check_exact=True)
-    with pytest.raises(ValueError, match="left"):
-        hash_join(left, right, on="k", right_on="rk",
-                  how="left outer", bloom_prune="left")
+    schemas = dict(left_schema=_kv_schema("k", "lv", pa.int64()),
+                   right_schema=_kv_schema("rk", "rv", pa.int64()))
+    base = norm(hash_join(left, right, on="k", right_on="rk", **schemas)
+                .to_pandas())
+    got = norm(hash_join(left, right, on="k", right_on="rk",
+                         bloom_prune="right", **schemas).to_pandas())
+    pd.testing.assert_frame_equal(got, base, check_exact=True)
 
 
 def test_bloom_prune_mixed_key_types(ray_session):
     """Castable but unequal key types (left string vs right int): the
-    bloom must hash BOTH sides through the harmonized carrier type or
-    it silently drops every match (ADVICE r2, medium)."""
+    bloom must hash BOTH sides through the join key type or it
+    silently drops every match (ADVICE r2, medium)."""
+    import pyarrow as pa
     import ray
 
     from casie_ray.ops.join import hash_join
@@ -390,14 +548,14 @@ def test_bloom_prune_mixed_key_types(ray_session):
     def norm(df):
         return df.sort_values(list(df.columns)).reset_index(drop=True)
 
-    base = norm(hash_join(left, right, on="k", right_on="rk")
-                .drop_columns(["bucket"]).to_pandas())
+    schemas = dict(left_schema=_kv_schema("k", "lv"),
+                   right_schema=_kv_schema("rk", "rv", pa.int64()))
+    base = norm(hash_join(left, right, on="k", right_on="rk", **schemas)
+                .to_pandas())
     assert len(base) == 10  # the un-pruned join matches as expected
-    for prune in ("left", "right"):
-        got = norm(hash_join(left, right, on="k", right_on="rk",
-                             bloom_prune=prune)
-                   .drop_columns(["bucket"]).to_pandas())
-        pd.testing.assert_frame_equal(got, base, check_exact=True)
+    got = norm(hash_join(left, right, on="k", right_on="rk",
+                         bloom_prune="right", **schemas).to_pandas())
+    pd.testing.assert_frame_equal(got, base, check_exact=True)
 
 
 def test_hash_join_null_keys(ray_session):
@@ -413,12 +571,15 @@ def test_hash_join_null_keys(ray_session):
     right = ray.data.from_items(
         [{"k2": "a", "ry": 10}, {"k2": None, "ry": 20}])
 
-    inner = hash_join(left, right, on="k", right_on="k2").to_pandas()
+    schemas = dict(left_schema=_kv_schema("k", "lx"),
+                   right_schema=_kv_schema("k2", "ry"))
+    inner = hash_join(left, right, on="k", right_on="k2",
+                      **schemas).to_pandas()
     assert list(inner["k"]) == ["a"]
     assert list(inner["ry"]) == [10]
 
     outer = hash_join(left, right, on="k", right_on="k2",
-                      how="left outer").to_pandas()
+                      how="left outer", **schemas).to_pandas()
     outer = outer.sort_values("lx").reset_index(drop=True)
     assert len(outer) == 2
     assert outer["k"].isna().sum() == 1
