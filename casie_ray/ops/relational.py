@@ -726,7 +726,7 @@ def events_window_dedup(sf_dir: str, window_us: int = WINDOW_DEDUP_US):
             "event_type": et,
             "t": batch.column("ts").cast(pa.int64()),
             "bucket": pa.array(hash_bucket(
-                [uid, fnv1a_hashes(et.to_pylist())]), pa.int32()),
+                [uid, fnv1a_hashes(et)]), pa.int32()),
         })
 
     def debounce(group: pa.Table) -> pa.Table:
@@ -842,7 +842,7 @@ def top_docs_per_lang(sf_dir: str, k: int = 3):
                       "doc_id": batch.column("doc_id"),
                       "n_chars": batch.column("n_chars")})
         t = _grouped_topk_kernel(t, k).drop_columns(["rk"])
-        h = fnv1a_hashes(t.column("lang").to_pylist())
+        h = fnv1a_hashes(t.column("lang"))
         return t.append_column("bucket", pa.array(
             (h % np.uint64(64)).astype(np.int32)))
 
@@ -1571,7 +1571,7 @@ def transcript_boilerplate(transcripts_glob: str,
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
         }).filter(pc.is_valid(batch.column("text")))
         g = t.group_by(["text", "conv_id"]).aggregate([("n", "sum")])
-        ht = fnv1a_hashes(g.column("text").to_pylist())
+        ht = fnv1a_hashes(g.column("text"))
         # NULL conv_id folds as "" for bucketing only (the
         # conv_profiles idiom); the group key itself stays NULL
         hc = fnv1a_hashes(
@@ -1587,7 +1587,7 @@ def transcript_boilerplate(transcripts_glob: str,
             pc.is_valid(g1.column("conv_id")).cast(pa.int64()))
         g2 = g1.group_by(["text"]).aggregate([
             ("n_sum_sum", "sum"), ("conv_live", "sum")])
-        ht = fnv1a_hashes(g2.column("text").to_pylist())
+        ht = fnv1a_hashes(g2.column("text"))
         return pa.table({
             "text": g2.column("text"),
             "n_turns_p": g2.column("n_sum_sum_sum").cast(pa.int64()),
@@ -1693,7 +1693,7 @@ def transcript_windows(transcripts_glob: str, window: int = WINDOW_TURNS,
             [[True], ~(same & (valid[1:] == valid[:-1]))])
         starts = np.flatnonzero(change)
         lens = np.diff(np.append(starts, n)).astype(np.int64)
-        h = fnv1a_hashes(g.column("text").to_pylist())
+        h = fnv1a_hashes(g.column("text"))
         ti = g.column("turn_idx").to_numpy(zero_copy_only=False)
         k = (lens - 1) // stride + 1
         seg_rep = np.repeat(np.arange(len(starts), dtype=np.int64), k)
@@ -1749,7 +1749,7 @@ def tool_transitions(transcripts_glob: str):
             "turn_idx": batch.column("turn_idx").cast(pa.int64()),
             "tool": batch.column("tool"),
         }).filter(keep)
-        h = fnv1a_hashes(t.column("conv_id").to_pylist())
+        h = fnv1a_hashes(t.column("conv_id"))
         return t.append_column(
             "bucket", pa.array(hash_bucket([h]), pa.int32()))
 
@@ -1778,7 +1778,7 @@ def tool_transitions(transcripts_glob: str):
         c = p.group_by(["tool_from", "tool_to"]) \
             .aggregate([([], "count_all")]) \
             .rename_columns(["tool_from", "tool_to", "n"])
-        h = fnv1a_hashes(c.column("tool_from").to_pylist())
+        h = fnv1a_hashes(c.column("tool_from"))
         return pa.table({
             "tool_from": c.column("tool_from"),
             "tool_to": c.column("tool_to"),
@@ -1914,7 +1914,7 @@ def conv_opening_dup_groups(transcripts_glob: str,
                 pc.fill_null(batch.column("role"), ""),
                 pc.fill_null(batch.column("text"), ""), _OPEN_FS),
         }).filter(keep)
-        h = fnv1a_hashes(t.column("conv_id").to_pylist())
+        h = fnv1a_hashes(t.column("conv_id"))
         return t.append_column(
             "bucket", pa.array(hash_bucket([h]), pa.int32()))
 
@@ -1930,7 +1930,7 @@ def conv_opening_dup_groups(transcripts_glob: str,
         t = pa.table({"okey": okey, "conv_id": g.column("conv_id")})
         p = t.group_by(["okey"]).aggregate([
             ("conv_id", "min"), ([], "count_all")])
-        h = fnv1a_hashes(p.column("okey").to_pylist())
+        h = fnv1a_hashes(p.column("okey"))
         return pa.table({
             "okey": p.column("okey"),
             "keeper_p": p.column("conv_id_min"),

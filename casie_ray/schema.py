@@ -82,21 +82,23 @@ def detection_to_row(det: TurnDetection) -> dict:
     }
 
 
-def event_to_row(e: Event, ts, modal: bool, generic: bool,
-                 with_args: bool = True) -> dict:
-    row = {
+def event_to_row(e: Event, ts, modal: bool, generic: bool) -> dict:
+    return {
         "conv_id": e.conv_id, "turn_idx": e.turn_idx,
         "event_id": e.event_id, "etype": e.etype,
         "nugget_start": e.nugget_start, "nugget_end": e.nugget_end,
         "nugget_text": e.nugget_text, "realis": e.realis,
         "cluster": e.cluster, "ts": ts, "modal": modal, "generic": generic,
+        "args": args_to_rows(e),
     }
-    if with_args:
-        row["args"] = [{"start": m.start, "end": m.end, "text": m.text,
-                        "argtype": m.argtype, "entity_id": m.entity_id,
-                        "dataish": m.next_noun_dataish, "role": m.role}
-                       for m in e.args]
-    return row
+
+
+def args_to_rows(e: Event) -> list[dict]:
+    """An event's ``args`` value (a list of ARG_T dicts)."""
+    return [{"start": m.start, "end": m.end, "text": m.text,
+             "argtype": m.argtype, "entity_id": m.entity_id,
+             "dataish": m.next_noun_dataish, "role": m.role}
+            for m in e.args]
 
 
 def row_to_event(row: dict) -> Event:

@@ -3,13 +3,19 @@
 This module holds the *rules* of the extractor — detection, document
 logic, role/realis assignment, event coreference, triple emission — as
 pure functions over plain Python structures for ONE conversation. The
-single-process oracle (``casie_ray.oracle``) drives these sequentially;
-the distributed engine's stage-A kernel (``casie_ray.stages.detect``)
-runs the same functions per conversation, except two it batches over
-a whole shard: event coreference (:func:`coref_many`, checked against
-the oracle's :func:`coref_events`) and tokenization (one
-:class:`TokenTable` that every turn's :func:`detect_turn` reads, checked
-against the oracle's per-token :func:`detect_turn_seq`).
+single-process oracle (``casie_ray.oracle``) drives these sequentially.
+The distributed engine's stage-A kernel (``casie_ray.stages.detect``)
+runs detection and :func:`doc_logic` per conversation and batches the
+rest over a whole shard, each batched step with a per-conversation twin
+that only the oracle runs:
+
+- tokenization: one :class:`TokenTable` that every turn's
+  :func:`detect_turn` reads (twin: the per-token :func:`detect_turn_seq`);
+- realis windows: :meth:`TokenTable.window_flags` for every event of the
+  shard (twin: :func:`realis_window_flags`);
+- roles and realis: :func:`assign_roles` / :func:`assign_realis` in one
+  loop over the shard's events;
+- event coreference: :func:`coref_many` (twin: :func:`coref_events`).
 
 The neural models of the reference (unavailable, SURVEY §3.4) are
 replaced by lexicon rules occupying the same pipeline seats:
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import datetime as dt
+import functools
 import string
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -245,16 +252,23 @@ class TokenTable:
     ``bounds[k]:bounds[k + 1]``. Three sorted index lists carry per-turn
     bounds (turn k's entries are ``spans[span_b[k]:span_b[k + 1]]``):
     possible span starts, trigger-surface tokens and content-word tokens.
-    Only strings, ints, lists and numpy arrays: no per-token object for
-    the cyclic GC to track."""
+    The joined-text offsets of :func:`~casie_ray.tokenize.tokenize_many`
+    (``gstart``, ``base``) and the flag bits as an array stay for
+    :meth:`window_flags`. Only strings, ints, lists and numpy arrays: no
+    per-token object for the cyclic GC to track."""
 
     __slots__ = ("toks", "lowers", "starts", "ends", "bounds", "flags",
                  "cap", "run_end", "spans", "span_b", "trigs", "trig_b",
-                 "cands", "cand_b")
+                 "cands", "cand_b", "gstart", "base", "flag_bits")
 
     def __init__(self, texts: list[str], catalog: dict):
-        toks, self.starts, self.ends, self.bounds = tokenize_many(texts)
+        toks, gstart, gend, base, bounds = tokenize_many(texts)
         n = len(toks)
+        own = base[np.repeat(np.arange(len(texts)), np.diff(bounds))]
+        self.starts = (gstart - own).tolist()
+        self.ends = (gend - own).tolist()
+        self.bounds = bounds.tolist()
+        self.gstart, self.base = gstart, base
         self.toks = toks
         self.lowers = lowers = list(map(str.lower, toks))
         bits = np.fromiter(map(_WORD_CLASSES.get, lowers, repeat(0)),
@@ -270,11 +284,11 @@ class TokenTable:
         cand = (bits & (_TRIG | _NONCONTENT) == 0) \
             & (np.fromiter(map(len, lowers), np.int64, n) >= 3) \
             & np.fromiter(map(str.isalpha, toks), bool, n)
-        bounds = np.asarray(self.bounds)
         stops = np.union1d(np.flatnonzero(~cap), bounds)
         self.run_end = stops[np.searchsorted(stops, np.arange(n),
                                              side="right")].tolist()
-        self.flags = (bits & (_MODAL | _GENERIC)).tolist()
+        self.flag_bits = bits & (_MODAL | _GENERIC)
+        self.flags = self.flag_bits.tolist()
         self.cap = cap.tolist()
 
         def index(mask):
@@ -284,6 +298,28 @@ class TokenTable:
         self.spans, self.span_b = index(span)
         self.trigs, self.trig_b = index(bits & _TRIG)
         self.cands, self.cand_b = index(cand)
+
+    def window_flags(self, turns: np.ndarray, offsets: np.ndarray) \
+            -> tuple[np.ndarray, np.ndarray]:
+        """:func:`realis_window_flags` of many (turn k, char offset)
+        pairs at once, as two bool arrays: one ``searchsorted`` finds
+        each offset's token in the joined text, clipped to its turn's
+        first token, and each ±7-token window, clipped to its turn, reads
+        the modal and generic bits as a difference of prefix sums."""
+        turns = np.asarray(turns, np.int64)
+        offsets = np.asarray(offsets, np.int64)
+        bounds = np.asarray(self.bounds, np.int64)
+        first, stop = bounds[turns], bounds[turns + 1]
+        idx = np.maximum(first, np.searchsorted(
+            self.gstart, self.base[turns] + offsets, side="right") - 1)
+        lo = np.maximum(first, idx - 7)
+        hi = np.minimum(stop, idx + 8)
+        out = []
+        for bit in (_MODAL, _GENERIC):
+            cum = np.zeros(len(self.flag_bits) + 1, np.int64)
+            np.cumsum(self.flag_bits & bit > 0, out=cum[1:])
+            out.append(cum[hi] > cum[lo])
+        return out[0], out[1]
 
 
 def detect_turn(text: str, catalog: dict, fuzzy: dict | None = None,
@@ -638,6 +674,15 @@ def _wordset_mats() -> dict[str, np.ndarray]:
     return _WORDSET_MATS
 
 
+@functools.lru_cache(maxsize=65536)
+def _wordset_sims(surface: str) -> tuple[float, ...]:
+    """Max similarity of a lowered surface to each event type's WORDSET,
+    in ``lx.TRIGGER_TYPES`` order. Memoized: candidate tokens repeat
+    across turns and conversations."""
+    mats, v = _wordset_mats(), embed_surface(surface)
+    return tuple(float((mats[et] @ v).max()) for et in lx.TRIGGER_TYPES)
+
+
 def impute_similarity_triggers(turn_triggers, turn_mentions, detections,
                                hist) -> None:
     """Similarity-based trigger imputation (O2; findanytrigger,
@@ -651,7 +696,6 @@ def impute_similarity_triggers(turn_triggers, turn_mentions, detections,
     scoreH). Ties on the top similarity resolve by document-histogram
     count then alphabetical type, then earliest token — all
     content-derived, no arrival order. Mutates turn_triggers + hist."""
-    mats = _wordset_mats()
     for ti in sorted(turn_mentions):
         if turn_triggers.get(ti):
             continue
@@ -659,7 +703,7 @@ def impute_similarity_triggers(turn_triggers, turn_mentions, detections,
         det = detections.get(ti)
         if not mentions or det is None or not det.cand_tokens:
             continue
-        intersect = [et for et in lx.TRIGGER_TYPES
+        intersect = [(p, et) for p, et in enumerate(lx.TRIGGER_TYPES)
                      if hist.get(et, 0) > 0
                      and any(m.argtype in lx.PAIR[et] for m in mentions)]
         if not intersect:
@@ -669,10 +713,10 @@ def impute_similarity_triggers(turn_triggers, turn_mentions, detections,
         for tok_idx, s, e, low, _cap in det.cand_tokens:
             if any(s < me and ms < e for ms, me in spans):
                 continue  # claimed by an argument (argument-wins)
-            v = embed_surface(low)
+            sims = _wordset_sims(low)
             best_sim, best_et = 0.0, None
-            for et in intersect:
-                sim = float((mats[et] @ v).max())
+            for p, et in intersect:
+                sim = sims[p]
                 if sim > best_sim:
                     best_sim, best_et = sim, et
             if best_et is not None:
@@ -748,46 +792,24 @@ def propagate_coref_aliases(turn_mentions, detections) -> None:
             turn_mentions[ti] = ms
 
 
-def compatible_filter(turn_triggers, turn_mentions):
-    """Drop argument mentions with no compatible-type trigger within the
-    ±1 turn window (cf. compatible link_coref.py:1128-1187)."""
-    turn_ids = sorted(turn_mentions)
-    for ti in turn_ids:
-        kept = []
-        for m in turn_mentions[ti]:
-            ok = False
-            for w in (ti - 1, ti, ti + 1):
-                for tr in turn_triggers.get(w, []):
-                    if tr.etype and m.argtype in lx.PAIR[tr.etype]:
-                        ok = True
-                        break
-                if ok:
-                    break
-            if ok:
-                kept.append(m)
-        turn_mentions[ti] = kept
-
-
 J6_WINDOW = 3
 
 
-def lookback_attach(events, turn_mentions_all, window: int = J6_WINDOW):
+def lookback_attach(events, turn_mentions, window: int = J6_WINDOW):
     """J6 (findnearbyner, parseJsontoFeatures.py:951-958): an event left
     with NO arguments borrows the nearest PRECEDING turn's compatible
     mention within ``window`` turns — the reference's nearest-preceding-
     sentence-with-wanted-NE feature applied at link time. Distance 1 is
     already covered by link_events' previous-turn rule, so lookback
     starts at 2. The borrowed mention is copied (a shared object would
-    make role assignment order-dependent) and taken from the PRE-filter
-    mention table: compatibility filtering is a ±1-turn window by
-    construction, which is exactly why a farther-back mention needs this
-    separate path. Mutates events."""
+    make role assignment order-dependent); it may be one that no trigger
+    within ±1 turn of its own turn is compatible with. Mutates events."""
     import dataclasses
     for e in events:
         if e.args:
             continue
         for d in range(2, window + 1):
-            cands = [m for m in turn_mentions_all.get(e.turn_idx - d, [])
+            cands = [m for m in turn_mentions.get(e.turn_idx - d, [])
                      if m.argtype in lx.PAIR[e.etype]]
             if cands:
                 src = max(cands, key=lambda m: m.start)
@@ -1335,8 +1357,15 @@ def emit_triples(events: list[Event]) -> list[dict]:
 
 def doc_logic(conv_id: str, detections: dict[int, TurnDetection]) -> list[Event]:
     """Document-level stages over precomputed per-turn detections:
-    resolve/impute triggers, compatibility filter, link. Returns events
-    WITHOUT realis/roles/coref — those are separate pipeline seats."""
+    resolve/impute triggers, link, J6 lookback. Returns events WITHOUT
+    realis/roles/coref — those are separate pipeline seats.
+
+    The reference's compatibility filter (compatible,
+    link_coref.py:1128-1187: drop a mention with no compatible trigger
+    within ±1 turn) has no step of its own: :func:`link_events` attaches
+    a mention only to a compatible trigger of its own or the previous
+    turn, so every attached mention passes that filter, and the J6
+    lookback reads the unfiltered mentions anyway."""
     turn_triggers = {ti: d.triggers for ti, d in detections.items()}
     turn_mentions = {ti: d.mentions for ti, d in detections.items()}
     propagate_coref_aliases(turn_mentions, detections)
@@ -1344,12 +1373,8 @@ def doc_logic(conv_id: str, detections: dict[int, TurnDetection]) -> list[Event]
     recheck_impute(turn_triggers, turn_mentions, hist)
     impute_similarity_triggers(turn_triggers, turn_mentions, detections,
                                hist)
-    # pre-filter snapshot: the J6 lookback may reach mentions the
-    # ±1-turn compatibility filter is about to drop
-    mentions_all = {ti: list(ms) for ti, ms in turn_mentions.items()}
-    compatible_filter(turn_triggers, turn_mentions)
     events = link_events(conv_id, turn_triggers, turn_mentions)
-    lookback_attach(events, mentions_all)
+    lookback_attach(events, turn_mentions)
     return events
 
 

@@ -250,13 +250,15 @@ class ShardExtractor(DetectTagger):
     """Zero-shuffle extraction for conv-partitioned input (every
     conversation whole in one shard — see state/manifest.py; the
     pipeline's staging pre-pass makes any input so, and stage B checks
-    it): detection + doc logic + role/realis run per conversation
-    inside one whole-shard table, then event coreference runs ONCE over
-    every conversation of the shard (one ``semantics.coref_many`` numpy
-    pass, via ``doclogic.coref_event_table``), emitting event rows
-    directly. Detection tokenizes the shard's passing turns once, into
-    one ``semantics.TokenTable``, and each turn's ``detect_turn`` reads
-    its slice. The whole shard runs with the cyclic GC paused.
+    it). Detection tokenizes the shard's passing turns once, into one
+    ``semantics.TokenTable``, and each turn's ``detect_turn`` reads its
+    slice. Doc logic runs per conversation
+    (``doclogic.extract_conversation_events``); everything after it runs
+    ONCE over the shard (``doclogic.shard_event_table``): realis windows
+    read from the token table, roles and realis, event coreference (one
+    ``semantics.coref_many`` numpy pass) and the event table, built
+    column by column from the events and the shard's Arrow ``ts``
+    column. The whole shard runs with the cyclic GC paused.
 
     Turn-sparse: only the turns the vectorized :meth:`interesting_mask`
     passes (about 13% at sf0.01) leave Arrow, so per-row Python is paid
@@ -264,7 +266,8 @@ class ShardExtractor(DetectTagger):
     empty detection, and every doc-logic step reads detections with
     ``.get`` / ±1-turn lookups, so leaving it out of the conversation's
     detection dict is exact; ``ts`` is read only for event turns, which
-    all pass the mask. A conversation with no passing turn is never
+    all pass the mask, and becomes a Python datetime only where coref
+    parses a Time argument. A conversation with no passing turn is never
     visited."""
 
     KEYS = ["conv_id", "turn_idx"]
@@ -284,7 +287,8 @@ class ShardExtractor(DetectTagger):
         """:meth:`extract_turns_with_events` with the event table built
         in ``schema`` (EVENT_SCHEMA or SINK_EVENT_SCHEMA). Detection reads
         one :class:`TokenTable` over the shard's mask-passing texts, one
-        ``detect_turn`` call per turn."""
+        ``detect_turn`` call per turn; doc logic is one call per
+        conversation, through the ``doclogic`` module attribute."""
         for key in self.KEYS:
             if batch.column(key).null_count:
                 raise ValueError(
@@ -304,26 +308,27 @@ class ShardExtractor(DetectTagger):
         conv_ids = hot.column("conv_id").to_pylist()
         turn_idxs = hot.column("turn_idx").to_pylist()
         texts = hot.column("text").to_pylist()   # the mask drops nulls
-        tss = hot.column("ts").to_pylist()
-        convs: list[tuple[list, list, dict]] = []
+        convs: list[tuple[list, dict]] = []
+        ev_rows: list[int] = []
         catalog, fuzzy = self.catalog, self.fuzzy
         table = TokenTable(texts, catalog)
         k, m = 0, len(conv_ids)
         while k < m:
             cid = conv_ids[k]
-            detections, ts_of = {}, {}
+            detections, rows = {}, {}
             while k < m and conv_ids[k] == cid:
                 ti = turn_idxs[k]
                 detections[ti] = detect_turn(texts[k], catalog, fuzzy,
                                              view=(table, k))
-                ts_of[ti] = tss[k]
+                rows[ti] = k
                 k += 1
-            evs, flags = doclogic.extract_conversation_events(cid,
-                                                              detections)
+            evs, ks = doclogic.extract_conversation_events(cid, detections,
+                                                           rows)
             if evs:
-                convs.append((evs, flags, ts_of))
-        return doclogic.coref_event_table(convs, schema), \
-            [e for evs, _, _ in convs for e in evs]
+                convs.append((evs, rows))
+                ev_rows += ks
+        return doclogic.shard_event_table(
+            convs, ev_rows, table, hot.column("ts").combine_chunks(), schema)
 
 
 class ShardFileExtractor(ShardExtractor):

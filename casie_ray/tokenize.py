@@ -31,13 +31,14 @@ def tokenize(text: str) -> list[tuple[str, int, int]]:
 
 
 def tokenize_many(texts: list[str]) \
-        -> tuple[list[str], list[int], list[int], list[int]]:
+        -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`tokenize` over many texts at once, without per-token tuples:
     one ``re.split`` of the ``"\\n"``-joined texts. No alternative of
     TOKEN_RE matches ``"\\n"``, so the token boundaries are exactly
-    tokenize()'s. Returns ``(tokens, starts, ends, bounds)``: text k's
-    tokens are ``tokens[bounds[k]:bounds[k + 1]]``, and ``starts`` /
-    ``ends`` are char offsets within each token's own text."""
+    tokenize()'s. Returns ``(tokens, gstart, gend, base, bounds)``:
+    ``gstart`` / ``gend`` are char offsets in the joined text, where text
+    k starts at ``base[k]``, and text k's tokens are
+    ``tokens[bounds[k]:bounds[k + 1]]``."""
     parts = _SPLIT_RE.split("\n".join(texts))
     # part 2i+1 is token i; cum[p] is the end of part p in the joined text
     cum = np.cumsum(np.fromiter(map(len, parts), np.int64, len(parts)))
@@ -45,7 +46,4 @@ def tokenize_many(texts: list[str]) \
     base = np.zeros(len(texts) + 1, np.int64)
     np.cumsum(np.fromiter(map(len, texts), np.int64, len(texts)) + 1,
               out=base[1:])
-    bounds = np.searchsorted(gstart, base)
-    own = base[np.repeat(np.arange(len(texts)), np.diff(bounds))]
-    return parts[1::2], (gstart - own).tolist(), (gend - own).tolist(), \
-        bounds.tolist()
+    return parts[1::2], gstart, gend, base, np.searchsorted(gstart, base)

@@ -764,20 +764,32 @@ def test_hash_kernels_handle_unicode(texts):
 
 def _table_matches_per_token_twin(texts, catalog, fuzzy=None):
     """One TokenTable over ``texts`` (None read as "", as stage A does):
-    each turn's tokens and offsets equal tokenize(), and its
-    ``detect_turn`` view equals ``detect_turn_seq``."""
-    from casie_ray.semantics import TokenTable, detect_turn, detect_turn_seq
+    each turn's tokens and offsets equal tokenize(), its ``detect_turn``
+    view equals ``detect_turn_seq``, and the table's realis windows at
+    every char offset of every turn equal ``realis_window_flags``."""
+    from casie_ray.semantics import (
+        TokenTable, detect_turn, detect_turn_seq, realis_window_flags,
+    )
     from casie_ray.tokenize import tokenize
 
     texts = [t or "" for t in texts]
     tt = TokenTable(texts, catalog)
     assert len(tt.bounds) == len(texts) + 1 and tt.bounds[-1] == len(tt.toks)
+    turns, offsets, want = [], [], []
     for k, text in enumerate(texts):
         a, b = tt.bounds[k], tt.bounds[k + 1]
         assert list(zip(tt.toks[a:b], tt.starts[a:b], tt.ends[a:b])) \
             == tokenize(text), repr(text)
-        assert detect_turn(text, catalog, fuzzy, view=(tt, k)) \
-            == detect_turn_seq(text, catalog, fuzzy), repr(text)
+        det = detect_turn_seq(text, catalog, fuzzy)
+        assert detect_turn(text, catalog, fuzzy, view=(tt, k)) == det, \
+            repr(text)
+        for off in range(len(text) + 1):
+            turns.append(k)
+            offsets.append(off)
+            want.append(realis_window_flags(det, off))
+    modal, generic = tt.window_flags(np.array(turns, np.int64),
+                                     np.array(offsets, np.int64))
+    assert list(zip(modal.tolist(), generic.tolist())) == want
 
 
 _TABLE_ENTITIES = [
@@ -838,6 +850,50 @@ def test_token_table_matches_per_token_detection_on_smoke_corpus(
     _table_matches_per_token_twin(
         _TABLE_EDGES + [" ".join(phrase).title() + " was hit",
                         "they hit " + " ".join(phrase)], catalog, fuzzy)
+
+
+def test_window_flags_planted_edges():
+    """Realis windows over a token table at its edges, each equal to
+    ``realis_window_flags`` and to the planted truth: a nugget offset
+    before its turn's first token, windows clipped at both ends of a
+    turn, never reaching a neighbouring turn's modal or generic word, and
+    the table's first and last turns."""
+    from casie_ray.semantics import (
+        TokenTable, build_catalog_matcher, detect_turn_seq,
+        realis_window_flags,
+    )
+
+    catalog = build_catalog_matcher(_TABLE_ENTITIES)
+    filler = " ".join(f"w{i}" for i in range(18))
+    texts = [
+        "   may they patch it",               # first turn, leading blanks
+        f"possibly {filler} typically",       # modal first, generic last
+        "attackers usually",                  # generic just before...
+        "stole data today",                   # ...a turn with neither...
+        "if so",                              # ...and a modal just after
+        "  t1 t2 t3 t4 t5 t6 t7 might",       # modal 7 tokens after start
+        "  breached   ",                      # last turn, blanks around
+    ]
+    tt = TokenTable(texts, catalog)
+    cases = [  # (turn, char offset, planted (modal, generic))
+        (0, 0, (True, False)),                # before the first token
+        (0, 3, (True, False)),
+        (1, len("possibly w0 w1 "), (True, False)),       # clipped low
+        (1, len(texts[1]) - len("w17 typically"), (False, True)),
+        (1, len(texts[1]), (False, True)),    # clipped high
+        (3, 0, (False, False)),
+        (3, len("stole data "), (False, False)),
+        (5, 0, (True, False)),                # before the first token
+        (5, 1, (True, False)),
+        (6, 0, (False, False)),               # last turn, before its token
+        (6, len(texts[6]), (False, False)),
+    ]
+    modal, generic = tt.window_flags(np.array([c[0] for c in cases]),
+                                     np.array([c[1] for c in cases]))
+    for (k, off, truth), m, g in zip(cases, modal.tolist(),
+                                     generic.tolist()):
+        det = detect_turn_seq(texts[k], catalog)
+        assert (m, g) == realis_window_flags(det, off) == truth, (k, off)
 
 
 def test_tag_batch_matches_per_token_detection_on_smoke_corpus(

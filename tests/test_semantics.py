@@ -102,10 +102,106 @@ def test_realis_rules():
     assert ev[0].realis == "Generic"
 
 
-def test_compatible_filter_drops_orphan_args():
+def test_orphan_args_make_no_event():
     # Time mention with no trigger anywhere -> no events, arg dropped
     turns = [{"turn_idx": 0, "text": "see you today .", "ts": None}]
     assert extract_conversation("c", turns, CAT) == []
+
+
+def _stage_a_matches_oracle(texts, ts=None):
+    """Stage A's kernel (``ShardExtractor``) over one planted
+    conversation, turn k holding ``texts[k]`` and ``ts[k]`` (an Arrow
+    array; None: no timestamps), equals the oracle's
+    ``extract_conversation``: the EVENT_SCHEMA table, realis-window flags
+    included, and the emitted triples. Returns the engine's events."""
+    import pyarrow as pa
+
+    from casie_ray.schema import EVENT_SCHEMA, event_to_row
+    from casie_ray.semantics import detect_turn_seq, realis_window_flags
+    from casie_ray.stages.detect import ShardExtractor
+    from casie_ray.stages.triples import triples_from_events
+
+    if ts is None:
+        ts = pa.nulls(len(texts), pa.timestamp("us"))
+    ext = ShardExtractor(ENTS)
+    tbl = pa.table({"conv_id": ["c"] * len(texts),
+                    "turn_idx": pa.array(range(len(texts)), pa.int32()),
+                    "text": texts, "ts": ts})
+    got, objs = ext.extract_turns_with_events(tbl)
+    turns = [{"turn_idx": k, "text": t, "ts": v}
+             for k, (t, v) in enumerate(zip(texts, ts.to_pylist()))]
+    want = extract_conversation("c", turns, ext.catalog, fuzzy=ext.fuzzy)
+    rows = [event_to_row(e, turns[e.turn_idx]["ts"], *realis_window_flags(
+        detect_turn_seq(texts[e.turn_idx], ext.catalog, ext.fuzzy),
+        e.nugget_start)) for e in want]
+    assert got.equals(pa.Table.from_pylist(rows, schema=EVENT_SCHEMA))
+    assert triples_from_events(objs).equals(triples_from_events(want))
+    return objs
+
+
+def test_mention_compatible_only_with_next_turn_trigger_stays_unlinked():
+    """A mention whose only compatible trigger is in the NEXT turn is
+    linked to nothing: linking looks at the mention's own turn and the
+    one before, never forward."""
+    texts = ["we spoke about customer data .", "hackers stole it ."]
+    dets = [detect_turn(t, CAT) for t in texts]
+    assert [m.argtype for m in dets[0].mentions] == ["Data"]
+    assert not dets[0].triggers
+    assert [tr.etypes for tr in dets[1].triggers] == [("Databreach",)]
+    assert "Data" in lx.PAIR["Databreach"]
+    (ev,) = _stage_a_matches_oracle(texts)
+    assert (ev.turn_idx, ev.args) == (1, [])
+
+
+def test_lookback_borrows_mention_without_compatible_trigger_nearby():
+    """J6 lookback borrows a mention that has no compatible trigger
+    within ±1 turn of its own turn (the reference's compatibility filter
+    drops such a mention; the lookback reads the unfiltered table)."""
+    texts = ["Acmex Corp was in the news .", "nothing more here .",
+             "they stole it ."]
+    dets = [detect_turn(t, CAT) for t in texts]
+    assert [(m.text, m.argtype) for m in dets[0].mentions] \
+        == [("Acmex Corp", "Organization")]
+    assert not dets[0].triggers and not dets[1].triggers
+    assert not dets[1].mentions and not dets[2].mentions
+    (ev,) = _stage_a_matches_oracle(texts)
+    assert (ev.turn_idx, ev.etype) == (2, "Databreach")
+    assert [(m.text, m.start, m.role) for m in ev.args] \
+        == [("Acmex Corp", 0, "Attacker")]
+    assert ev.args[0] is not dets[0].mentions[0]
+
+
+_TS_TEXTS = ["Acmex Corp stole customer data yesterday .",
+             "the weather was fine .",
+             "they stole passwords from BoltLocker last week ."]
+
+
+@pytest.mark.parametrize("ts_type,values", [
+    ("ms", [1_500_000_000_123, 1_500_000_060_000, 1_500_086_400_999]),
+    ("ns", [1_500_000_000_123_456_789, 1_500_000_000_999_999_999,
+            1_500_086_400_000_000_001]),
+    ("ns-new-york", [1_500_000_000_123_456_789, 1_500_010_000_000_000_000,
+                     1_500_086_400_000_000_001]),
+    ("us-fixed-offset", [1_500_000_000_123_456, 1_500_060_000_000_000,
+                         1_500_100_000_000_001]),
+    ("null", [1_500_000_000_000_000, None, None]),
+])
+def test_event_ts_matches_oracle(ts_type, values):
+    """The event table's ``ts`` (taken and cast from the shard's Arrow
+    column) and the Time-argument coref (which reads only the turns it
+    needs) equal the oracle's, which converts every turn to a datetime:
+    for a ``ms`` column, a ``ns`` column with sub-µs values, zoned
+    columns (the local wall time is kept) and null timestamps."""
+    import pyarrow as pa
+
+    types = {"ms": pa.timestamp("ms"), "ns": pa.timestamp("ns"),
+             "ns-new-york": pa.timestamp("ns", "America/New_York"),
+             "us-fixed-offset": pa.timestamp("us", "+05:30"),
+             "null": pa.timestamp("us")}
+    ts = pa.array(values, types[ts_type])
+    objs = _stage_a_matches_oracle(_TS_TEXTS, ts)
+    assert {e.turn_idx for e in objs} == {0, 2}
+    assert all(any(m.argtype == "Time" for m in e.args) for e in objs)
 
 
 def test_prev_turn_linking():
