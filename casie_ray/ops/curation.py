@@ -126,7 +126,7 @@ def stratified_sample(sf_dir: str, k: int = STRATA_K,
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         key = mix64([ids])
         gl = t.column(group_col)
-        gh = fnv1a_hashes(pc.fill_null(gl, "").to_pylist())
+        gh = fnv1a_hashes(pc.fill_null(gl, ""))
         order = np.lexsort((ids, key, gh))
         gh_s = gh[order]
         seg = np.ones(len(order), bool)
@@ -146,7 +146,7 @@ def stratified_sample(sf_dir: str, k: int = STRATA_K,
         ids = group.column("doc_id").to_numpy(zero_copy_only=False)
         key = group.column("skey").to_numpy(zero_copy_only=False)
         gl = group.column(group_col)
-        gh = fnv1a_hashes(pc.fill_null(gl, "").to_pylist())
+        gh = fnv1a_hashes(pc.fill_null(gl, ""))
         order = np.lexsort((ids, key, gh))
         gh_s = gh[order]
         seg = np.ones(len(order), bool)
@@ -363,7 +363,7 @@ def _dsir_partial(target_lang: str):
                 pa.nulls(no + nb, pa.int64()),
                 ct.column("n").cast(pa.int64()).combine_chunks()]),
         })
-        h = fnv1a_hashes(t.column("__k").to_pylist())
+        h = fnv1a_hashes(t.column("__k"))
         return t.append_column("bucket",
                                pa.array(hash_bucket([h]), pa.int32()))
     return fn

@@ -1,7 +1,9 @@
 """Distributed union-find (connected components) over an edge Dataset.
 
-The canonicalization primitive (SURVEY D4 / §7.3 shuffle #2): label
-propagation to the minimum node id, ONE keyed exchange per round
+The ``kg_components`` registry op (stage B's canonicalization needs no
+global rounds: its merge components never leave an entity block, see
+``stages.triples.canonical_pairs``): label propagation to the minimum
+node id, ONE keyed exchange per round
 (r5: the label-forward and min-reduce exchanges are fused — halving
 the fixed per-round orchestration cost that dominated at small label
 mass). Every round ships one message stream bucketed by hash(node):
@@ -164,7 +166,8 @@ def connected_components(edges_ds, max_rounds: int = 64,
 
 
 def components_local(edges: list[tuple[str, str]]) -> dict[str, str]:
-    """Sequential union-find oracle for tests: node -> min-id label."""
+    """Sequential union-find: node -> min-id label. The per-group solver
+    of ``stages.triples.canonical_pairs`` and the tests' oracle."""
     parent: dict[str, str] = {}
 
     def find(x: str) -> str:

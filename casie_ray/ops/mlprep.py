@@ -64,7 +64,7 @@ def split_assignment(transcripts_ds, test_pct: int = TEST_PCT):
 
     def partial(batch: pa.Table) -> pa.Table:
         u = pc.unique(batch.column("conv_id").combine_chunks())
-        h = fnv1a_hashes(u.to_pylist())
+        h = fnv1a_hashes(u)
         return pa.table({
             "conv_id": u,
             "bucket": pa.array(hash_bucket([h]), pa.int32()),
@@ -361,7 +361,7 @@ def token_budget_sample(sf_dir: str, budget: int = TOKEN_BUDGET,
         base_tbl.column("base").to_pylist())}
 
     def tag(t: pa.Table) -> pa.Table:
-        gh = fnv1a_hashes(t.column(group_col).to_pylist())
+        gh = fnv1a_hashes(t.column(group_col))
         rng = t.column("rng").to_numpy(zero_copy_only=False)
         return t.append_column("ghash", pa.array(gh, pa.uint64())) \
             .append_column("bucket", pa.array(

@@ -324,7 +324,7 @@ def inverted_index(sf_dir: str):
             "tf_total": tfd.column("tf").cast(pa.int64()),
             "postings_sig": pa.array(sig, pa.uint64()),
         }), wrap_final=False)
-        h = fnv1a_hashes(folded.column("word").to_pylist())
+        h = fnv1a_hashes(folded.column("word"))
         return folded.append_column(
             "bucket", pa.array(hash_bucket([h]), pa.int32()))
 
@@ -463,7 +463,7 @@ def similar_docs(sf_dir: str, df_min: int = SIM_DF_MIN,
 
     def partial(batch: pa.Table) -> pa.Table:
         t = _doc_trigram_tf(batch)
-        h = fnv1a_hashes(t.column("gram").to_pylist())
+        h = fnv1a_hashes(t.column("gram"))
         return t.append_column("bucket",
                                pa.array(hash_bucket([h]), pa.int32()))
 

@@ -180,7 +180,7 @@ def fingerprint_batch(batch: pa.Table, window: int = 4) -> pa.Table:
     lens = pc.list_value_length(splits).cast(pa.int64()) \
         .to_numpy(zero_copy_only=False)
     n = batch.num_rows
-    h = _word_hashes(pc.list_flatten(splits).to_pylist())
+    h = _word_hashes(pc.list_flatten(splits))
     row_of = np.repeat(np.arange(n), lens)
     fps = np.zeros(n, np.uint64)
     with np.errstate(over="ignore"):
@@ -259,7 +259,7 @@ def doc_chunks_batch(batch: pa.Table, chunk: int = CHUNK_WORDS,
     splits = pc.split_pattern(text.filter(keep), " ")
     lens = pc.list_value_length(splits).cast(pa.int64()) \
         .to_numpy(zero_copy_only=False)
-    h = _word_hashes(pc.list_flatten(splits).to_pylist())
+    h = _word_hashes(pc.list_flatten(splits))
     offs = np.cumsum(lens) - lens
     k = (lens - 1) // stride + 1                 # chunks per doc
     doc_rep = np.repeat(np.arange(len(ids), dtype=np.int64), k)
@@ -426,7 +426,7 @@ def vocab_top_words(sf_dir: str, k: int = 50):
                       "n": pa.array(np.ones(len(flat), np.int64))})
         g = t.group_by(["word"]).aggregate([("n", "sum")])
         g = g.rename_columns(["word", "n"])
-        bucket = hash_bucket([fnv1a_hashes(g.column("word").to_pylist())])
+        bucket = hash_bucket([fnv1a_hashes(g.column("word"))])
         return g.append_column("bucket", pa.array(bucket, pa.int32()))
 
     def bucket_topk(group: pa.Table) -> pa.Table:
@@ -668,10 +668,11 @@ def doc_top_terms(sf_dir: str, k: int = DOC_TOP_TERMS_K):
         dfp = tf_t.group_by(["word"]).aggregate([([], "count_all")]) \
             .rename_columns(["word", "n"])
         nc, nd = cand.num_rows, dfp.num_rows
-        h = fnv1a_hashes(cw.to_pylist() + dfp.column("word").to_pylist())
+        word = pa.chunked_array(cw.chunks + dfp.column("word").chunks,
+                                cw.type)
+        h = fnv1a_hashes(word)
         return pa.table({
-            "word": pa.concat_arrays([cw.combine_chunks(),
-                                      dfp.column("word").combine_chunks()]),
+            "word": word,
             "doc_id": pa.concat_arrays([
                 pa.array(ids[row[keep]], pa.int64()),
                 pa.nulls(nd, pa.int64())]),
@@ -902,7 +903,7 @@ def doc_ngrams(sf_dir: str, k: int = NGRAM_K):
 
     def partial(batch: pa.Table) -> pa.Table:
         g = trigram_counts_batch(batch)
-        bucket = hash_bucket([fnv1a_hashes(g.column("ngram").to_pylist())])
+        bucket = hash_bucket([fnv1a_hashes(g.column("ngram"))])
         return g.append_column("bucket", pa.array(bucket, pa.int32()))
 
     def bucket_topk(group: pa.Table) -> pa.Table:

@@ -55,7 +55,7 @@ def canonical_mapping(node_ids) -> dict[str, str]:
     """Cross-conversation canonicalization, sequential reference: block
     surface nodes, emit cosine merge edges per block, union-find to the
     minimum member (the oracle twin of the engine's
-    groupby(entity_block) + distributed union-find stage)."""
+    groupby(entity_block) + block-wise union-find stage)."""
     from .ops.graph import components_local
 
     blocks: dict[str, set] = defaultdict(set)

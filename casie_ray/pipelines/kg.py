@@ -30,14 +30,16 @@ Physical plan (SURVEY §4.3):
     read surf + convs side tables (a group without them raises)
       -> conv_id bucketed check: a conversation in two shards raises
     read surf side tables
-      -> entity-block hash exchange -> cosine merges -> union-find
+      -> entity-block hash exchange -> per bucket group of whole
+         blocks: cosine merges + union-find (canonical_pairs; a merge
+         never leaves its block, so no global iteration follows)
     read raw triples
       -> rewrite to canonical nodes
       -> (subj,pred,obj) hash exchange -> sort-fused exact dedup (one
          sort, run reductions, output already in key order)
       -> edges (unique triples), nodes (node_degrees + bucket exchange)
     Below SMALL_FINALIZE_BYTES of raw triples the driver runs each step
-    once (_finalize_local): one merge_edges_multi call for all blocks,
+    once (_finalize_local): one canonical_pairs call for all blocks,
     one dedup, one node_degrees sorted by node_id, no bucket.
 
 The driver owns no Ray session: callers (tests / bench / CLI) init Ray.
@@ -62,9 +64,8 @@ from ..stages.detect import (
     ShardFileExtractor, extract_shard_files, load_tagger_state,
 )
 from ..stages.triples import (
-    N_BUCKETS, RAW_TRIPLE_SCHEMA, emit_nodes_batch,
-    final_dedup_group, final_nodes_group, merge_edges_multi,
-    node_degrees, rewrite_triples,
+    N_BUCKETS, RAW_TRIPLE_SCHEMA, canonical_pairs, emit_nodes_batch,
+    final_dedup_group, final_nodes_group, node_degrees, rewrite_triples,
 )
 from ..state import manifest
 
@@ -431,16 +432,12 @@ def _read_local(files: list[str]) -> "pa.Table":
 
 def _canonical_mapping_local(surf_files: list[str]) -> dict[str, str]:
     """Variant -> canonical node mapping from the surf side tables, in
-    this process: the shared merge-edge kernel, then the sequential
-    union-find."""
-    from ..ops.graph import components_local
-
+    this process: one :func:`canonical_pairs` call over every block."""
     if not surf_files:
         return {}
-    medges = merge_edges_multi(_read_local(surf_files))
-    comp = components_local(list(zip(medges.column("src").to_pylist(),
-                                     medges.column("dst").to_pylist())))
-    return {n: r for n, r in comp.items() if n != r}
+    pairs = canonical_pairs(_read_local(surf_files))
+    return dict(zip(pairs.column("node").to_pylist(),
+                    pairs.column("label").to_pylist()))
 
 
 def split_conversations(t: "pa.Table") -> "pa.Table":
@@ -510,11 +507,10 @@ def _finalize_local(out_dir, raw_files, surf_files, conv_files, groups,
                     skipped, timings, t0) -> dict:
     """Small-input finalize: the SAME shared kernels as the distributed
     path, each applied once in-process. Below the byte cutoff the three
-    distributed executions cost more in orchestration than the data
-    (the same size-aware escape hatch as the 200k-merge-edge driver
-    union-find); output is tested identical to the distributed path.
+    distributed executions cost more in orchestration than the data;
+    output is tested identical to the distributed path.
     Canonicalization reads the surf side tables (distinct surface
-    nodes), never the raw triples, with one :func:`merge_edges_multi`
+    nodes), never the raw triples, with one :func:`canonical_pairs`
     call; the dedup is one sort-fused :func:`final_dedup_group` and the
     nodes one :func:`node_degrees` (no exchange, so no bucket)."""
     t1 = time.time()
@@ -644,10 +640,9 @@ def _finalize(out_dir, raw_root, groups, skipped, timings, t0) -> dict:
             _read_path_chunks(rd, conv_files, ncpu, per_file=conv_bucket),
             split_conversations, coarse_per_cpu=4).take_all(), groups)
     if sum(os.path.getsize(f) for f in surf_files) <= SMALL_CANON_BYTES:
-        # size-aware escape hatch (same pattern as the 200k-merge-edge
-        # driver union-find and the small finalize): below the cutoff
-        # the distributed exchange's fixed cost exceeds the work, and
-        # the kernels are identical either way
+        # size-aware escape hatch (as for the small finalize): below
+        # the cutoff the entity-block exchange's fixed cost exceeds the
+        # work, and the kernel is the same either way
         mapping = _canonical_mapping_local(surf_files)
     else:
         mapping = compute_canonical_mapping(
@@ -690,25 +685,19 @@ def _finalize(out_dir, raw_root, groups, skipped, timings, t0) -> dict:
     tmp = os.path.join(out_dir, "edges.tmp")
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp, exist_ok=True)
-    m = max(1, ncpu * 4)
-
-    def tag(t: "pa.Table") -> "pa.Table":
-        b = t.column("bucket").to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "cgroup", pa.array((b % m).astype(np.int32)))
 
     def dedup_write_emit_nodes(g: "pa.Table") -> "pa.Table":
         # writes from worker tasks into `tmp`: requires driver+workers
-        # to share one filesystem namespace (see _read_path_chunks)
-        cg = int(g.column("cgroup")[0].as_py())
-        out = final_dedup_group(g.drop_columns(["cgroup"]))
-        pq.write_table(out, os.path.join(tmp, f"part-{cg:05d}.parquet"))
+        # to share one filesystem namespace (see _read_path_chunks); the
+        # group's smallest bucket names its part (each bucket is in one
+        # group, so the names are unique)
+        first = pc.min(g.column("bucket")).as_py()
+        out = final_dedup_group(g)
+        pq.write_table(out, os.path.join(tmp, f"part-{first:05d}.parquet"))
         return emit_nodes_batch(out)
 
-    nodes = raw.map_batches(tag, batch_format="pyarrow",
-                            batch_size=None) \
-        .groupby("cgroup").map_groups(dedup_write_emit_nodes,
-                                      batch_format="pyarrow")
+    nodes = bucket_groupby(raw, dedup_write_emit_nodes, coarse_per_cpu=4,
+                           pre_repartition=False)
     # the node partials come out of the cgroup exchange already ~one
     # block per task slot — skip the coalesce pass
     nodes = bucket_groupby(nodes, final_nodes_group, coarse_per_cpu=4,
@@ -731,8 +720,6 @@ def _finalize(out_dir, raw_root, groups, skipped, timings, t0) -> dict:
             "wall_sec": round(time.time() - t0, 2)}
 
 
-# merge-edge count below which the union-find solves on the driver
-DRIVER_UNIONFIND_MAX = 200_000
 # mapping-row count above which the canonical mapping stays a Dataset
 # and the rewrite runs as bloom-pruned bucketed joins instead of a
 # take_all -> dict -> ray.put broadcast (the r4 verdict's one
@@ -744,38 +731,19 @@ CANON_BROADCAST_MAX = 1_000_000
 
 def compute_canonical_mapping(surf_ds) -> "dict[str, str] | object":
     """Cross-conversation canonicalization over (surface node, entity
-    block) rows: groupby(entity_block) cosine merge edges ->
-    distributed union-find -> variant node -> canonical node mapping.
-    Returns a dict (collected + broadcast) while the mapping is at most
+    block) rows: block-wise union-find, one :func:`canonical_pairs` call
+    per bucket group of the entity-block exchange -> variant node ->
+    canonical node mapping. A merge edge never leaves its block and
+    equal blocks share a bucket, so each group's union-find labels are
+    the global ones: no round of label propagation follows. Returns a
+    dict (collected + broadcast) while the mapping is at most
     CANON_BROADCAST_MAX rows; above that returns the (node, label)
     mapping as a materialized Ray Dataset for the join-based rewrite —
     driver memory stays bounded at any entity cardinality."""
-    from ..ops.graph import connected_components
-
     # the input rows are per-shard distinct and the per-block merge
-    # kernel dedupes again — no per-node shuffle; the entity_block
-    # exchange groups by the block-hash bucket column (equal blocks
-    # co-located), each bucket processed vectorized
-    medges = bucket_groupby(surf_ds, merge_edges_multi,
-                            coarse_per_cpu=4).materialize()
-    n_edges = medges.count()
-    if n_edges == 0:
-        return {}
-    if n_edges <= DRIVER_UNIONFIND_MAX:
-        # the merge graph is variant-mass-sized; below this cutoff the
-        # iterative distributed rounds cost more than collecting the
-        # edge list, so solve the union-find on the driver
-        from ..ops.graph import components_local
-        pairs = [(r["src"], r["dst"]) for r in medges.take_all()]
-        comp = components_local(pairs)
-        return {n: r for n, r in comp.items() if n != r}
-    labels = connected_components(medges)
-
-    def variants_only(t: "pa.Table") -> "pa.Table":
-        return t.filter(pc.not_equal(t.column("node"), t.column("label")))
-
-    mapping_ds = labels.map_batches(variants_only, batch_format="pyarrow",
-                                    batch_size=None).materialize()
+    # kernel dedupes again — no per-node shuffle
+    mapping_ds = bucket_groupby(surf_ds, canonical_pairs,
+                                coarse_per_cpu=4).materialize()
     if mapping_ds.count() <= CANON_BROADCAST_MAX:
         return {r["node"]: r["label"] for r in mapping_ds.take_all()}
     return mapping_ds

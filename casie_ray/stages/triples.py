@@ -20,6 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..ops.bucketing import fnv1a_hashes
+from ..ops.graph import components_local
 from ..schema import TRIPLE_SCHEMA
 from ..semantics import (canon_block_key, canon_merge_edges,
                          emit_triple_columns, parse_surface_node)
@@ -189,13 +190,16 @@ def final_nodes_group(group: pa.Table) -> pa.Table:
 
 # ---------------------------------------------------------------------------
 # Cross-conversation entity canonicalization (SURVEY §7.3 shuffle #2):
-# surface nodes -> entity blocks -> cosine merge edges -> distributed
-# union-find -> node rewrite. Kernels shared with the sequential oracle
-# (casie_ray.oracle.canonical_mapping) so both sides merge identically.
+# surface nodes -> entity blocks -> cosine merge edges -> union-find per
+# group of whole blocks -> node rewrite. Kernels shared with the
+# sequential oracle (casie_ray.oracle.canonical_mapping) so both sides
+# merge identically.
 # ---------------------------------------------------------------------------
 
 SURFACE_SCHEMA = pa.schema([("node", pa.string()), ("block", pa.string())])
 CC_EDGE_SCHEMA = pa.schema([("src", pa.string()), ("dst", pa.string())])
+CANON_PAIR_SCHEMA = pa.schema([("node", pa.string()),
+                               ("label", pa.string())])
 
 
 def extract_surface_nodes(batch: pa.Table) -> pa.Table:
@@ -354,3 +358,20 @@ def merge_edges_multi(batch: pa.Table) -> pa.Table:
     return pa.table([pa.array([a for a, _ in edges], pa.string()),
                      pa.array([b for _, b in edges], pa.string())],
                     schema=CC_EDGE_SCHEMA)
+
+
+def canonical_pairs(surf: pa.Table) -> pa.Table:
+    """(node, block) rows holding whole entity blocks -> one (node,
+    label) row per variant node, label the minimum member of its merge
+    component: the block merge edges, then the sequential union-find.
+    The canonicalization kernel of both finalize tiers. A merge edge
+    never leaves its block, so every component lies inside one block,
+    and the union of this kernel over any split of the blocks into
+    groups is the global mapping."""
+    medges = merge_edges_multi(surf)
+    comp = components_local(list(zip(medges.column("src").to_pylist(),
+                                     medges.column("dst").to_pylist())))
+    pairs = [(n, r) for n, r in comp.items() if n != r]
+    return pa.table([pa.array([n for n, _ in pairs], pa.string()),
+                     pa.array([r for _, r in pairs], pa.string())],
+                    schema=CANON_PAIR_SCHEMA)

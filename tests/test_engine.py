@@ -308,7 +308,7 @@ def test_local_and_distributed_finalize_identical(kg_out, tmp_path):
 
 def test_join_rewrite_path_identical_to_broadcast(kg_out, tmp_path):
     """Force every scale gate at once — distributed finalize,
-    distributed union-find AND the Dataset-mapping join rewrite
+    distributed canonicalization AND the Dataset-mapping join rewrite
     (CANON_BROADCAST_MAX = -1, i.e. a 'mega variant mass' that must
     never land on the driver) — and require byte-identical edges and
     nodes vs the broadcast-dict path on the same raw triples."""
@@ -326,7 +326,7 @@ def test_join_rewrite_path_identical_to_broadcast(kg_out, tmp_path):
                            [[]], 0, {}, 0.0)
     saved = {k: getattr(kgmod, k) for k in
              ("SMALL_FINALIZE_BYTES", "SMALL_CANON_BYTES",
-              "DRIVER_UNIONFIND_MAX", "CANON_BROADCAST_MAX")}
+              "CANON_BROADCAST_MAX")}
     for k in saved:
         setattr(kgmod, k, -1)
     try:
@@ -349,6 +349,46 @@ def test_join_rewrite_path_identical_to_broadcast(kg_out, tmp_path):
         load(da, "edges", ["subj", "pred", "obj"]))
     pd.testing.assert_frame_equal(
         load(la, "nodes", ["node_id"]), load(da, "nodes", ["node_id"]))
+
+
+@pytest.mark.parametrize("broadcast", [True, False])
+def test_distributed_canonicalization_is_blockwise(kg_out, tmp_path,
+                                                   monkeypatch, broadcast):
+    """The distributed tier canonicalizes with one canonical_pairs call
+    per bucket group of whole entity blocks and never runs the
+    iterative connected_components: with it raising, a forced
+    distributed finalize (broadcast or join rewrite) gives edges and
+    nodes equal to the local tier's."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from casie_ray.ops import graph
+    from casie_ray.pipelines import kg as kgmod
+
+    def no_cc(*_a, **_k):
+        raise AssertionError("stage B ran connected_components")
+
+    raw_files, surf_files, conv_files = _finalize_files(kg_out)
+    la, da = str(tmp_path / "local"), str(tmp_path / "dist")
+    os.makedirs(la), os.makedirs(da)
+    local = kgmod._finalize_local(la, raw_files, surf_files, conv_files,
+                                  [[]], 0, {}, 0.0)
+    monkeypatch.setattr(graph, "connected_components", no_cc)
+    for k in ("SMALL_FINALIZE_BYTES", "SMALL_CANON_BYTES") + \
+            (() if broadcast else ("CANON_BROADCAST_MAX",)):
+        monkeypatch.setattr(kgmod, k, -1)
+    dist = kgmod._finalize(da, _stage_a_copy(kg_out, da), [[]], 0, {}, 0.0)
+    assert dist["canon_merged"] == local["canon_merged"] > 0
+    assert dist["edges"] == local["edges"]
+
+    def load(d, sub, keys):
+        files = sorted(glob.glob(os.path.join(d, sub, "*.parquet")))
+        return pa.concat_tables([pq.read_table(f) for f in files]) \
+            .sort_by([(k, "ascending") for k in keys]).combine_chunks()
+
+    for sub, keys in (("edges", ["subj", "pred", "obj"]),
+                      ("nodes", ["node_id"])):
+        assert load(la, sub, keys).equals(load(da, sub, keys)), sub
 
 
 @pytest.mark.parametrize("tier", ["default", "distributed"])

@@ -248,6 +248,80 @@ def test_merge_edges_multi_matches_per_block_reference(rows):
         assert got.equals(CC_EDGE_SCHEMA.empty_table())
 
 
+# planted entity blocks for canonical_pairs: a chain (each end merges
+# only with the middle), a block whose minimum member merges only with
+# the block's largest, and a one-node block
+_CHAIN = ["organization:bramado group", "organization:bramado group intl",
+          "organization:bramado intl"]
+_VIA_MAX = ["malware:bramado group", "malware:bramado intl",
+            "malware:bramado intl group"]
+_CANON_POOL = _CHAIN + _VIA_MAX + ["person:zed"] + _SURFACES
+
+
+def _block_of(node: str) -> str:
+    from casie_ray.semantics import canon_block_key, parse_surface_node
+    return canon_block_key(*parse_surface_node(node))
+
+
+_CANON_BLOCKS = sorted({_block_of(n) for n in _CANON_POOL})
+
+
+def _check_blockwise_canonical_pairs(nodes: list[str], groups: list[int]):
+    """Run canonical_pairs once per group of whole blocks (``groups`` has
+    one group id per ``_CANON_BLOCKS`` entry) and check the union of
+    the pairs against the oracle."""
+    import pyarrow as pa
+
+    from casie_ray.oracle import canonical_mapping
+    from casie_ray.stages.triples import (
+        CANON_PAIR_SCHEMA, SURFACE_SCHEMA, canonical_pairs,
+    )
+
+    group_of = dict(zip(_CANON_BLOCKS, groups))
+    got: dict[str, str] = {}
+    for g in sorted(set(groups)):
+        rows = [n for n in nodes if group_of[_block_of(n)] == g]
+        t = canonical_pairs(pa.table(
+            {"node": pa.array(rows, pa.string()),
+             "block": pa.array([_block_of(n) for n in rows], pa.string())},
+            schema=SURFACE_SCHEMA))
+        assert t.schema.equals(CANON_PAIR_SCHEMA)
+        part = dict(zip(t.column("node").to_pylist(),
+                        t.column("label").to_pylist()))
+        assert len(part) == t.num_rows and not part.keys() & got.keys()
+        got.update(part)
+    assert got == canonical_mapping(nodes)
+
+
+def test_canonical_pairs_planted_blocks():
+    """The planted blocks hold the merge structure they are named for,
+    and each maps every member to the block minimum."""
+    from casie_ray.semantics import canon_merge_edges
+
+    a, b, c = _CHAIN
+    assert canon_merge_edges(_CHAIN) == [(a, b), (b, c)]
+    a, b, c = _VIA_MAX
+    assert canon_merge_edges(_VIA_MAX) == [(a, c), (b, c)]
+    assert len({_block_of(n) for n in _CHAIN + _VIA_MAX}) == 2
+    _check_blockwise_canonical_pairs(
+        _CHAIN + _VIA_MAX + ["person:zed"], [0] * len(_CANON_BLOCKS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(_CANON_POOL), max_size=24),
+       st.lists(st.integers(0, 3), min_size=len(_CANON_BLOCKS),
+                max_size=len(_CANON_BLOCKS)))
+@example(nodes=[], groups=[0] * len(_CANON_BLOCKS))
+@example(nodes=["person:zed"], groups=[1] * len(_CANON_BLOCKS))
+@example(nodes=_CHAIN[::-1] + _VIA_MAX + _CHAIN + _SURFACES,
+         groups=list(range(len(_CANON_BLOCKS))))
+def test_canonical_pairs_blockwise_union_is_global_mapping(nodes, groups):
+    """canonical_pairs over any split of whole blocks into groups (nodes
+    repeated, rows in any order) gives disjoint pairs whose union is the
+    oracle's global mapping."""
+    _check_blockwise_canonical_pairs(nodes, groups)
+
+
 # repeated texts: plain prose, vocabulary hits, non-plain characters,
 # case and newline variants, the empty string
 _MASK_POOL = ["", "the quick brown fox .", "we talked about lunch",
