@@ -244,23 +244,22 @@ def _kg_incremental(sf_dir: str):
 
 
 def _transcripts_roundtrip(sf_dir: str):
-    """Per-turn text equality invariant (north rule): transcripts pushed
-    through the detection actor pool must carry text unchanged; the
-    oracle reads the same parquet directly."""
+    """Per-turn text equality invariant (north rule): transcripts tagged
+    in a task map by stage A's per-process extractor must carry text
+    unchanged; the oracle reads the same parquet directly."""
     import ray
     import ray.data
     import pyarrow.parquet as pq
-    from casie_ray.stages.detect import DetectTagger
+    from casie_ray.stages.detect import _cached_extractor, build_tagger_state
 
     corpus = _corpus_dir(_sf_of(sf_dir))
     entities = pq.read_table(os.path.join(corpus, "entities.parquet"))
-    from casie_ray.stages.detect import build_tagger_state
-    ref = ray.put(build_tagger_state(entities.to_pylist()))
+    box = [ray.put(build_tagger_state(entities.to_pylist()))]
     ds = ray.data.read_parquet(
         os.path.join(corpus, "transcripts"),
         columns=["conv_id", "turn_idx", "text", "ts"])
-    ds = ds.map_batches(DetectTagger, fn_constructor_args=(ref,),
-                        batch_format="pyarrow", concurrency=2)
+    ds = ds.map_batches(lambda b: _cached_extractor(box).tag_batch(b),
+                        batch_format="pyarrow")
     return ds.select_columns(["conv_id", "turn_idx", "text"])
 
 

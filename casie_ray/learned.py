@@ -27,9 +27,9 @@ Ray-Data-first shape: learning is one ``map_batches`` pass over the
 raw files (parse once, filter split, partial surface counts per
 block) followed by a driver-side combine of the vocabulary-sized
 partials — the same bounded-broadcast class as the BPE vocab and the
-entity catalog. Prediction is one actor-pool ``map_batches`` over the
-test files with the lexicon broadcast via ``ray.put`` and the matcher
-index built once per actor in ``__init__``.
+entity catalog. Prediction is one task ``map_batches`` over the test
+files with the lexicon broadcast via ``ray.put`` and the matcher index
+built once per worker process (``detect.per_process``).
 """
 
 from __future__ import annotations
@@ -150,39 +150,34 @@ def surface_occurrence_counts(ann_dir: str, lexicon: dict[str, str],
     """How often each lexicon surface occurs in TRAIN-split turn text
     (gold or not), via the same longest-match scan prediction uses —
     the denominator of a distant-supervision trigger probability.
-    One actor-pool pass with the matcher broadcast; partials are
+    One task pass with the matcher broadcast; partials are
     lexicon-sized, so the combine is a bounded broadcast."""
     import ray
     ref = ray.put(lexicon)
 
-    class Counter:
-        def __init__(self):
-            self.matcher = build_surface_matcher(ray.get(ref))
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            counts: dict[str, int] = {}
-            paths = batch.column("path").to_pylist()
-            raws = batch.column("bytes").to_pylist()
-            is_test = doc_is_test([_doc_of(p) for p in paths], test_pct)
-            for _path, raw, t in zip(paths, raws, is_test):
-                if t:
-                    continue
-                doc, _e, _a = parse_annotation(_path, raw)
-                for text, _off in _turn_spans(doc["content"]):
-                    for _s, _e2, _label, key in scan_turn(
-                            text, self.matcher):
-                        counts[key] = counts.get(key, 0) + 1
-            if not counts:
-                return _OCC_SCHEMA.empty_table()
-            ks = sorted(counts)
-            return pa.table({
-                "surface": pa.array(ks, pa.string()),
-                "n": pa.array([counts[k] for k in ks], pa.int64()),
-            })
+    def count(batch: pa.Table) -> pa.Table:
+        matcher = _lexicon_matcher(ref)
+        counts: dict[str, int] = {}
+        paths = batch.column("path").to_pylist()
+        raws = batch.column("bytes").to_pylist()
+        is_test = doc_is_test([_doc_of(p) for p in paths], test_pct)
+        for _path, raw, t in zip(paths, raws, is_test):
+            if t:
+                continue
+            doc, _e, _a = parse_annotation(_path, raw)
+            for text, _off in _turn_spans(doc["content"]):
+                for _s, _e2, _label, key in scan_turn(text, matcher):
+                    counts[key] = counts.get(key, 0) + 1
+        if not counts:
+            return _OCC_SCHEMA.empty_table()
+        ks = sorted(counts)
+        return pa.table({
+            "surface": pa.array(ks, pa.string()),
+            "n": pa.array([counts[k] for k in ks], pa.int64()),
+        })
 
     parts = _read_raw(ann_dir).map_batches(
-        Counter, batch_format="pyarrow",
-        concurrency=(1, _pool_width())).to_pandas()
+        count, batch_format="pyarrow").to_pandas()
     if parts.empty:
         return {}
     tot = parts.groupby("surface", as_index=False)["n"].sum()
@@ -237,13 +232,6 @@ def _doc_of(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def _pool_width() -> int:
-    """Actor-pool max width: available CPUs (the bucket_groupby
-    sizing idiom), floor 2 so tiny sessions still overlap IO."""
-    import ray
-    return max(2, int(ray.cluster_resources().get("CPU", 4)))
-
-
 def build_surface_matcher(lexicon: dict[str, str]) -> dict:
     """first_token_lower -> [(token_tuple, n_tokens, label)] via the
     shared phrase-index kernel (semantics.build_phrase_index — one
@@ -280,51 +268,48 @@ def scan_turn(text: str,
     return out
 
 
-class LearnedSeatPredictor:
-    """Actor-pool stage: matcher built ONCE per actor from the
-    broadcast lexicon; each batch of raw annotation files becomes
-    predicted mention rows for its split."""
+def _lexicon_matcher(lexicon_ref) -> dict:
+    """This worker process's matcher for the broadcast lexicon."""
+    import ray
 
-    def __init__(self, lexicon_ref, split: str = "test",
-                 test_pct: int = TEST_PCT):
-        import ray
-        lex = ray.get(lexicon_ref) if not isinstance(lexicon_ref, dict) \
-            else lexicon_ref
-        self.matcher = build_surface_matcher(lex)
-        self.want_test = split == "test"
-        self.test_pct = test_pct
+    from .stages.detect import per_process
+    return per_process(lexicon_ref,
+                       lambda: build_surface_matcher(ray.get(lexicon_ref)))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows: list[dict] = []
-        paths = batch.column("path").to_pylist()
-        raws = batch.column("bytes").to_pylist()
-        is_test = doc_is_test([_doc_of(p) for p in paths], self.test_pct)
-        for path, raw, t in zip(paths, raws, is_test):
-            if bool(t) != self.want_test:
-                continue
-            doc, _events, _args = parse_annotation(path, raw)
-            for ti, (text, _off) in enumerate(_turn_spans(doc["content"])):
-                for s, e, label, _key in scan_turn(text, self.matcher):
-                    rows.append({
-                        "conv_id": doc["doc_id"], "turn_idx": ti,
-                        "start": s, "end": e, "label": label,
-                        "clipped": False,
-                    })
-        if not rows:
-            return MENTION_SCHEMA.empty_table()
-        return pa.Table.from_pylist(rows, schema=MENTION_SCHEMA)
+
+def _predict_mention_rows(batch: pa.Table, lexicon_ref, want_test: bool,
+                          test_pct: int) -> pa.Table:
+    """Task stage: each batch of raw annotation files becomes predicted
+    mention rows for its split."""
+    matcher = _lexicon_matcher(lexicon_ref)
+    rows: list[dict] = []
+    paths = batch.column("path").to_pylist()
+    raws = batch.column("bytes").to_pylist()
+    is_test = doc_is_test([_doc_of(p) for p in paths], test_pct)
+    for path, raw, t in zip(paths, raws, is_test):
+        if bool(t) != want_test:
+            continue
+        doc, _events, _args = parse_annotation(path, raw)
+        for ti, (text, _off) in enumerate(_turn_spans(doc["content"])):
+            for s, e, label, _key in scan_turn(text, matcher):
+                rows.append({
+                    "conv_id": doc["doc_id"], "turn_idx": ti,
+                    "start": s, "end": e, "label": label,
+                    "clipped": False,
+                })
+    if not rows:
+        return MENTION_SCHEMA.empty_table()
+    return pa.Table.from_pylist(rows, schema=MENTION_SCHEMA)
 
 
 def predict_mentions(ann_dir: str, lexicon: dict[str, str],
-                     split: str = "test", test_pct: int = TEST_PCT,
-                     concurrency=None):
+                     split: str = "test", test_pct: int = TEST_PCT):
     """Dataset of predicted mentions (scorer format) over one split."""
     import ray
-    ref = ray.put(lexicon)
     return _read_raw(ann_dir).map_batches(
-        LearnedSeatPredictor, fn_constructor_args=(ref, split, test_pct),
-        batch_format="pyarrow",
-        concurrency=concurrency or (1, _pool_width()))
+        _predict_mention_rows, batch_format="pyarrow",
+        fn_kwargs={"lexicon_ref": ray.put(lexicon),
+                   "want_test": split == "test", "test_pct": test_pct})
 
 
 def _filter_split(mentions_ds, test_pct: int, want_test: bool):
@@ -476,7 +461,7 @@ def learn_argument_seat(ann_dir: str, test_pct: int = TEST_PCT,
     surface lexicon (trigger-prob >= cfg arg_min_prob), the nugget
     GATE lexicon, and the in-arg token probabilities. Everything
     train-split-only. ``cfg`` (generation operating points) rides
-    along in the seat so actor pools apply the same thresholds."""
+    along in the seat so the prediction tasks apply the same thresholds."""
     cfg = dict(ARG_CFG_DEFAULT if cfg is None else cfg)
     return {
         "arg_lexicon": learn_filtered_lexicon(
@@ -712,85 +697,78 @@ def _theta_for(rr: dict, src: str) -> float:
     return rr["theta"]
 
 
-class ArgumentSeatPredictor:
-    """Actor-pool stage for the v2 argument seat: matchers + in-arg
-    probabilities built once per actor from the broadcast seat state;
-    each batch of raw annotation files becomes predicted argument
-    mention rows for its split."""
+def _seat_matchers(seat_ref) -> tuple:
+    """This worker process's (matcher, gate, pin, cfg) for the broadcast
+    v2 argument seat state."""
+    import ray
 
-    def __init__(self, seat_ref, split: str = "test",
-                 test_pct: int = TEST_PCT, with_feats: bool = False,
-                 reranker: dict | None = None):
-        import ray
-        seat = ray.get(seat_ref) if not isinstance(seat_ref, dict) \
-            else seat_ref
-        self.matcher = build_surface_matcher(seat["arg_lexicon"])
-        self.gate = build_surface_matcher(seat["gate_lexicon"])
-        self.pin = seat["pin"]
-        self.cfg = seat.get("cfg")
-        self.want_test = split == "test"
-        self.test_pct = test_pct
-        self.with_feats = with_feats
-        self.reranker = reranker
+    from .stages.detect import per_process
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows: list[dict] = []
-        feats_mode = self.with_feats or self.reranker is not None
-        paths = batch.column("path").to_pylist()
-        raws = batch.column("bytes").to_pylist()
-        is_test = doc_is_test([_doc_of(p) for p in paths], self.test_pct)
-        for path, raw, t in zip(paths, raws, is_test):
-            if bool(t) != self.want_test:
+    def build():
+        seat = ray.get(seat_ref)
+        return (build_surface_matcher(seat["arg_lexicon"]),
+                build_surface_matcher(seat["gate_lexicon"]),
+                seat["pin"], seat.get("cfg"))
+    return per_process(seat_ref, build)
+
+
+def _predict_argument_rows(batch: pa.Table, seat_ref, want_test: bool,
+                           test_pct: int, with_feats: bool,
+                           reranker: dict | None) -> pa.Table:
+    """Task stage for the v2 argument seat: each batch of raw annotation
+    files becomes predicted argument mention rows for its split."""
+    matcher, gate, pin, cfg = _seat_matchers(seat_ref)
+    rows: list[dict] = []
+    feats_mode = with_feats or reranker is not None
+    paths = batch.column("path").to_pylist()
+    raws = batch.column("bytes").to_pylist()
+    is_test = doc_is_test([_doc_of(p) for p in paths], test_pct)
+    for path, raw, t in zip(paths, raws, is_test):
+        if bool(t) != want_test:
+            continue
+        doc, _events, _args = parse_annotation(path, raw)
+        for ti, (text, _off) in enumerate(_turn_spans(doc["content"])):
+            if not feats_mode:
+                recs, _t = _turn_argument_spans(text, matcher, gate, pin,
+                                                cfg)
+                for s, e, label, *_prov in recs:
+                    rows.append({
+                        "conv_id": doc["doc_id"], "turn_idx": ti,
+                        "start": s, "end": e, "label": label,
+                        "clipped": False,
+                    })
                 continue
-            doc, _events, _args = parse_annotation(path, raw)
-            for ti, (text, _off) in enumerate(_turn_spans(doc["content"])):
-                if not feats_mode:
-                    recs, _t = _turn_argument_spans(
-                        text, self.matcher, self.gate, self.pin,
-                        self.cfg)
-                    for s, e, label, *_prov in recs:
-                        rows.append({
-                            "conv_id": doc["doc_id"], "turn_idx": ti,
-                            "start": s, "end": e, "label": label,
-                            "clipped": False,
-                        })
+            recs, toks = _turn_argument_spans(text, matcher, gate, pin, cfg)
+            for rec in recs:
+                fv = _span_feature_vec(rec, toks, pin, len(recs), text)
+                if reranker is not None and _reranker_prob(reranker, fv) \
+                        < _theta_for(reranker, rec[3]):
                     continue
-                recs, toks = _turn_argument_spans(
-                    text, self.matcher, self.gate, self.pin, self.cfg)
-                for rec in recs:
-                    fv = _span_feature_vec(rec, toks, self.pin,
-                                           len(recs), text)
-                    if self.reranker is not None and \
-                            _reranker_prob(self.reranker, fv) < \
-                            _theta_for(self.reranker, rec[3]):
-                        continue
-                    s, e, label = rec[0], rec[1], rec[2]
-                    row = {"conv_id": doc["doc_id"], "turn_idx": ti,
-                           "start": s, "end": e, "label": label,
-                           "clipped": False}
-                    if self.with_feats:
-                        row["feats"] = fv
-                    rows.append(row)
-        schema = RERANK_SCHEMA if self.with_feats else MENTION_SCHEMA
-        if not rows:
-            return schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=schema)
+                s, e, label = rec[0], rec[1], rec[2]
+                row = {"conv_id": doc["doc_id"], "turn_idx": ti,
+                       "start": s, "end": e, "label": label,
+                       "clipped": False}
+                if with_feats:
+                    row["feats"] = fv
+                rows.append(row)
+    schema = RERANK_SCHEMA if with_feats else MENTION_SCHEMA
+    if not rows:
+        return schema.empty_table()
+    return pa.Table.from_pylist(rows, schema=schema)
 
 
 def predict_arguments(ann_dir: str, seat: dict, split: str = "test",
-                      test_pct: int = TEST_PCT, concurrency=None,
-                      with_feats: bool = False,
+                      test_pct: int = TEST_PCT, with_feats: bool = False,
                       reranker: dict | None = None):
     """Dataset of v2 argument predictions (scorer format); with
     ``with_feats`` each row also carries the 13 reranker features,
     with ``reranker`` rows below its keep-threshold are dropped (v3)."""
     import ray
-    ref = ray.put(seat)
     return _read_raw(ann_dir).map_batches(
-        ArgumentSeatPredictor,
-        fn_constructor_args=(ref, split, test_pct, with_feats, reranker),
-        batch_format="pyarrow",
-        concurrency=concurrency or (1, _pool_width()))
+        _predict_argument_rows, batch_format="pyarrow",
+        fn_kwargs={"seat_ref": ray.put(seat), "want_test": split == "test",
+                   "test_pct": test_pct, "with_feats": with_feats,
+                   "reranker": reranker})
 
 
 RERANK_DEV_LO, RERANK_DEV_HI = 20, 36   # v2's dev buckets (FNV % 100)

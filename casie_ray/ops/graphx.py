@@ -959,13 +959,13 @@ def _rw_step(step: int):
         alive = deg > 0
         if not alive.any():
             return _RW_FRONTIER_SCHEMA.empty_table()
-        lo, deg, fsrc = lo[alive], deg[alive], fsrc[alive]
+        lo, deg = lo[alive], deg[alive]
         walks = fr.column("walk").to_numpy(zero_copy_only=False)[alive]
         starts = np.asarray(
             fr.column("start_node").to_pylist())[alive]
         a2 = (walks.astype(np.uint64) * np.uint64(1 << 32)
               + np.uint64(step))
-        r = mix64([fnv1a_hashes(list(fsrc)), a2])
+        r = mix64([fnv1a_hashes(fr.column("node").filter(alive)), a2])
         return pa.table({
             "start_node": pa.array(starts, pa.string()),
             "walk": pa.array(walks.astype(np.int64)),

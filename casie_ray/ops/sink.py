@@ -119,22 +119,23 @@ def _commit_partition(out_dir: str, value: str, cfg: str, relpath: str,
     os.replace(tmp, _part_manifest(out_dir, value))
 
 
+def _partition_key(col: pa.ChunkedArray) -> pa.ChunkedArray:
+    """Each row's partition name: the value's Arrow string form, nulls
+    as ``NULL_PARTITION``. The one form used for the bucket hash, the
+    row filter and the directory name, so every row lands whatever the
+    column type (Python's ``str`` spells ``True`` and ``1.0`` where
+    Arrow writes ``true`` and ``1``)."""
+    return pc.fill_null(col.cast(pa.string()), NULL_PARTITION)
+
+
 def _write_bucket(out_dir: str, partition_col: str, cfg: str,
                   resume: bool):
     def fn(group: pa.Table) -> pa.Table:
         g = group.drop_columns(["bucket"])
-        col = g.column(partition_col).combine_chunks()
-        vals = pc.unique(col)
+        key = _partition_key(g.column(partition_col))
         out_v, out_n, out_s = [], [], []
-        for v in vals.to_pylist():          # bounded by partition count
-            if v is None:
-                sval = NULL_PARTITION
-                part = g.filter(pc.is_null(col))
-            else:
-                sval = str(v)
-                part = g.filter(pc.equal(
-                    col.cast(pa.string()),
-                    pa.scalar(sval, pa.string())))
+        for sval in pc.unique(key).to_pylist():  # bounded by partitions
+            part = g.filter(pc.equal(key, pa.scalar(sval, pa.string())))
             out_v.append(sval)
             out_n.append(part.num_rows)
             if resume and partition_complete(out_dir, sval, cfg):
@@ -173,9 +174,7 @@ def write_partitioned(ds, out_dir: str, partition_col: str,
     os.makedirs(out_dir, exist_ok=True)
 
     def tag(batch: pa.Table) -> pa.Table:
-        h = fnv1a_hashes([
-            NULL_PARTITION if v is None else str(v)
-            for v in batch.column(partition_col).to_pylist()])
+        h = fnv1a_hashes(_partition_key(batch.column(partition_col)))
         return batch.append_column(
             "bucket", pa.array(hash_bucket([h]), pa.int32()))
 

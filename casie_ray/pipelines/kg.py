@@ -517,6 +517,8 @@ def _finalize_local(out_dir, raw_files, surf_files, conv_files, groups,
     if conv_files:
         _raise_on_split(out_dir, split_conversations(
             _read_local(conv_files)).to_pylist(), groups)
+    timings["split_check"] = round(time.time() - t1, 2)
+    t1 = time.time()
     mapping = _canonical_mapping_local(surf_files)
     timings["canonicalize"] = round(time.time() - t1, 2)
     t1 = time.time()
@@ -601,7 +603,6 @@ def _read_path_chunks(rd, files: list[str], n_blocks: int,
 def _finalize(out_dir, raw_root, groups, skipped, timings, t0) -> dict:
     import ray
 
-    t1 = time.time()
     rd = _ray_data()
     raw_files = sorted(glob.glob(
         os.path.join(raw_root, "group-*", "*.parquet")))
@@ -630,6 +631,7 @@ def _finalize(out_dir, raw_root, groups, skipped, timings, t0) -> dict:
         return _finalize_local(out_dir, raw_files, surf_files, conv_files,
                                groups, skipped, timings, t0)
     ncpu = int(ray.cluster_resources().get("CPU", 4))
+    t1 = time.time()
     if conv_files:
         def conv_bucket(t: "pa.Table", _path: str) -> "pa.Table":
             return t.append_column("bucket", pa.array(
@@ -639,6 +641,8 @@ def _finalize(out_dir, raw_root, groups, skipped, timings, t0) -> dict:
         _raise_on_split(out_dir, bucket_groupby(
             _read_path_chunks(rd, conv_files, ncpu, per_file=conv_bucket),
             split_conversations, coarse_per_cpu=4).take_all(), groups)
+    timings["split_check"] = round(time.time() - t1, 2)
+    t1 = time.time()
     if sum(os.path.getsize(f) for f in surf_files) <= SMALL_CANON_BYTES:
         # size-aware escape hatch (as for the small finalize): below
         # the cutoff the entity-block exchange's fixed cost exceeds the

@@ -153,9 +153,8 @@ def _gc_paused(fn):
 
 
 class DetectTagger:
-    """map_batches(DetectTagger, fn_constructor_args=([state_ref],),
-    fn_constructor_kwargs={"entities_path": ..}, batch_format="pyarrow",
-    concurrency=..). ``state`` is a prebuilt :func:`build_tagger_state`
+    """Per-batch detection: :meth:`tag_batch` appends the detection
+    columns. ``state`` is a prebuilt :func:`build_tagger_state`
     dict or a raw entities list (tests), or a ``ray.put`` ref to either —
     bare or boxed in a one-element list so Ray hands it over unresolved.
     A ref whose object is lost or freed is rebuilt from
@@ -406,13 +405,19 @@ class ShardFileExtractor(ShardExtractor):
             "task_s": time.perf_counter() - t0}], schema=self.STATS_SCHEMA)
 
 
-# this worker process's extractor: (hex of the tagger-state ref it was
-# built from, ShardFileExtractor). Ray reuses pooled task workers across
-# executions, so a build's later tasks and waves skip the state
-# deserialize and extractor set-up. Every build puts its tagger state
-# anew, so the ref (and the key) changes and the next build replaces
-# the entry.
-_EXTRACTOR: tuple[str, ShardFileExtractor] | None = None
+_SLOT: tuple[str, object] | None = None    # (hex of the ref, object)
+
+
+def per_process(ref, build):
+    """``build()``'s object for the broadcast ``ref``, made once per
+    worker process: Ray reuses pooled task workers across executions,
+    so a stage's later tasks skip the deserialize and set-up, and the
+    next broadcast (a new ref) replaces the entry. Stage A, the
+    transcript round-trip and learned.py get their set-up here."""
+    global _SLOT
+    if _SLOT is None or _SLOT[0] != ref.hex():
+        _SLOT = (ref.hex(), build())
+    return _SLOT[1]
 
 
 def _tagger_state(state_ref, entities_path, kb_whitelist, kb_blacklist):
@@ -428,16 +433,11 @@ def _tagger_state(state_ref, entities_path, kb_whitelist, kb_blacklist):
                                  kb_blacklist=kb_blacklist)
 
 
-def _cached_extractor(state_box: list, entities_path, kb_whitelist,
-                      kb_blacklist) -> ShardFileExtractor:
-    """This worker process's extractor for the boxed tagger-state ref,
-    built on first use (see ``_EXTRACTOR``)."""
-    global _EXTRACTOR
-    key = state_box[0].hex()
-    if _EXTRACTOR is None or _EXTRACTOR[0] != key:
-        _EXTRACTOR = (key, ShardFileExtractor(
-            state_box, entities_path, kb_whitelist, kb_blacklist))
-    return _EXTRACTOR[1]
+def _cached_extractor(state_box: list, entities_path=None, kb_whitelist=None,
+                      kb_blacklist=None) -> ShardFileExtractor:
+    """This worker process's extractor for the boxed tagger-state ref."""
+    return per_process(state_box[0], lambda: ShardFileExtractor(
+        state_box, entities_path, kb_whitelist, kb_blacklist))
 
 
 def extract_shard_files(path: str, state_box: list,

@@ -1,9 +1,10 @@
 """Multimodal (image/audio/video) column plumbing.
 
 Media is carried as an opaque ``binary`` column plus typed metadata;
-decode / feature-extraction runs as an actor-pool ``map_batches`` stage
-with SMALL batches (payloads are large — batch_size x concurrency must
-fit the worker heap; the object store spills the rest).
+decode / feature-extraction runs as a task ``map_batches`` stage (a
+plain batch function: no stage holds state) with SMALL batches
+(payloads are large — one batch must fit a worker's heap; the object
+store spills the rest).
 
 Codecs: formats decodable with stdlib + numpy are decoded FOR REAL —
 24-bit uncompressed BMP and binary PPM (P6) images (hand-parsed
@@ -177,89 +178,83 @@ MEDIA_BATCH_SIZE = 16
 EMBED_DIM = 16
 
 
-class MediaDecoder:
-    """Actor-pool decode/feature stage:
-    map_batches(MediaDecoder, concurrency=(a, b),
-                batch_size=MEDIA_BATCH_SIZE, batch_format="pyarrow").
-
-    A real build loads the codec/model once here in ``__init__``
-    (exactly the T1-style stateful-stage seat, SURVEY §2.3)."""
-
-    def __init__(self, strict: bool = False):
-        self.strict = strict
-        self.codec = None  # real build: load PIL / ffmpeg / model here
-
-    def _decode(self, payload: bytes) -> dict:
-        """Route by magic bytes: BMP / PPM(P6) / WAV decode for real;
-        anything else is the compressed-codec seam (strict raises, the
-        default falls back to the deterministic fake)."""
-        zero = {"width": 0, "height": 0, "mean_luma": 0.0,
-                "sample_rate": 0, "duration_ms": 0, "rms": 0.0}
-        try:
-            if payload[:2] == b"BM":
-                w, h, luma = _decode_bmp(payload)
-                return {**zero, "decoder": "bmp", "width": w,
-                        "height": h, "mean_luma": luma}
-            if payload[:2] == b"P6":
-                w, h, luma = _decode_ppm(payload)
-                return {**zero, "decoder": "ppm", "width": w,
-                        "height": h, "mean_luma": luma}
-            if payload[:4] == b"RIFF" and payload[8:12] == b"WAVE":
-                rate, dur, rms = _decode_wav(payload)
-                return {**zero, "decoder": "wav", "sample_rate": rate,
-                        "duration_ms": dur, "rms": rms}
-            if payload[:4] == RAWV_MAGIC:
-                frames, fps = _rawv_frames(payload)
-                luma = float((frames.astype(np.float64) @ _LUMA)
-                             .mean() / 255.0)
-                return {**zero, "decoder": "rawv",
-                        "width": frames.shape[2],
-                        "height": frames.shape[1], "mean_luma": luma,
-                        "sample_rate": fps,
-                        "duration_ms": int(round(
-                            1000.0 * len(frames) / fps)) if fps else 0}
-        except (ValueError, struct.error, EOFError, IndexError,
-                wave.Error) as e:
-            if self.strict:
-                raise NotImplementedError(
-                    f"payload sniffed as media but undecodable: {e}") \
-                    from e
-        if self.strict:
+def _decode(payload: bytes, strict: bool) -> dict:
+    """Route by magic bytes: BMP / PPM(P6) / WAV / RAWV decode for real;
+    anything else is the compressed-codec seam (strict raises, the
+    default falls back to the deterministic fake)."""
+    zero = {"width": 0, "height": 0, "mean_luma": 0.0,
+            "sample_rate": 0, "duration_ms": 0, "rms": 0.0}
+    try:
+        if payload[:2] == b"BM":
+            w, h, luma = _decode_bmp(payload)
+            return {**zero, "decoder": "bmp", "width": w,
+                    "height": h, "mean_luma": luma}
+        if payload[:2] == b"P6":
+            w, h, luma = _decode_ppm(payload)
+            return {**zero, "decoder": "ppm", "width": w,
+                    "height": h, "mean_luma": luma}
+        if payload[:4] == b"RIFF" and payload[8:12] == b"WAVE":
+            rate, dur, rms = _decode_wav(payload)
+            return {**zero, "decoder": "wav", "sample_rate": rate,
+                    "duration_ms": dur, "rms": rms}
+        if payload[:4] == RAWV_MAGIC:
+            frames, fps = _rawv_frames(payload)
+            luma = float((frames.astype(np.float64) @ _LUMA)
+                         .mean() / 255.0)
+            return {**zero, "decoder": "rawv",
+                    "width": frames.shape[2],
+                    "height": frames.shape[1], "mean_luma": luma,
+                    "sample_rate": fps,
+                    "duration_ms": int(round(
+                        1000.0 * len(frames) / fps)) if fps else 0}
+    except (ValueError, struct.error, EOFError, IndexError,
+            wave.Error) as e:
+        if strict:
             raise NotImplementedError(
-                "no native codec for this payload format (PIL/ffmpeg "
-                "absent in this environment; BMP/PPM/WAV decode "
-                "natively) — plug a real decoder here")
-        # deterministic fake decode: dims and luma from the digest
-        d = hashlib.blake2b(payload or b"", digest_size=16).digest()
-        return {**zero, "decoder": "fake", "width": 64 + d[0] * 8,
-                "height": 64 + d[1] * 8, "mean_luma": d[2] / 255.0}
+                f"payload sniffed as media but undecodable: {e}") from e
+    if strict:
+        raise NotImplementedError(
+            "no native codec for this payload format (PIL/ffmpeg "
+            "absent in this environment; BMP/PPM/WAV decode "
+            "natively) — plug a real decoder here")
+    # deterministic fake decode: dims and luma from the digest
+    d = hashlib.blake2b(payload or b"", digest_size=16).digest()
+    return {**zero, "decoder": "fake", "width": 64 + d[0] * 8,
+            "height": 64 + d[1] * 8, "mean_luma": d[2] / 255.0}
 
-    def _embed(self, payload: bytes) -> np.ndarray:
-        d = hashlib.blake2b(payload or b"", digest_size=2 * EMBED_DIM,
-                            person=b"mmemb").digest()
-        v = np.frombuffer(d, dtype=np.uint8)[:EMBED_DIM].astype(np.float32)
-        v = v - v.mean()
-        n = float(np.linalg.norm(v))
-        return v / n if n else v
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("media_id").to_pylist()
-        types = batch.column("media_type").to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        rows = []
-        for mid, mtype, p in zip(ids, types, payloads):
-            p = p or b""
-            rows.append({
-                "media_id": mid, "media_type": mtype,
-                "n_bytes": len(p),
-                # 60-bit sha256 prefix: DuckDB reproduces this exactly
-                # (CAST('0x'||substring(sha256(payload),1,15) AS BIGINT)),
-                # making the metadata half of this stage oracle-checkable
-                "checksum": int(hashlib.sha256(p).hexdigest()[:15], 16),
-                **self._decode(p),
-                "embedding": self._embed(p).tolist(),
-            })
-        return pa.Table.from_pylist(rows, schema=FEATURE_SCHEMA)
+def _embed(payload: bytes) -> np.ndarray:
+    d = hashlib.blake2b(payload or b"", digest_size=2 * EMBED_DIM,
+                        person=b"mmemb").digest()
+    v = np.frombuffer(d, dtype=np.uint8)[:EMBED_DIM].astype(np.float32)
+    v = v - v.mean()
+    n = float(np.linalg.norm(v))
+    return v / n if n else v
+
+
+def decode_media(batch: pa.Table, strict: bool = False) -> pa.Table:
+    """Decode/feature task stage:
+    map_batches(decode_media, batch_size=MEDIA_BATCH_SIZE,
+                batch_format="pyarrow"[, fn_kwargs={"strict": True}]).
+
+    A real codec or model would be loaded once per worker process
+    through ``detect.per_process`` (the stage-A extractor's slot)."""
+    rows = []
+    for mid, mtype, p in zip(batch.column("media_id").to_pylist(),
+                             batch.column("media_type").to_pylist(),
+                             batch.column("payload").to_pylist()):
+        p = p or b""
+        rows.append({
+            "media_id": mid, "media_type": mtype,
+            "n_bytes": len(p),
+            # 60-bit sha256 prefix: DuckDB reproduces this exactly
+            # (CAST('0x'||substring(sha256(payload),1,15) AS BIGINT)),
+            # making the metadata half of this stage oracle-checkable
+            "checksum": int(hashlib.sha256(p).hexdigest()[:15], 16),
+            **_decode(p, strict),
+            "embedding": _embed(p).tolist(),
+        })
+    return pa.Table.from_pylist(rows, schema=FEATURE_SCHEMA)
 
 
 def documents_as_media(sf_dir: str):
@@ -286,12 +281,10 @@ def documents_as_media(sf_dir: str):
     return ds.map_batches(wrap, batch_format="pyarrow")
 
 
-def media_features(sf_dir: str, concurrency=2):
-    """documents -> media payloads -> actor-pool decode/features."""
-    ds = documents_as_media(sf_dir)
-    return ds.map_batches(MediaDecoder, batch_format="pyarrow",
-                          batch_size=MEDIA_BATCH_SIZE,
-                          concurrency=concurrency)
+def media_features(sf_dir: str):
+    """documents -> media payloads -> decode/features task map."""
+    return documents_as_media(sf_dir).map_batches(
+        decode_media, batch_format="pyarrow", batch_size=MEDIA_BATCH_SIZE)
 
 
 def media_dedup(sf_dir: str):
@@ -337,7 +330,7 @@ def media_dedup(sf_dir: str):
 # global mean), then the simhash-style band-blocking shuffle — images
 # sharing any 16-bit hash band are candidates, verified by exact
 # Hamming distance inside the band bucket. Payload bytes decode once
-# in the actor-pool stage; only (media_id, ahash) rows cross the
+# in the task stage; only (media_id, ahash) rows cross the
 # exchanges. Re-encodes and tiny pixel noise keep the same aHash;
 # different images do not (planted test).
 # ---------------------------------------------------------------------------
@@ -373,31 +366,32 @@ def average_hash(rgb: np.ndarray) -> int:
     return int(np.packbits(bits.astype(np.uint8)).view(">u8")[0])
 
 
-class AHashStage:
-    """Actor-pool stage: decode image payloads (BMP/PPM) and emit
-    (media_id, ahash); non-image/undecodable rows are dropped."""
+def _hash_rows(ids: list, hashes: list) -> pa.Table:
+    return pa.table({
+        "media_id": pa.array(ids, pa.int64()),
+        "ahash": pa.array(np.array(hashes, dtype=np.uint64), pa.uint64()),
+    })
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_id, out_h = [], []
-        for mid, p in zip(batch.column("media_id").to_pylist(),
-                          batch.column("payload").to_pylist()):
-            p = p or b""
-            try:
-                if p[:2] == b"BM":
-                    rgb = _bmp_pixels(p)
-                elif p[:2] == b"P6":
-                    rgb = _ppm_pixels(p)
-                else:
-                    continue
-                out_id.append(mid)
-                out_h.append(average_hash(rgb))
-            except (ValueError, struct.error, IndexError):
+
+def image_hashes(batch: pa.Table) -> pa.Table:
+    """Task stage: decode image payloads (BMP/PPM) and emit
+    (media_id, ahash); non-image/undecodable rows are dropped."""
+    out_id, out_h = [], []
+    for mid, p in zip(batch.column("media_id").to_pylist(),
+                      batch.column("payload").to_pylist()):
+        p = p or b""
+        try:
+            if p[:2] == b"BM":
+                rgb = _bmp_pixels(p)
+            elif p[:2] == b"P6":
+                rgb = _ppm_pixels(p)
+            else:
                 continue
-        return pa.table({
-            "media_id": pa.array(out_id, pa.int64()),
-            "ahash": pa.array(np.array(out_h, dtype=np.uint64),
-                              pa.uint64()),
-        })
+            out_id.append(mid)
+            out_h.append(average_hash(rgb))
+        except (ValueError, struct.error, IndexError):
+            continue
+    return _hash_rows(out_id, out_h)
 
 
 def hash64_band_pairs(rows_ds, hamming_t: int):
@@ -647,10 +641,9 @@ def media_video_near_dup_q(sf_dir: str):
 def media_phash_pairs(media_ds, hamming_t: int = AHASH_HAMMING_T):
     """(media_a, media_b, hamming) for image pairs whose aHashes are
     within ``hamming_t`` bits. media_ds: MEDIA_SCHEMA-shaped Dataset;
-    payloads decode once in the actor-pool stage, then only
+    payloads decode once in the task stage, then only
     (media_id, ahash) rows cross the band exchanges."""
-    rows = media_ds.map_batches(AHashStage, concurrency=2,
-                                batch_size=MEDIA_BATCH_SIZE,
+    rows = media_ds.map_batches(image_hashes, batch_size=MEDIA_BATCH_SIZE,
                                 batch_format="pyarrow")
     return hash64_band_pairs(rows, hamming_t)
 
@@ -684,35 +677,28 @@ def audio_fingerprint(samples: np.ndarray) -> int:
     return int(np.packbits(bits.astype(np.uint8)).view(">u8")[0])
 
 
-class AudioFpStage:
-    """Actor-pool stage: decode WAV payloads, emit (media_id, ahash);
+def audio_hashes(batch: pa.Table) -> pa.Table:
+    """Task stage: decode WAV payloads, emit (media_id, ahash);
     non-audio/undecodable rows are dropped."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_id, out_h = [], []
-        for mid, p in zip(batch.column("media_id").to_pylist(),
-                          batch.column("payload").to_pylist()):
-            p = p or b""
-            if not (p[:4] == b"RIFF" and p[8:12] == b"WAVE"):
-                continue
-            try:
-                _rate, _n, x = _wav_samples(p)
-            except (ValueError, EOFError, struct.error, wave.Error):
-                continue
-            out_id.append(mid)
-            out_h.append(audio_fingerprint(x))
-        return pa.table({
-            "media_id": pa.array(out_id, pa.int64()),
-            "ahash": pa.array(np.array(out_h, dtype=np.uint64),
-                              pa.uint64()),
-        })
+    out_id, out_h = [], []
+    for mid, p in zip(batch.column("media_id").to_pylist(),
+                      batch.column("payload").to_pylist()):
+        p = p or b""
+        if not (p[:4] == b"RIFF" and p[8:12] == b"WAVE"):
+            continue
+        try:
+            _rate, _n, x = _wav_samples(p)
+        except (ValueError, EOFError, struct.error, wave.Error):
+            continue
+        out_id.append(mid)
+        out_h.append(audio_fingerprint(x))
+    return _hash_rows(out_id, out_h)
 
 
 def media_audio_fp_pairs(media_ds, hamming_t: int = AHASH_HAMMING_T):
     """(media_a, media_b, hamming) for audio pairs whose spectral
     fingerprints are within ``hamming_t`` bits."""
-    rows = media_ds.map_batches(AudioFpStage, concurrency=2,
-                                batch_size=MEDIA_BATCH_SIZE,
+    rows = media_ds.map_batches(audio_hashes, batch_size=MEDIA_BATCH_SIZE,
                                 batch_format="pyarrow")
     return hash64_band_pairs(rows, hamming_t)
 
@@ -721,7 +707,7 @@ def media_audio_fp_pairs(media_ds, hamming_t: int = AHASH_HAMMING_T):
 # Video: a raw container ("RAWV": magic + w/h/n_frames/fps header +
 # concatenated RGB frames) decodable with numpy alone, so the
 # frame-sample stage is REAL end to end — the compressed-codec seam
-# (MP4/H.264, no ffmpeg in this env) stays at the MediaDecoder
+# (MP4/H.264, no ffmpeg in this env) stays at the decode_media
 # boundary exactly like JPEG/MP3. Frame sampling emits one row per
 # every-k-th frame with true per-frame stats + aHash; video near-dup
 # pairs videos sharing enough sampled-frame hashes (the shingle-pair
@@ -755,48 +741,43 @@ def _rawv_frames(payload: bytes) -> tuple[np.ndarray, int]:
     return data, fps
 
 
-class FrameSampleStage:
-    """Actor-pool frame sampler: every ``k``-th frame of each RAWV
+def sample_frames(batch: pa.Table,
+                  every_k: int = FRAME_SAMPLE_EVERY) -> pa.Table:
+    """Task-stage frame sampler: every ``every_k``-th frame of each RAWV
     video -> (media_id, frame_idx, width, height, mean_luma, ahash).
-    A real build swaps the container parser for an ffmpeg/PyAV reader
-    in __init__ — the emitted row contract is the point."""
-
-    def __init__(self, every_k: int = FRAME_SAMPLE_EVERY):
-        self.k = every_k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = []
-        for mid, p in zip(batch.column("media_id").to_pylist(),
-                          batch.column("payload").to_pylist()):
-            p = p or b""
-            if p[:4] != RAWV_MAGIC:
-                continue
-            try:
-                frames, _fps = _rawv_frames(p)
-            except (ValueError, struct.error):
-                continue
-            for fi in range(0, len(frames), self.k):
-                f = frames[fi]
-                rows.append({
-                    "media_id": mid, "frame_idx": fi,
-                    "width": f.shape[1], "height": f.shape[0],
-                    "mean_luma": float(
-                        (f.astype(np.float64) @ _LUMA).mean() / 255.0),
-                    "ahash": average_hash(f),
-                })
-        if not rows:
-            return FRAME_SCHEMA.empty_table()
-        return pa.Table.from_pylist(rows, schema=FRAME_SCHEMA)
+    A real build swaps the container parser for an ffmpeg/PyAV reader —
+    the emitted row contract is the point."""
+    rows = []
+    for mid, p in zip(batch.column("media_id").to_pylist(),
+                      batch.column("payload").to_pylist()):
+        p = p or b""
+        if p[:4] != RAWV_MAGIC:
+            continue
+        try:
+            frames, _fps = _rawv_frames(p)
+        except (ValueError, struct.error):
+            continue
+        for fi in range(0, len(frames), every_k):
+            f = frames[fi]
+            rows.append({
+                "media_id": mid, "frame_idx": fi,
+                "width": f.shape[1], "height": f.shape[0],
+                "mean_luma": float(
+                    (f.astype(np.float64) @ _LUMA).mean() / 255.0),
+                "ahash": average_hash(f),
+            })
+    if not rows:
+        return FRAME_SCHEMA.empty_table()
+    return pa.Table.from_pylist(rows, schema=FRAME_SCHEMA)
 
 
 def frame_sample(media_ds, every_k: int = FRAME_SAMPLE_EVERY):
     """Sampled-frame feature table for every RAWV video payload
-    (actor pool; small batches — raw frames are the biggest payloads
-    this module handles)."""
+    (small batches — raw frames are the biggest payloads this module
+    handles)."""
     return media_ds.map_batches(
-        FrameSampleStage, fn_constructor_args=(every_k,),
-        concurrency=2, batch_format="pyarrow",
-        batch_size=MEDIA_BATCH_SIZE)
+        sample_frames, fn_kwargs={"every_k": every_k},
+        batch_format="pyarrow", batch_size=MEDIA_BATCH_SIZE)
 
 
 def video_near_dup_pairs(media_ds, every_k: int = FRAME_SAMPLE_EVERY,
@@ -931,47 +912,41 @@ def synthetic_shot_video(sf_dir: str):
                      batch_size=MEDIA_BATCH_SIZE)
 
 
-class ShotBoundaryStage:
-    """Actor-pool stage: decode RAWV payloads, threshold the per-frame
+def shot_cuts(batch: pa.Table, hamming_t: int = SHOT_HAMMING_T) -> pa.Table:
+    """Task stage: decode RAWV payloads, threshold the per-frame
     binarized pixel delta -> (media_id, frame_idx, delta_bits) rows,
     one per detected cut. Non-video/undecodable rows are dropped."""
-
-    def __init__(self, hamming_t: int = SHOT_HAMMING_T):
-        self.t = hamming_t
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_id, out_fi, out_d = [], [], []
-        for mid, p in zip(batch.column("media_id").to_pylist(),
-                          batch.column("payload").to_pylist()):
-            p = p or b""
-            if p[:4] != RAWV_MAGIC:
-                continue
-            try:
-                frames, _fps = _rawv_frames(p)
-            except (ValueError, struct.error):
-                continue
-            # binarize on the green channel (two-value frames make the
-            # cut margin exact; a real detector uses a histogram here)
-            bits = frames[:, :, :, 1].reshape(len(frames), -1) > 128
-            if len(bits) < 2:
-                continue
-            delta = np.sum(bits[1:] != bits[:-1], axis=1)
-            hit = np.nonzero(delta >= self.t)[0]
-            out_id.extend([mid] * len(hit))
-            out_fi.extend((hit + 1).tolist())
-            out_d.extend(delta[hit].tolist())
-        return pa.table({
-            "media_id": pa.array(out_id, pa.int64()),
-            "frame_idx": pa.array(out_fi, pa.int64()),
-            "delta_bits": pa.array(out_d, pa.int64()),
-        })
+    out_id, out_fi, out_d = [], [], []
+    for mid, p in zip(batch.column("media_id").to_pylist(),
+                      batch.column("payload").to_pylist()):
+        p = p or b""
+        if p[:4] != RAWV_MAGIC:
+            continue
+        try:
+            frames, _fps = _rawv_frames(p)
+        except (ValueError, struct.error):
+            continue
+        # binarize on the green channel (two-value frames make the
+        # cut margin exact; a real detector uses a histogram here)
+        bits = frames[:, :, :, 1].reshape(len(frames), -1) > 128
+        if len(bits) < 2:
+            continue
+        delta = np.sum(bits[1:] != bits[:-1], axis=1)
+        hit = np.nonzero(delta >= hamming_t)[0]
+        out_id.extend([mid] * len(hit))
+        out_fi.extend((hit + 1).tolist())
+        out_d.extend(delta[hit].tolist())
+    return pa.table({
+        "media_id": pa.array(out_id, pa.int64()),
+        "frame_idx": pa.array(out_fi, pa.int64()),
+        "delta_bits": pa.array(out_d, pa.int64()),
+    })
 
 
 def media_shot_boundaries(media_ds, hamming_t: int = SHOT_HAMMING_T):
     return media_ds.map_batches(
-        ShotBoundaryStage, fn_constructor_args=(hamming_t,),
-        concurrency=2, batch_size=MEDIA_BATCH_SIZE,
-        batch_format="pyarrow")
+        shot_cuts, fn_kwargs={"hamming_t": hamming_t},
+        batch_size=MEDIA_BATCH_SIZE, batch_format="pyarrow")
 
 
 def media_shot_boundaries_q(sf_dir: str):

@@ -1207,6 +1207,28 @@ def test_build_reports_stage_a_task_seconds(ray_session, smoke_corpus,
     assert resumed["timings"]["extract_tasks"] == 0
 
 
+def test_canonicalize_timer_excludes_split_check(ray_session, smoke_corpus,
+                                                tmp_path, monkeypatch):
+    """The split-conversation check has its own timer: with the check
+    made 0.5 s slower, the local tier's ``canonicalize`` time stays
+    below 0.5 s and ``split_check`` carries the delay."""
+    import time
+
+    from casie_ray.pipelines import kg as kgmod
+
+    real = kgmod.split_conversations
+
+    def slow(t):
+        time.sleep(0.5)
+        return real(t)
+
+    monkeypatch.setattr(kgmod, "split_conversations", slow)
+    t = kgmod.run_kg_pipeline(smoke_corpus, str(tmp_path / "kg"),
+                              resume=False)["timings"]
+    assert t["canonicalize"] < 0.5
+    assert t.get("split_check", 0) >= 0.5
+
+
 def test_pipeline_config_surface(ray_session, smoke_corpus, tmp_path):
     """SURVEY §2.10 user-extension surface: (a) a default PipelineConfig
     reproduces the default pipeline exactly; (b) a KB blacklist in the

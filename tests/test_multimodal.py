@@ -1,13 +1,15 @@
-"""Multimodal plumbing tests: opaque-binary payload schema, actor-pool
+"""Multimodal plumbing tests: opaque-binary payload schema, task-map
 decode stage, deterministic fake decode, strict NotImplementedError seam."""
 
 from __future__ import annotations
+
+import functools
 
 import pyarrow as pa
 import pytest
 
 from casie_ray.stages.multimodal import (
-    FEATURE_SCHEMA, MEDIA_SCHEMA, MediaDecoder, media_features,
+    FEATURE_SCHEMA, MEDIA_SCHEMA, decode_media, media_features,
 )
 
 SF_DIR = "/root/testdata/sf0.001"
@@ -23,8 +25,8 @@ def _batch():
 
 
 def test_decoder_deterministic():
-    out1 = MediaDecoder()(_batch())
-    out2 = MediaDecoder()(_batch())
+    out1 = decode_media(_batch())
+    out2 = decode_media(_batch())
     assert out1.schema.equals(FEATURE_SCHEMA)
     assert out1.equals(out2)
     assert out1.column("n_bytes").to_pylist() == [9, 0]
@@ -32,7 +34,7 @@ def test_decoder_deterministic():
 
 def test_decoder_strict_raises():
     with pytest.raises(NotImplementedError):
-        MediaDecoder(strict=True)(_batch())
+        decode_media(_batch(), strict=True)
 
 
 def test_media_pipeline_end_to_end(ray_session):
@@ -48,7 +50,7 @@ def test_media_pipeline_end_to_end(ray_session):
 
 def test_real_codecs_roundtrip(ray_session, tmp_path):
     """BMP/PPM/WAV are decoded FOR REAL: encode known pixels/samples,
-    run them through the MediaDecoder actor pool, and check the decoded
+    run them through the decode_media task map, and check the decoded
     dimensions / luma / sample-rate / duration / RMS against values
     computed independently. Unknown formats still take the seam (strict
     raises; default falls back to the deterministic fake)."""
@@ -57,7 +59,7 @@ def test_real_codecs_roundtrip(ray_session, tmp_path):
     import pytest
     import ray
 
-    from casie_ray.stages.multimodal import (MEDIA_SCHEMA, MediaDecoder,
+    from casie_ray.stages.multimodal import (MEDIA_SCHEMA, decode_media,
                                              encode_bmp, encode_wav)
 
     rng = np.random.default_rng(5)
@@ -82,8 +84,8 @@ def test_real_codecs_roundtrip(ray_session, tmp_path):
         "source": pa.array(["t"] * 4, pa.string()),
     }).cast(MEDIA_SCHEMA)
     ds = ray.data.from_arrow(tbl)
-    df = ds.map_batches(MediaDecoder, batch_format="pyarrow",
-                        batch_size=2, concurrency=2).to_pandas() \
+    df = ds.map_batches(decode_media, batch_format="pyarrow",
+                        batch_size=2).to_pandas() \
         .set_index("media_id")
 
     b = df.loc[1]
@@ -100,7 +102,7 @@ def test_real_codecs_roundtrip(ray_session, tmp_path):
     assert f["decoder"] == "fake" and f["width"] >= 64
 
     # the compressed-codec seam still raises in strict mode
-    strictd = MediaDecoder(strict=True)
+    strictd = functools.partial(decode_media, strict=True)
     with pytest.raises(NotImplementedError):
         strictd(tbl.slice(3, 1))
     # real formats decode even in strict mode
@@ -227,7 +229,7 @@ def test_frame_sample_and_video_near_dup(ray_session):
     import pyarrow as pa
     import ray
 
-    from casie_ray.stages.multimodal import (MEDIA_SCHEMA, MediaDecoder,
+    from casie_ray.stages.multimodal import (MEDIA_SCHEMA, decode_media,
                                              encode_rawv, frame_sample,
                                              video_near_dup_pairs)
 
@@ -266,8 +268,8 @@ def test_frame_sample_and_video_near_dup(ray_session):
     assert (out.iloc[0]["media_a"], out.iloc[0]["media_b"]) == (0, 3)
     assert out.iloc[0]["n_shared"] == 3
 
-    # MediaDecoder routes RAWV for real
-    dec = MediaDecoder(strict=True)(tbl.slice(0, 1)).to_pylist()[0]
+    # decode_media routes RAWV for real
+    dec = decode_media(tbl.slice(0, 1), strict=True).to_pylist()[0]
     assert dec["decoder"] == "rawv"
     assert (dec["width"], dec["height"]) == (32, 24)
     assert dec["sample_rate"] == 10 and dec["duration_ms"] == 1200
@@ -367,7 +369,7 @@ def test_shot_boundaries_planted(ray_session):
     import numpy as np
 
     from casie_ray.stages.multimodal import (
-        SHOT_HAMMING_T, ShotBoundaryStage, _fixture_shot_video_payload,
+        SHOT_HAMMING_T, _fixture_shot_video_payload, shot_cuts,
         _rawv_frames,
     )
     from casie_ray.ops.bucketing import mix64
@@ -375,7 +377,7 @@ def test_shot_boundaries_planted(ray_session):
                                              FAM_SHOT_LEN,
                                              SHOT_MIN_FRAMES)
 
-    stage = ShotBoundaryStage()
+    stage = shot_cuts
     for d in (0, 1, 7, 40, 123):
         p = _fixture_shot_video_payload(d)
         nf = SHOT_MIN_FRAMES + int(mix64(

@@ -426,43 +426,37 @@ ray.init(address="local", num_cpus=1, include_dashboard=False,
          logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
-import ray.data
-from casie_ray.ops import curation, mlprep
-op, arg = sys.argv[1], sys.argv[2]
-out = (mlprep.kg_negative_samples(ray.data.read_parquet(arg))
-       if op == "kg_negative_samples" else curation.curation_pack(arg))
-print(out.count())
+import __ray_entry__
+print(__ray_entry__.queries()[sys.argv[1]](sys.argv[2]).count())
 ray.shutdown()
 """
 
 
-@pytest.mark.parametrize("op", ["kg_negative_samples", "curation_pack"])
-def test_two_exchange_inputs_finish_at_one_cpu(ray_session, oracle_triples,
-                                               tmp_path, op):
-    """The two ops whose join reads two exchange-fed inputs finish in a
-    Ray session of one logical CPU, with the rows of the shared 4-CPU
-    session. The run is a subprocess with its own session; on timeout
-    its whole process group (driver and Ray daemons) is killed, so a
-    hang fails the test and leaves no process behind."""
+@pytest.mark.parametrize("name", [
+    "kg_negative_samples", "curation_pack", "media_features",
+    "media_phash_pairs", "media_audio_fp_pairs", "media_video_near_dup",
+    "media_shot_boundaries", "transcripts_roundtrip"])
+def test_entry_finishes_at_one_cpu(ray_session, name):
+    """A registry entry finishes in a Ray session of one logical CPU,
+    with the rows of the shared 4-CPU session. The inputs are entries
+    that once hung there: ``kg_negative_samples`` and ``curation_pack``
+    read two exchange-fed inputs in one union, and the media entries
+    ran actor pools that held the only CPU their read task waited for;
+    ``transcripts_roundtrip`` also ran an actor pool. The run is a
+    subprocess with its own session; on timeout its whole process group
+    (driver and Ray daemons) is killed, so a hang fails the test and
+    leaves no process behind."""
     import os
     import signal
     import subprocess
     import sys
 
-    import ray
+    import __ray_entry__ as entrymod
 
-    from casie_ray.ops import curation, mlprep
-
-    if op == "kg_negative_samples":
-        arg = str(tmp_path / "edges.parquet")
-        oracle_triples[["subj", "pred", "obj"]].to_parquet(arg, index=False)
-        want = mlprep.kg_negative_samples(ray.data.read_parquet(arg)).count()
-    else:
-        arg = SF_DIR
-        want = curation.curation_pack(arg).count()
+    want = entrymod.queries()[name](SF_DIR).count()
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.Popen(
-        [sys.executable, "-c", _ONE_CPU_RUN, op, arg], cwd=repo,
+        [sys.executable, "-c", _ONE_CPU_RUN, name, SF_DIR], cwd=repo,
         start_new_session=True, stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT, text=True)
     try:
@@ -470,7 +464,7 @@ def test_two_exchange_inputs_finish_at_one_cpu(ray_session, oracle_triples,
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail(f"{op} at 1 CPU did not finish in 180 s")
+        pytest.fail(f"{name} at 1 CPU did not finish in 180 s")
     assert proc.returncode == 0, log[-3000:]
     assert int(log.strip().splitlines()[-1]) == want > 0
 
@@ -1635,6 +1629,52 @@ def test_write_partitioned_null_values_land_in_default_partition(
     s2 = write_partitioned(ray.data.read_parquet(src), out, "grp") \
         .to_pandas()
     assert s2["skipped"].all()
+
+
+@pytest.mark.parametrize("kind", ["bool", "float", "timestamp", "int"])
+def test_write_partitioned_non_string_column_keeps_every_row(
+        ray_session, tmp_path, kind):
+    """A non-string partition column loses no row: each partition is
+    named by the value's Arrow string form (``true``, ``1``), every row
+    lands on disk, each manifest counts its partition's rows, and a
+    resume skips every partition."""
+    import datetime
+    import glob
+    import json
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from casie_ray.ops.sink import write_partitioned
+
+    day = datetime.datetime(2024, 1, 1)
+    grp = {
+        "bool": pa.array([True, False, None, True]),
+        "float": pa.array([1.0, 2.5, None, 1.0]),
+        "timestamp": pa.array([day, day + datetime.timedelta(hours=3),
+                               None, day], pa.timestamp("us")),
+        "int": pa.array([1, 2, None, 1], pa.int64()),
+    }[kind]
+    src = str(tmp_path / "src.parquet")
+    pq.write_table(pa.table({"doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+                             "grp": grp}), src)
+    out = str(tmp_path / "exp")
+    s = write_partitioned(ray.data.read_parquet(src), out, "grp") \
+        .to_pandas()
+    assert len(s) == 3 and s["n_rows"].sum() == 4
+    landed = sorted(i for d in glob.glob(f"{out}/grp=*")
+                    for i in pq.read_table(f"{d}/part.parquet")
+                    .column("doc_id").to_pylist())
+    assert landed == [1, 2, 3, 4]
+    counts = []
+    for m in glob.glob(f"{out}/_manifests/*.json"):
+        with open(m) as f:
+            counts.append(json.load(f)["n_rows"])
+    assert sorted(counts) == [1, 1, 2]
+    s2 = write_partitioned(ray.data.read_parquet(src), out, "grp") \
+        .to_pandas()
+    assert len(s2) == 3 and s2["skipped"].all()
 
 
 def test_events_pivot_unmatched_type_users_get_zero_rows(
